@@ -53,9 +53,10 @@ constexpr unsigned tornExhaustiveBits = 4;
  *    moment write k+1 was queued;
  *  - the dirty-block set: the only blocks any trial state of this
  *    operation can differ in (recovery writes only the logged data
- *    blocks and the log region, all touched here), which makes
- *    per-state rewind, digest and oracle compares proportional to
- *    the working set instead of the PM size.
+ *    blocks and the log region, all touched here). The reorder
+ *    path's crash snapshot, rewind and digest cover exactly these
+ *    blocks; the PM's block-touch journal checks the claim after
+ *    every crash point.
  */
 class RecordingPlan : public FaultPlan
 {
@@ -99,9 +100,11 @@ class RecordingPlan : public FaultPlan
  * The state-equivalence contract between the two primitives:
  * exploreOp()'s terminating trial is restore(pre) -> recoverAll ->
  * persistAll -> runFase (committed) -> applyToModel -> persistAll,
- * and commitOp() replays exactly that sequence (the armed
- * PowerCutPlan of the trial never fires on the committed run and
- * plans only observe, so omitting it cannot change a byte). Hence
+ * where pre was snapshotted right after a persistAll. commitOp()
+ * replays that sequence from the op-start state itself: restoring a
+ * snapshot just taken is the identity, and the armed PowerCutPlan of
+ * the trial never fires on the committed run and plans only observe,
+ * so omitting either cannot change a byte. Hence
  * commitOp(0..op-1) and exploreOp(0..op-1) leave identical PM images
  * and shadow models, which is what makes per-op fragments
  * position-independent.
@@ -131,8 +134,6 @@ class OpExplorer
     commitOp(std::size_t op)
     {
         pm.persistAll();
-        const auto pre = pm.snapshot();
-        pm.restore(pre);
         rt.recoverAll();
         pm.persistAll();
         inj.clearPlans();
@@ -189,11 +190,12 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
     // land *past* the durable commit point. Recovery then keeps
     // the new state -- the "all" of all-or-nothing -- and the
     // oracle must recognise it. Run the op once uninterrupted to
-    // learn what that state looks like, then rewind. In reorder
-    // mode the same run also records the operation's dirty-block
-    // set: recovery only ever writes the logged data blocks and
-    // the log region, both of which this run touches, so every
-    // trial state of this op agrees with `pre` outside it.
+    // learn what that state looks like (kept as the blocks where it
+    // differs from `pre`), then rewind. In reorder mode the same
+    // run also records the operation's dirty-block set: recovery
+    // only ever writes the logged data blocks and the log region,
+    // both of which this run touches, so every trial state of this
+    // op should agree with `pre` outside it.
     std::set<Addr> dirtySet;
     std::vector<runtime::PersistentMemory::Pending> refStream;
     inj.clearPlans();
@@ -203,51 +205,38 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
     rt.runFase(0,
                [&](runtime::Transaction &tx) { wl.runOp(tx, op); });
     pm.persistAll();
-    const std::vector<std::uint8_t> post_image(
-        pm.persistedImage(), pm.persistedImage() + pm.size());
+    const auto post = pm.snapshotBlocks(pm.durableChangesSince(pre));
     pm.restore(pre);
     rt.recoverAll();
     pm.persistAll();
     inj.clearPlans();
     const std::vector<Addr> dirty(dirtySet.begin(), dirtySet.end());
 
+    // Every trial starts from restore(pre), so the PM's journal
+    // limits both oracles to the blocks the trial touched (plus
+    // post's own) while keeping whole-image meaning.
+    //
     // After recovery the two images must agree once in-flight
     // persists drain: recovery may not leave state that exists only
     // in the "caches".
     auto converged = [&] {
         pm.persistAll();
-        return std::memcmp(pm.volatileImage(), pm.persistedImage(),
-                           pm.size()) == 0;
+        return pm.imagesAgree();
     };
 
     auto committedDurably = [&] {
         pm.persistAll();
-        return std::memcmp(pm.persistedImage(), post_image.data(),
-                           pm.size()) == 0;
+        return pm.durableMatches(pre, post);
     };
 
-    // Dirty-restricted oracle compares for reorder trials: the
-    // images agree with the reference outside the dirty blocks
-    // by construction, so block-limited equality is exact and
-    // orders of magnitude cheaper than whole-image memcmp.
-    auto committedDurablyDirty = [&] {
-        pm.persistAll();
-        for (Addr b : dirty) {
-            if (std::memcmp(pm.persistedImage() + b,
-                            post_image.data() + b, blockBytes) != 0)
-                return false;
+    // The reorder path trusts the dirty set to cover every block a
+    // trial touches; the journal says whether it did.
+    auto touchedOutsideDirty = [&] {
+        for (Addr b : pm.touchedBlocks()) {
+            if (!std::binary_search(dirty.begin(), dirty.end(), b))
+                return true;
         }
-        return true;
-    };
-    auto convergedDirty = [&] {
-        pm.persistAll();
-        for (Addr b : dirty) {
-            if (std::memcmp(pm.volatileImage() + b,
-                            pm.persistedImage() + b,
-                            blockBytes) != 0)
-                return false;
-        }
-        return true;
+        return false;
     };
 
     // Reduction (c)'s digest: CRC-32C over the dirty blocks of
@@ -309,13 +298,13 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
             // image, taken before the prefix trial's recovery
             // mutates the state.
             std::vector<runtime::PersistentMemory::Pending> window;
-            runtime::PersistentMemory::Snapshot crashSnap;
+            runtime::PersistentMemory::BlockSnapshot crashSnap;
             if (opts.reorderings && k < refStream.size()) {
                 const std::size_t end = std::min<std::size_t>(
                     k + windowDepth, refStream.size());
                 window.assign(refStream.begin() + k,
                               refStream.begin() + end);
-                crashSnap = pm.snapshot();
+                crashSnap = pm.snapshotBlocks(dirty);
             }
             try {
                 rt.recoverAll();
@@ -343,9 +332,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
 
             if (!window.empty()) {
                 ReorderHooks hooks;
-                hooks.rewind = [&] {
-                    pm.restoreBlocks(crashSnap, dirty);
-                };
+                hooks.rewind = [&] { pm.restoreBlocks(crashSnap); };
                 hooks.isNoop =
                     [&](const runtime::PersistentMemory::Pending &p) {
                         return std::memcmp(pm.persistedImage() +
@@ -387,15 +374,14 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                              ("invariants violated after "
                               "reordered-crash recovery" + ctx)
                                  .c_str());
-                    if (!wl.matchesModel() &&
-                        !committedDurablyDirty())
+                    if (!wl.matchesModel() && !committedDurably())
                         fail(frag, op, k,
                              ("recovered state is neither the "
                               "pre- nor the post-operation state "
                               "(atomicity under persist "
                               "reordering)" + ctx)
                                  .c_str());
-                    if (!convergedDirty())
+                    if (!converged())
                         fail(frag, op, k,
                              ("volatile/persisted images diverge "
                               "after reordered-crash recovery" +
@@ -413,8 +399,13 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                 // Leave a clean slate for the next k: the last
                 // explored state's recovery is still in the
                 // images.
-                pm.restoreBlocks(crashSnap, dirty);
+                pm.restoreBlocks(crashSnap);
             }
+            if (opts.reorderings && touchedOutsideDirty())
+                fail(frag, op, k,
+                     "trial touched a block outside the reference "
+                     "run's dirty set (reorder rewind and digest "
+                     "would be inexact)");
 
             if (!opts.tornWrites || frontier_words < 2)
                 continue;

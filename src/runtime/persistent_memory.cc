@@ -1,5 +1,8 @@
 #include "persistent_memory.hh"
 
+#include <algorithm>
+#include <atomic>
+
 #include "common/logging.hh"
 
 namespace pmemspec::runtime
@@ -15,6 +18,10 @@ wordAlign(Addr a)
 {
     return a & ~(wordBytes - 1);
 }
+
+/** Snapshot ids are unique across every PM in the process, so a
+ *  snapshot of one space can never pass for another's journal base. */
+std::atomic<std::uint64_t> lastSnapshotId{0};
 
 } // namespace
 
@@ -64,6 +71,7 @@ PersistentMemory::writeTagged(Addr a, const void *src, std::size_t n,
 {
     checkRange(a, n);
     std::memcpy(volatileImg.data() + a, src, n);
+    touch(a, n);
     // A full 8-byte overwrite of a poisoned word heals it (the
     // device remaps the line when fresh data arrives); a partial
     // overwrite leaves the word uncorrectable.
@@ -163,6 +171,7 @@ PersistentMemory::applyPending(const Pending &p)
 {
     std::memcpy(persistedImg.data() + p.addr, p.bytes.data(),
                 p.bytes.size());
+    touch(p.addr, p.bytes.size());
 }
 
 void
@@ -173,11 +182,60 @@ PersistentMemory::persistAll()
     inFlight.clear();
 }
 
-PersistentMemory::Snapshot
-PersistentMemory::snapshot() const
+std::size_t
+PersistentMemory::blockSpan(Addr b) const
 {
-    return Snapshot{volatileImg, persistedImg, inFlight,
-                    poisoned,    brk,          nextSpec};
+    return std::min<std::size_t>(blockBytes, volatileImg.size() - b);
+}
+
+void
+PersistentMemory::touch(Addr a, std::size_t n)
+{
+    if (journalBase == 0 || n == 0)
+        return;
+    for (Addr b = blockAlign(a); b < a + n; b += blockBytes) {
+        std::uint8_t &mark = journalMark[b / blockBytes];
+        if (!mark) {
+            mark = 1;
+            journaled.push_back(b);
+        }
+    }
+}
+
+void
+PersistentMemory::rebaseJournal(std::uint64_t id, bool base_converged)
+{
+    if (journalMark.empty())
+        journalMark.assign((volatileImg.size() + blockBytes - 1) /
+                               blockBytes,
+                           0);
+    for (Addr b : journaled)
+        journalMark[b / blockBytes] = 0;
+    journaled.clear();
+    journalBase = id;
+    journalBaseConverged = base_converged;
+}
+
+bool
+PersistentMemory::journalsFrom(const Snapshot &s) const
+{
+    return journalBase != 0 && s.id == journalBase;
+}
+
+PersistentMemory::Snapshot
+PersistentMemory::snapshot()
+{
+    Snapshot s;
+    s.volatileImg = volatileImg;
+    s.persistedImg = persistedImg;
+    s.inFlight = inFlight;
+    s.poisoned = poisoned;
+    s.brk = brk;
+    s.nextSpec = nextSpec;
+    s.id = ++lastSnapshotId;
+    s.converged = volatileImg == persistedImg;
+    rebaseJournal(s.id, s.converged);
+    return s;
 }
 
 void
@@ -186,33 +244,143 @@ PersistentMemory::restore(const Snapshot &s)
     panic_if(s.volatileImg.size() != volatileImg.size(),
              "snapshot of a %zu-byte space restored into %zu bytes",
              s.volatileImg.size(), volatileImg.size());
-    volatileImg = s.volatileImg;
-    persistedImg = s.persistedImg;
+    if (journalsFrom(s)) {
+        // Outside the journal both images still equal s's.
+        for (Addr b : journaled) {
+            std::memcpy(volatileImg.data() + b, s.volatileImg.data() + b,
+                        blockSpan(b));
+            std::memcpy(persistedImg.data() + b,
+                        s.persistedImg.data() + b, blockSpan(b));
+        }
+    } else {
+        volatileImg = s.volatileImg;
+        persistedImg = s.persistedImg;
+    }
+    inFlight = s.inFlight;
+    poisoned = s.poisoned;
+    brk = s.brk;
+    nextSpec = s.nextSpec;
+    rebaseJournal(s.id, s.converged);
+}
+
+PersistentMemory::BlockSnapshot
+PersistentMemory::snapshotBlocks(std::vector<Addr> blocks) const
+{
+    std::sort(blocks.begin(), blocks.end());
+    blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+    BlockSnapshot s;
+    s.volatileBytes.reserve(blocks.size() * blockBytes);
+    s.persistedBytes.reserve(blocks.size() * blockBytes);
+    for (Addr b : blocks) {
+        panic_if(b != blockAlign(b), "snapshotBlocks wants block bases");
+        checkRange(b, blockBytes);
+        s.volatileBytes.insert(s.volatileBytes.end(),
+                               volatileImg.begin() + b,
+                               volatileImg.begin() + b + blockBytes);
+        s.persistedBytes.insert(s.persistedBytes.end(),
+                                persistedImg.begin() + b,
+                                persistedImg.begin() + b + blockBytes);
+    }
+    s.blocks = std::move(blocks);
+    s.inFlight = inFlight;
+    s.poisoned = poisoned;
+    s.brk = brk;
+    s.nextSpec = nextSpec;
+    return s;
+}
+
+void
+PersistentMemory::restoreBlocks(const BlockSnapshot &s)
+{
+    for (std::size_t i = 0; i < s.blocks.size(); ++i) {
+        const Addr b = s.blocks[i];
+        checkRange(b, blockBytes);
+        std::memcpy(volatileImg.data() + b,
+                    s.volatileBytes.data() + i * blockBytes, blockBytes);
+        std::memcpy(persistedImg.data() + b,
+                    s.persistedBytes.data() + i * blockBytes, blockBytes);
+        touch(b, blockBytes);
+    }
     inFlight = s.inFlight;
     poisoned = s.poisoned;
     brk = s.brk;
     nextSpec = s.nextSpec;
 }
 
-void
-PersistentMemory::restoreBlocks(const Snapshot &s,
-                                const std::vector<Addr> &blocks)
+bool
+PersistentMemory::imagesAgree() const
 {
-    panic_if(s.volatileImg.size() != volatileImg.size(),
-             "snapshot of a %zu-byte space restored into %zu bytes",
-             s.volatileImg.size(), volatileImg.size());
-    for (Addr b : blocks) {
-        panic_if(b != blockAlign(b), "restoreBlocks wants block bases");
-        checkRange(b, blockBytes);
-        std::memcpy(volatileImg.data() + b, s.volatileImg.data() + b,
-                    blockBytes);
-        std::memcpy(persistedImg.data() + b, s.persistedImg.data() + b,
-                    blockBytes);
+    if (journalBase == 0 || !journalBaseConverged)
+        return volatileImg == persistedImg;
+    // Outside the journal the images equal the snapshot's, which
+    // were equal to each other.
+    for (Addr b : journaled) {
+        if (std::memcmp(volatileImg.data() + b, persistedImg.data() + b,
+                        blockSpan(b)) != 0)
+            return false;
     }
-    inFlight = s.inFlight;
-    poisoned = s.poisoned;
-    brk = s.brk;
-    nextSpec = s.nextSpec;
+    return true;
+}
+
+std::vector<Addr>
+PersistentMemory::durableChangesSince(const Snapshot &base) const
+{
+    panic_if(base.persistedImg.size() != persistedImg.size(),
+             "snapshot of a %zu-byte space compared with %zu bytes",
+             base.persistedImg.size(), persistedImg.size());
+    std::vector<Addr> out;
+    auto differs = [&](Addr b) {
+        return std::memcmp(persistedImg.data() + b,
+                           base.persistedImg.data() + b,
+                           blockSpan(b)) != 0;
+    };
+    if (journalsFrom(base)) {
+        for (Addr b : journaled)
+            if (differs(b))
+                out.push_back(b);
+        std::sort(out.begin(), out.end());
+    } else {
+        for (Addr b = 0; b < persistedImg.size(); b += blockBytes)
+            if (differs(b))
+                out.push_back(b);
+    }
+    return out;
+}
+
+bool
+PersistentMemory::durableMatches(const Snapshot &base,
+                                 const BlockSnapshot &over) const
+{
+    panic_if(base.persistedImg.size() != persistedImg.size(),
+             "snapshot of a %zu-byte space compared with %zu bytes",
+             base.persistedImg.size(), persistedImg.size());
+    for (Addr b : over.blocks)
+        checkRange(b, blockBytes);
+    auto overlaid = [&](std::size_t i) {
+        return over.persistedBytes.data() + i * blockBytes;
+    };
+    if (!journalsFrom(base)) {
+        std::vector<std::uint8_t> expect = base.persistedImg;
+        for (std::size_t i = 0; i < over.blocks.size(); ++i)
+            std::memcpy(expect.data() + over.blocks[i], overlaid(i),
+                        blockBytes);
+        return expect == persistedImg;
+    }
+    // Outside the journal the persisted image still equals base's,
+    // so only journaled and overlaid blocks can mismatch.
+    for (std::size_t i = 0; i < over.blocks.size(); ++i) {
+        if (std::memcmp(persistedImg.data() + over.blocks[i], overlaid(i),
+                        blockBytes) != 0)
+            return false;
+    }
+    for (Addr b : journaled) {
+        if (std::binary_search(over.blocks.begin(), over.blocks.end(), b))
+            continue;
+        if (std::memcmp(persistedImg.data() + b,
+                        base.persistedImg.data() + b, blockSpan(b)) != 0)
+            return false;
+    }
+    return true;
 }
 
 void
@@ -221,6 +389,34 @@ PersistentMemory::overlayDurable(Addr a, const void *src, std::size_t n)
     checkRange(a, n);
     std::memcpy(volatileImg.data() + a, src, n);
     std::memcpy(persistedImg.data() + a, src, n);
+    touch(a, n);
+}
+
+void
+PersistentMemory::reboot()
+{
+    if (journalBase == 0) {
+        volatileImg = persistedImg;
+        return;
+    }
+    if (journalBaseConverged) {
+        // Outside the journal the images equal the snapshot's, which
+        // were equal to each other: only journaled blocks can differ.
+        for (Addr b : journaled)
+            std::memcpy(volatileImg.data() + b, persistedImg.data() + b,
+                        blockSpan(b));
+        return;
+    }
+    // The snapshot's images differed somewhere unknown: scan them
+    // all, journaling every block the reboot changes.
+    for (Addr b = 0; b < volatileImg.size(); b += blockBytes) {
+        if (std::memcmp(volatileImg.data() + b, persistedImg.data() + b,
+                        blockSpan(b)) != 0) {
+            std::memcpy(volatileImg.data() + b, persistedImg.data() + b,
+                        blockSpan(b));
+            touch(b, blockSpan(b));
+        }
+    }
 }
 
 void
@@ -235,7 +431,7 @@ PersistentMemory::crash(std::size_t keep_prefix)
     }
     inFlight.clear();
     // Reboot: every volatile copy is gone; PM is the truth.
-    volatileImg = persistedImg;
+    reboot();
 }
 
 const PersistentMemory::Pending &
@@ -290,10 +486,11 @@ PersistentMemory::crashTorn(std::size_t keep_prefix,
             const Addr hi = w + wordBytes < end ? w + wordBytes : end;
             std::memcpy(persistedImg.data() + lo,
                         p.bytes.data() + (lo - p.addr), hi - lo);
+            touch(lo, hi - lo);
         }
     }
     inFlight.clear();
-    volatileImg = persistedImg;
+    reboot();
 }
 
 void
@@ -336,6 +533,7 @@ PersistentMemory::corruptWord(Addr a, std::uint64_t xor_mask)
         volatileImg[w + b] ^= flip;
         persistedImg[w + b] ^= flip;
     }
+    touch(w, wordBytes);
 }
 
 } // namespace pmemspec::runtime

@@ -123,6 +123,9 @@ class PersistentMemory
     /** In-flight persists not yet durable. */
     std::size_t inFlightCount() const { return inFlight.size(); }
 
+    /** Store-order id the next queued persist receives. */
+    SpecId nextSpecId() const { return nextSpec; }
+
     /**
      * Power failure: the first keep_prefix in-flight persists reach
      * the persisted image (in order); the rest are lost; the machine
@@ -209,35 +212,107 @@ class PersistentMemory
 
     /**
      * A full copy of the PM state (both images, the in-flight queue,
-     * the poison set and the arena cursor). The crash-point explorer
-     * snapshots the state once per operation and rewinds between
-     * crash(k) trials; the observer is not part of the state and
-     * survives restore().
+     * the poison set, the arena cursor and the store-order counter).
+     * The crash-point explorer snapshots the state once per operation
+     * and rewinds between crash(k) trials; the observer is not part of
+     * the state and survives restore(). Immutable once taken: only
+     * snapshot() fills one in.
      */
-    struct Snapshot
+    class Snapshot
     {
+      private:
+        friend class PersistentMemory;
+
         std::vector<std::uint8_t> volatileImg;
         std::vector<std::uint8_t> persistedImg;
         std::deque<Pending> inFlight;
         std::set<Addr> poisoned;
-        std::size_t brk;
+        std::size_t brk = 0;
+        SpecId nextSpec = 1;
+        /** Process-unique identity; the journal is keyed on it. */
+        std::uint64_t id = 0;
+        /** The two images were byte-identical when taken. */
+        bool converged = false;
+    };
+
+    /**
+     * Take a full snapshot and (re)start the block-touch journal at
+     * it. From here on every path that changes either image --
+     * write(), writeOrdered(), persist application (persistAll(),
+     * crash(), crashTorn()), the torn-word copy, overlayDurable(),
+     * corruptWord() and restoreBlocks() -- records the 64-byte
+     * blocks it touched, so outside the journal both images still
+     * equal the snapshot's. That invariant makes these exact and
+     * proportional to the blocks written rather than to size():
+     *
+     *  - restore() of the journal's snapshot copies journaled blocks
+     *    only (any other snapshot: a full copy, after which the
+     *    journal runs from that snapshot instead);
+     *  - the reboot in crash()/crashTorn() copies persisted to
+     *    volatile over journaled blocks only, when the snapshot's
+     *    two images were equal (checked once, here); otherwise it
+     *    scans the whole image;
+     *  - imagesAgree() (same condition), durableChangesSince() and
+     *    durableMatches() (journal running from the snapshot they
+     *    are given) compare journaled blocks only, and whole images
+     *    otherwise.
+     *
+     * A PM that never took a snapshot never journals, and so keeps
+     * whole-image reboots.
+     */
+    Snapshot snapshot();
+    void restore(const Snapshot &s);
+
+    /** Blocks either image may differ in from the journal's
+     *  snapshot, in first-touch order (empty without a journal). */
+    const std::vector<Addr> &touchedBlocks() const { return journaled; }
+
+    /**
+     * A sparse copy: the listed 64-byte blocks of both images plus
+     * the in-flight queue, poison set, arena cursor and store-order
+     * counter. The reorder explorer takes one at each crash point and
+     * rewinds to it per enumerated state.
+     */
+    class BlockSnapshot
+    {
+      private:
+        friend class PersistentMemory;
+
+        /** Sorted, unique block bases. */
+        std::vector<Addr> blocks;
+        /** blockBytes per block, in `blocks` order. */
+        std::vector<std::uint8_t> volatileBytes;
+        std::vector<std::uint8_t> persistedBytes;
+        std::deque<Pending> inFlight;
+        std::set<Addr> poisoned;
+        std::size_t brk = 0;
         SpecId nextSpec = 1;
     };
 
-    Snapshot snapshot() const;
-    void restore(const Snapshot &s);
+    /** Snapshot only `blocks` (block-aligned base addresses; order
+     *  and duplicates do not matter) of the images. */
+    BlockSnapshot snapshotBlocks(std::vector<Addr> blocks) const;
 
     /**
-     * Partial restore: rewind only the 64-byte blocks listed in
-     * `blocks` (block-aligned base addresses) to their snapshot
-     * contents, in both images, then clear the in-flight queue and
-     * restore the poison set, arena cursor and store-order counter.
-     * Exact iff every byte that differs from `s` lies in `blocks`;
-     * the crash-state explorer guarantees that by collecting the
-     * dirty-block set of the operation it is exploring. Orders of
-     * magnitude cheaper than restore() for small working sets.
+     * Partial restore: rewind the snapshot's blocks to their
+     * contents, in both images, then restore the in-flight queue,
+     * poison set, arena cursor and store-order counter. Exact iff
+     * every byte changed since `s` was taken lies in its blocks; the
+     * crash explorer checks that against the journal.
      */
-    void restoreBlocks(const Snapshot &s, const std::vector<Addr> &blocks);
+    void restoreBlocks(const BlockSnapshot &s);
+
+    /** The volatile and persisted images are byte-identical. */
+    bool imagesAgree() const;
+
+    /** Sorted bases of the blocks whose persisted contents differ
+     *  from `base`'s. */
+    std::vector<Addr> durableChangesSince(const Snapshot &base) const;
+
+    /** The persisted image equals `base`'s persisted image with the
+     *  persisted blocks of `over` laid on top. */
+    bool durableMatches(const Snapshot &base,
+                        const BlockSnapshot &over) const;
 
     /** Raw image access for invariant checkers. */
     const std::uint8_t *volatileImage() const { return volatileImg.data(); }
@@ -249,6 +324,16 @@ class PersistentMemory
     void applyPending(const Pending &p);
     void writeTagged(Addr a, const void *src, std::size_t n,
                      bool ordered);
+    /** Journal the blocks [a, a+n) overlaps (no-op without one). */
+    void touch(Addr a, std::size_t n);
+    /** Restart the journal, empty, at snapshot `id`. */
+    void rebaseJournal(std::uint64_t id, bool base_converged);
+    /** The journal runs from snapshot `s`. */
+    bool journalsFrom(const Snapshot &s) const;
+    /** Post-crash reboot: volatile image := persisted image. */
+    void reboot();
+    /** Bytes of block `b` inside the space (the last may be short). */
+    std::size_t blockSpan(Addr b) const;
 
     std::vector<std::uint8_t> volatileImg;
     std::vector<std::uint8_t> persistedImg;
@@ -259,6 +344,16 @@ class PersistentMemory
     /** Store-order id the next queued persist receives. */
     SpecId nextSpec = 1;
     Observer observer;
+
+    // ---- Block-touch journal (see snapshot()) ----
+    /** Snapshot id the journal runs from; 0 = no journal. */
+    std::uint64_t journalBase = 0;
+    /** That snapshot's two images were byte-identical. */
+    bool journalBaseConverged = false;
+    /** Journaled block bases, in first-touch order. */
+    std::vector<Addr> journaled;
+    /** One flag per block: already in `journaled`. */
+    std::vector<std::uint8_t> journalMark;
 };
 
 } // namespace pmemspec::runtime

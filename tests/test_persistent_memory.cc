@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests for the functional PM model: allocation, the two images,
- * in-order persist semantics, crash prefixes, and the observer.
+ * in-order persist semantics, crash prefixes, the observer, and the
+ * block-touch journal behind snapshot rewinds and reboots.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "runtime/persistent_memory.hh"
@@ -216,4 +219,257 @@ TEST(PersistentMemory, RestoreOfMismatchedSnapshotPanics)
     PersistentMemory big(1 << 16);
     const auto snap = small.snapshot();
     EXPECT_DEATH(big.restore(snap), "snapshot");
+}
+
+TEST(PersistentMemory, NoSnapshotNoJournal)
+{
+    PersistentMemory pm(1 << 16);
+    Addr a = pm.alloc(8, 64);
+    pm.writeU64(a, 1);
+    pm.crash(1);
+    EXPECT_TRUE(pm.touchedBlocks().empty());
+    pm.snapshot();
+    pm.writeU64(a, 2);
+    EXPECT_EQ(pm.touchedBlocks(), std::vector<Addr>{a});
+}
+
+TEST(PersistentMemory, RestoringAnOlderSnapshotCopiesEverything)
+{
+    // `b` changes between the two snapshots, so it is in neither
+    // journal: only a full copy can bring back `older`'s zero there.
+    PersistentMemory pm(1 << 16);
+    Addr a = pm.alloc(8, 64);
+    Addr b = pm.alloc(8, 64);
+    pm.writeU64(a, 1);
+    pm.persistAll();
+    const auto older = pm.snapshot();
+    pm.writeU64(b, 2);
+    pm.persistAll();
+    const auto newer = pm.snapshot();
+    EXPECT_TRUE(pm.touchedBlocks().empty());
+    pm.writeU64(a, 3);
+    pm.persistAll();
+
+    pm.restore(older);
+    EXPECT_EQ(pm.readU64(a), 1u);
+    EXPECT_EQ(pm.readU64(b), 0u);
+    std::uint64_t durable;
+    std::memcpy(&durable, pm.persistedImage() + b, 8);
+    EXPECT_EQ(durable, 0u);
+
+    // The journal now runs from `older`, so `newer` is the full copy.
+    pm.restore(newer);
+    EXPECT_EQ(pm.readU64(a), 1u);
+    EXPECT_EQ(pm.readU64(b), 2u);
+    std::memcpy(&durable, pm.persistedImage() + b, 8);
+    EXPECT_EQ(durable, 2u);
+}
+
+namespace
+{
+
+void
+expectSameState(const PersistentMemory &got, const PersistentMemory &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.volatileImage(), want.volatileImage(),
+                          got.size()),
+              0);
+    EXPECT_EQ(std::memcmp(got.persistedImage(), want.persistedImage(),
+                          got.size()),
+              0);
+    ASSERT_EQ(got.inFlightCount(), want.inFlightCount());
+    for (std::size_t i = 0; i < got.inFlightCount(); ++i) {
+        const auto &g = got.pendingEntry(i);
+        const auto &w = want.pendingEntry(i);
+        EXPECT_EQ(g.addr, w.addr);
+        EXPECT_EQ(g.bytes, w.bytes);
+        EXPECT_EQ(g.specId, w.specId);
+        EXPECT_EQ(g.ordered, w.ordered);
+    }
+    EXPECT_EQ(got.poisonedWordsIn(0, got.size()),
+              want.poisonedWordsIn(0, want.size()));
+    EXPECT_EQ(got.remaining(), want.remaining());
+    EXPECT_EQ(got.nextSpecId(), want.nextSpecId());
+}
+
+/** Drives the same seeded mix of every image-changing call into any
+ *  number of PMs. The space ends in a short block (size() is not a
+ *  multiple of 64) so block-span clamping is exercised too. */
+class RandomOps
+{
+  public:
+    static constexpr std::size_t kBytes = 8192 + 40;
+
+    explicit RandomOps(std::uint64_t seed) : rng(seed) {}
+
+    /** One random step, applied to every PM in `pms`. */
+    void
+    step(const std::vector<PersistentMemory *> &pms)
+    {
+        const unsigned kind = pick(11);
+        const std::size_t n = 1 + pick(24);
+        const Addr a = 64 + pick(kBytes - 64 - n);
+        std::vector<std::uint8_t> bytes(n);
+        for (auto &byte : bytes)
+            byte = static_cast<std::uint8_t>(rng());
+        const std::size_t inflight = pms[0]->inFlightCount();
+        const std::size_t k = pick(inflight + 2);
+        const std::uint64_t mask = rng();
+        std::vector<Addr> blocks;
+        for (unsigned i = 0, m = 1 + pick(4); i < m; ++i)
+            blocks.push_back(64 * (1 + pick(kBytes / 64 - 1)));
+        const bool haveBlockSnap = !blockSnaps.empty();
+        if (!haveBlockSnap && kind == 9)
+            blockSnaps.resize(pms.size());
+        for (std::size_t i = 0; i < pms.size(); ++i) {
+            PersistentMemory &pm = *pms[i];
+            switch (kind) {
+            case 0:
+                pm.write(a, bytes.data(), n);
+                break;
+            case 1:
+                pm.writeOrdered(a, bytes.data(), n);
+                break;
+            case 2:
+                pm.persistAll();
+                break;
+            case 3:
+                pm.crash(k);
+                break;
+            case 4:
+                pm.crashTorn(k, mask);
+                break;
+            case 5:
+                pm.overlayDurable(a, bytes.data(), n);
+                break;
+            case 6:
+                pm.corruptWord(a, mask);
+                break;
+            case 7:
+                pm.poisonWord(a);
+                break;
+            case 8:
+                pm.alloc(n);
+                break;
+            case 9:
+                // Alternately take and restore a sparse snapshot; the
+                // restore is inexact (other blocks changed meanwhile)
+                // but identically so on every PM.
+                if (haveBlockSnap)
+                    pm.restoreBlocks(blockSnaps[i]);
+                else
+                    blockSnaps[i] = pm.snapshotBlocks(blocks);
+                break;
+            default:
+                pm.write(a, bytes.data(), n);
+                pm.write(a, bytes.data(), n > 8 ? 8 : n);
+                break;
+            }
+        }
+        if (kind == 9 && haveBlockSnap)
+            blockSnaps.clear();
+    }
+
+    /** Uniform in [0, n). */
+    std::size_t
+    pick(std::size_t n)
+    {
+        return static_cast<std::size_t>(rng() % n);
+    }
+
+  private:
+    std::mt19937_64 rng;
+    std::vector<PersistentMemory::BlockSnapshot> blockSnaps;
+};
+
+/** Persisted-image blocks that differ between two spaces, by scan. */
+std::vector<Addr>
+durableDiff(const PersistentMemory &a, const PersistentMemory &b)
+{
+    std::vector<Addr> out;
+    for (Addr blk = 0; blk < a.size(); blk += 64) {
+        const std::size_t n = std::min<std::size_t>(64, a.size() - blk);
+        if (std::memcmp(a.persistedImage() + blk, b.persistedImage() + blk,
+                        n) != 0)
+            out.push_back(blk);
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(PersistentMemory, JournaledRewindAndRebootMatchFullCopies)
+{
+    // `pm` snapshots, so its reboots, rewinds and compares go through
+    // the journal; `ref` never snapshots, so it never journals and
+    // every reboot is a whole-image copy. Both take the same random
+    // steps; they must never differ in any byte of state, and every
+    // rewind of `pm` must land exactly on `base`. The seeds cycle
+    // through three kinds of snapshot: images equal with nothing in
+    // flight, images unequal (reboots must not take the journal's
+    // shortcut), and images equal with persists still in flight
+    // (their blocks are not journaled until they land). Sparse
+    // snapshots live across rounds, so restoreBlocks() also brings
+    // back blocks changed before the journal started.
+    int convergedInFlight = 0, diverged = 0;
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        RandomOps ops(seed);
+        PersistentMemory pm(RandomOps::kBytes);
+        PersistentMemory ref(RandomOps::kBytes);
+        for (int i = 0; i < 40; ++i)
+            ops.step({&pm, &ref});
+        if (seed % 3 == 0) {
+            pm.persistAll();
+            ref.persistAll();
+        } else if (seed % 3 == 2) {
+            for (std::size_t i = 0; i < pm.inFlightCount(); ++i) {
+                const auto &p = pm.pendingEntry(i);
+                pm.overlayDurable(p.addr, p.bytes.data(), p.bytes.size());
+                ref.overlayDurable(p.addr, p.bytes.data(), p.bytes.size());
+            }
+        }
+        const bool agree = pm.imagesAgree();
+        convergedInFlight += agree && pm.inFlightCount() > 0;
+        diverged += !agree;
+        const PersistentMemory base = pm;
+        const auto snap = pm.snapshot();
+        for (int round = 0; round < 8; ++round) {
+            if (round > 0)
+                ref = base;
+            for (int i = 0; i < 30; ++i) {
+                ops.step({&pm, &ref});
+                expectSameState(pm, ref);
+                EXPECT_EQ(pm.imagesAgree(),
+                          std::memcmp(pm.volatileImage(),
+                                      pm.persistedImage(),
+                                      pm.size()) == 0);
+            }
+            const std::vector<Addr> changed = pm.durableChangesSince(snap);
+            EXPECT_EQ(changed, durableDiff(pm, base));
+            // Laying the changed blocks over the snapshot gives back
+            // the live persisted image; leaving one out does not. (A
+            // sparse snapshot holds whole blocks only, so a change in
+            // the short tail block is always left out.)
+            std::vector<Addr> whole = changed;
+            const bool tail =
+                !whole.empty() && whole.back() + 64 > pm.size();
+            if (tail)
+                whole.pop_back();
+            EXPECT_EQ(pm.durableMatches(snap, pm.snapshotBlocks(whole)),
+                      !tail);
+            if (!whole.empty()) {
+                const std::vector<Addr> partial(whole.begin() + 1,
+                                                whole.end());
+                EXPECT_FALSE(
+                    pm.durableMatches(snap, pm.snapshotBlocks(partial)));
+            }
+            pm.restore(snap);
+            expectSameState(pm, base);
+            EXPECT_TRUE(pm.touchedBlocks().empty());
+        }
+    }
+    EXPECT_GT(convergedInFlight, 0);
+    EXPECT_GT(diverged, 0);
 }

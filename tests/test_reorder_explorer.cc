@@ -290,3 +290,61 @@ TEST(ReorderExplorer, MessageCapBoundsResultGrowth)
     EXPECT_EQ(res.failures,
               res.messages.size() + res.messagesSuppressed);
 }
+
+namespace
+{
+
+/** Breaks the reorder path's one assumption: its first runOp (the
+ *  explorer's recording run) writes one block, every later call a
+ *  different one, so crash trials touch a block the recorded dirty
+ *  set does not hold. */
+class ShiftingWorkload : public faultinject::CrashWorkload
+{
+  public:
+    const char *name() const override { return "shifting_block"; }
+
+    void
+    setup(runtime::PersistentMemory &pm, runtime::FaseRuntime &) override
+    {
+        first = pm.alloc(8, 64);
+        second = pm.alloc(8, 64);
+    }
+
+    std::size_t numOps() const override { return 1; }
+
+    void
+    runOp(runtime::Transaction &tx, std::size_t) override
+    {
+        tx.writeU64(calls++ == 0 ? first : second, 7);
+    }
+
+    void applyToModel(std::size_t) override {}
+    bool matchesModel() const override { return true; }
+    bool checkInvariants() const override { return true; }
+
+  private:
+    Addr first = 0;
+    Addr second = 0;
+    std::size_t calls = 0;
+};
+
+} // namespace
+
+TEST(ReorderExplorer, FlagsTrialWritesOutsideTheRecordedDirtySet)
+{
+    ExploreOptions opts;
+    opts.reorderings = true;
+    ShiftingWorkload wl;
+    const auto res = exploreCrashPoints(wl, opts);
+    EXPECT_FALSE(res.passed());
+    bool flagged = false;
+    for (const auto &m : res.messages)
+        flagged |= m.find("outside the reference run's dirty set") !=
+                   std::string::npos;
+    EXPECT_TRUE(flagged)
+        << (res.messages.empty() ? "no messages" : res.messages.front());
+
+    // Prefix-only exploration never consults the dirty set.
+    ShiftingWorkload prefixOnly;
+    EXPECT_TRUE(exploreCrashPoints(prefixOnly).passed());
+}
