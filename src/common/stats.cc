@@ -96,6 +96,15 @@ StatGroup::addHistogram(const std::string &name, const Histogram *h,
     hists.push_back({name, h, desc});
 }
 
+const Counter *
+StatGroup::findCounter(const std::string &name) const
+{
+    for (const auto &e : counters)
+        if (e.name == name)
+            return e.counter;
+    return nullptr;
+}
+
 std::string
 StatGroup::fullName() const
 {

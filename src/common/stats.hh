@@ -181,6 +181,10 @@ class StatGroup
     void addHistogram(const std::string &name, const Histogram *h,
                       const std::string &desc = "");
 
+    /** The counter registered in this group (not its children) as
+     *  @p name, or nullptr. */
+    const Counter *findCounter(const std::string &name) const;
+
     /** Write "name value # desc" lines for this group and children. */
     void dump(std::ostream &os) const;
 

@@ -73,41 +73,43 @@ Machine::buildMetrics()
 
     metricsReg = std::make_unique<observe::MetricsRegistry>();
     observe::MetricsRegistry &reg = *metricsReg;
+    // Counters are sampled under their StatGroup names; the gauges
+    // (no end-of-run stat) are prefixed with their owner's group.
     for (unsigned i = 0; i < memsys->numPmcs(); ++i) {
-        const std::string p = "pmc" + std::to_string(i) + ".";
         mem::PmController &pmc = memsys->pmc(i);
+        const std::string p = pmc.stats().fullName() + ".";
         reg.addGauge(p + "read_q",
                      [&pmc] { return double(pmc.readQueueOccupancy()); });
         reg.addGauge(p + "write_q",
                      [&pmc] { return double(pmc.writeQueueOccupancy()); });
-        reg.addCounter(p + "persists", pmc.persistsAccepted);
-        reg.addCounter(p + "poison_retries", pmc.poisonRetries);
-        reg.addCounter(p + "poisoned_reads", pmc.poisonedReads);
+        reg.addStat(pmc.stats(), "persistsAccepted");
+        reg.addStat(pmc.stats(), "poisonRetries");
+        reg.addStat(pmc.stats(), "poisonedReads");
         if (cfg.design == Design::PmemSpec) {
             auto &sb = pmc.specBuffer();
-            reg.addGauge(p + "spec_occupancy",
+            reg.addGauge(sb.stats().fullName() + ".occupancy",
                          [&sb] { return double(sb.occupancy()); });
-            reg.addCounter(p + "spec_full_pauses", sb.fullPauses);
+            reg.addStat(sb.stats(), "fullPauses");
         }
     }
     // In-flight persists summed over every persist-path lane: the
     // "queue depth" the speculation window has to cover.
-    reg.addGauge("path.in_flight", [this] {
+    reg.addGauge(memsys->stats().fullName() + ".path_in_flight", [this] {
         std::size_t n = 0;
         for (std::size_t i = 0; i < memsys->numPaths(); ++i)
             n += memsys->pathAt(i).occupancy();
         return double(n);
     });
-    for (CoreId c = 0; c < cores.size(); ++c) {
-        const std::string p = "core" + std::to_string(c) + ".";
-        Core &core = *cores[c];
+    for (auto &c : cores) {
+        Core &core = *c;
+        const std::string p = core.stats().fullName() + ".";
         reg.addGauge(p + "state",
                      [&core] { return double(core.stateCode()); });
         reg.addGauge(p + "in_fase",
                      [&core] { return core.inFase() ? 1.0 : 0.0; });
-        reg.addCounter(p + "aborts", core.aborts);
+        reg.addStat(core.stats(), "aborts");
     }
-    reg.addCounter("misspec_interrupts", misspecInterrupts);
+    reg.addStat(root, "misspecInterrupts");
 
     metricsSampler = std::make_unique<observe::MetricsSampler>(
         eq, reg, cfg.metrics.interval);

@@ -110,7 +110,8 @@ class Machine
     /** The machine's metrics registry (nullptr when metrics are off).
      *  Columns cover per-PMC speculation-window occupancy, read/write
      *  queue depth, persist-path in-flight persists, and per-core
-     *  state; sampled every cfg.metrics.interval simulated ticks. */
+     *  state; sampled every cfg.metrics.interval simulated ticks.
+     *  Counter columns carry their qualified stats() names. */
     observe::MetricsRegistry *metricsRegistry() { return metricsReg.get(); }
 
     /** Per-FASE-site speculation profile (sites keyed by FaseBegin

@@ -174,7 +174,7 @@ class AddrTouchPlan : public FaultPlan
 /**
  * Re-arming plan: fire `kind` on the observed access every `period`
  * accesses (counted from arming), up to `count` total fires, each on
- * the address of the triggering access. The chaos/service harness
+ * the address of the triggering access. The service harness
  * uses it for misspeculation *storms* -- a burst of LoadStale events
  * dense enough to drive a FASE into its abort budget -- but any
  * per-access fault kind works.

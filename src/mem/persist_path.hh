@@ -63,7 +63,7 @@ class PersistPath : public sim::SimObject
     /**
      * Fault-injection hook: extra in-flight latency for a given block
      * address, on top of the configured path latency. Lets a test or
-     * chaos harness hold back (and thereby reorder relative to the
+     * fault campaign hold back (and thereby reorder relative to the
      * regular read path) chosen persist arrivals deterministically.
      */
     using DelayHook = std::function<Tick(Addr)>;

@@ -16,7 +16,7 @@
  *     args            { seq, addr ("0x..."), and when present: specId,
  *                       before/after (automaton state names), arg, unit }
  *   plus, when a sampled metrics series is attached, counter events:
- *     name            metrics column (e.g. "pmc0.spec_occupancy")
+ *     name            metrics column (e.g. "machine.memsys.pmc.read_q")
  *     ph              "C", ts in microseconds, pid 0,
  *     args            { value }
  *   displayTimeUnit "ns"

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "common/logging.hh"
+
 namespace pmemspec::observe
 {
 
@@ -68,6 +70,16 @@ sumSeries(const std::vector<MetricsSeries> &parts)
         }
     }
     return out;
+}
+
+void
+MetricsRegistry::addStat(const StatGroup &group, const std::string &name)
+{
+    const Counter *c = group.findCounter(name);
+    fatal_if(!c, "metrics: no counter '%s' in stat group '%s'",
+             name.c_str(), group.fullName().c_str());
+    addGauge(group.fullName() + "." + name,
+             [c] { return static_cast<double>(c->value()); });
 }
 
 void

@@ -3,8 +3,11 @@
  * Low-overhead time-series metrics registry.
  *
  * A MetricsRegistry holds named gauges (std::function<double()>) in
- * registration order; sample() evaluates every gauge and appends one
- * row stamped with the simulated tick. A MetricsSampler drives the
+ * registration order. Counters are sampled under their qualified
+ * StatGroup name (addStat); only true gauges, which have no
+ * end-of-run stat, are registered as bare functions. sample()
+ * evaluates every gauge and appends one row stamped with the
+ * simulated tick. A MetricsSampler drives the
  * registry from a domain's EventQueue on a fixed simulated-time
  * cadence. One registry per simulation domain keeps the single-writer
  * discipline that DomainPool determinism depends on: rows are a pure
@@ -89,13 +92,13 @@ class MetricsRegistry
         gauges.push_back(std::move(fn));
     }
 
-    /** Convenience: sample a Counter's running value. */
-    void
-    addCounter(std::string name, const Counter &c)
-    {
-        addGauge(std::move(name),
-                 [&c] { return static_cast<double>(c.value()); });
-    }
+    /**
+     * Sample the running value of the counter registered in @p group
+     * as @p name. The column is the counter's qualified StatGroup
+     * name, so the series and the end-of-run stats share one name per
+     * quantity; an unknown name is fatal.
+     */
+    void addStat(const StatGroup &group, const std::string &name);
 
     std::size_t numColumns() const { return series_.columns.size(); }
     std::size_t numRows() const { return series_.rows.size(); }

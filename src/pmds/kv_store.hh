@@ -59,7 +59,7 @@ class KvStore
     /** Non-transactional checker read. */
     std::optional<std::uint8_t> lookup(std::uint64_t key) const;
 
-    /** PM region of a stored item's value slab (checker / chaos
+    /** PM region of a stored item's value slab (checker / fault
      *  targeting hook); nullopt when the key is absent. */
     std::optional<std::pair<Addr, std::size_t>>
     slabRegion(std::uint64_t key) const;

@@ -207,7 +207,7 @@ FaseRuntime::runFase(unsigned tid, const FaseFn &fn,
             if (prof)
                 profile->recordAbort(profile_site,
                                      observe::AbortCause::Budget);
-            // Under a chaos soak (MisspecStorm faults) this fires per
+            // Under a service soak (MisspecStorm faults) this fires per
             // shard per storm; one line is diagnosis, thousands are
             // noise -- the profile carries the per-site counts.
             warn_once("FASE on thread %u aborted %llu times without "

@@ -13,6 +13,8 @@
  *  - with metrics off the result JSON carries no metrics/profile
  *    keys and every other byte matches a metrics-on run (sampling
  *    must observe, never perturb);
+ *  - every counter column of a timing machine's series is named by
+ *    its StatGroup key and never runs ahead of the end-of-run stat;
  *  - Json::parse round-trips the writer's output byte-identically
  *    (pm_top's input path);
  *  - quantileRank agrees between Histogram and the service quantile.
@@ -20,12 +22,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 
 #include "common/json.hh"
 #include "common/stats.hh"
+#include "core/experiment.hh"
 #include "observe/metrics.hh"
 #include "observe/spec_profile.hh"
+#include "persistency/lowering.hh"
 #include "service/service.hh"
 #include "sim/event_queue.hh"
 
@@ -258,6 +265,66 @@ TEST(ServiceMetrics, ProfileCountsCoverTheRun)
     }
     EXPECT_GE(powerCuts, 1u);
     EXPECT_GE(misspecs, 1u);
+}
+
+TEST(MachineMetrics, CounterColumnsAreStatNames)
+{
+    // The machine's true gauges: no end-of-run stat backs them, so
+    // they are the only columns allowed outside stats().flatten().
+    const std::set<std::string> gauges = {
+        "read_q", "write_q", "occupancy", "path_in_flight", "state",
+        "in_fase"};
+    for (auto design : persistency::allDesigns()) {
+        SCOPED_TRACE(persistency::designName(design));
+        workloads::WorkloadParams wp;
+        wp.numThreads = 2;
+        wp.opsPerThread = 40;
+        wp.seed = 7;
+        std::vector<cpu::Trace> traces;
+        for (const auto &lt : workloads::generateTraces(
+                 workloads::BenchId::Hashmap, wp))
+            traces.push_back(persistency::lower(lt, design));
+        cpu::MachineConfig mc = core::defaultMachineConfig(2);
+        mc.design = design;
+        mc.metrics.sample = true;
+        mc.metrics.interval = nsToTicks(2000);
+        cpu::Machine m(mc);
+        m.setTraces(std::move(traces));
+        m.run();
+
+        std::map<std::string, double> stats;
+        for (const StatValue &sv : m.stats().flatten())
+            stats[sv.name] = sv.value;
+        ASSERT_NE(m.metricsRegistry(), nullptr);
+        const MetricsSeries &series = m.metricsRegistry()->series();
+        ASSERT_FALSE(series.empty());
+        const auto &last = series.rows.back().values;
+        std::size_t counters = 0;
+        for (std::size_t c = 0; c < series.columns.size(); ++c) {
+            const std::string &col = series.columns[c];
+            const auto it = stats.find(col);
+            if (it == stats.end()) {
+                // A gauge: a known local name under a stat group.
+                const std::size_t dot = col.rfind('.');
+                ASSERT_NE(dot, std::string::npos) << col;
+                EXPECT_TRUE(gauges.count(col.substr(dot + 1)))
+                    << col << " is neither a stat nor a known gauge";
+                const std::string group = col.substr(0, dot + 1);
+                EXPECT_TRUE(std::any_of(
+                    stats.begin(), stats.end(), [&](const auto &kv) {
+                        return kv.first.rfind(group, 0) == 0;
+                    }))
+                    << col << " is not under a stat group";
+                continue;
+            }
+            ++counters;
+            EXPECT_LE(last[c], it->second) << col;
+        }
+        EXPECT_NE(std::find(series.columns.begin(), series.columns.end(),
+                            "machine.misspecInterrupts"),
+                  series.columns.end());
+        EXPECT_GE(counters, 6u); // 3 PMC, 2 core aborts, misspecs
+    }
 }
 
 TEST(JsonParse, RoundTripsWriterOutput)

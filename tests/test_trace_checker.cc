@@ -1,7 +1,8 @@
 /**
  * @file
  * The offline trace checker as an oracle: over fault-injection
- * campaigns with known-violating plans, over a benign reorder, over a
+ * campaigns with known-violating plans (under both the Lazy and the
+ * Eager recovery policy), over a benign reorder, over a
  * deliberately tampered stream, and over a full timing-machine run
  * that provokes a genuine load misspeculation. In every intact stream
  * the independently re-derived verdicts must agree exactly with what
@@ -59,8 +60,9 @@ struct Harness
     trace::Manager mgr;
     Addr data;
 
-    explicit Harness(trace::Config tcfg = checkerTraceConfig())
-        : rt(pm, os, 1, RecoveryPolicy::Lazy), inj(pm, os),
+    explicit Harness(trace::Config tcfg = checkerTraceConfig(),
+                     RecoveryPolicy policy = RecoveryPolicy::Lazy)
+        : rt(pm, os, 1, policy), inj(pm, os),
           mgr(tcfg, 0), data(pm.alloc(256, 64))
     {
         for (Addr a = data; a < data + 256; a += 8)
@@ -76,6 +78,28 @@ struct Harness
         return observe::checkEvents(mgr.snapshot(), mgr.meta,
                                     mgr.dropped());
     }
+
+    /** The injected misspeculation trapped through the OS once and
+     *  the FASE re-executed to commit with @p value. */
+    void
+    expectRecovered(std::uint64_t value) const
+    {
+        EXPECT_EQ(os.delivered(), 1u);
+        EXPECT_EQ(rt.fasesAborted(), 1u);
+        EXPECT_EQ(rt.fasesCommitted(), 1u);
+        EXPECT_EQ(pm.readU64(data), value);
+    }
+};
+
+std::string
+policyName(RecoveryPolicy p)
+{
+    return p == RecoveryPolicy::Lazy ? "Lazy" : "Eager";
+}
+
+/** Injected-fault campaigns run under each recovery policy. */
+class TraceCheckerPolicy : public testing::TestWithParam<RecoveryPolicy>
+{
 };
 
 std::string
@@ -89,14 +113,15 @@ joined(const std::vector<std::string> &lines)
 
 } // namespace
 
-TEST(TraceChecker, AgreesOnInjectedLoadStale)
+TEST_P(TraceCheckerPolicy, AgreesOnInjectedLoadStale)
 {
-    Harness h;
+    Harness h(checkerTraceConfig(), GetParam());
     h.inj.addPlan(
         std::make_unique<AddrTouchPlan>(FaultKind::LoadStale, h.data));
     h.rt.runFase(0, [&](Transaction &tx) { tx.writeU64(h.data, 42); });
 
     ASSERT_EQ(h.inj.specBuffer().loadMisspecs.value(), 1u);
+    h.expectRecovered(42);
     const CheckResult res = h.check();
     EXPECT_TRUE(res.ok()) << joined(res.disagreements);
     EXPECT_TRUE(res.automatonChecked);
@@ -106,14 +131,15 @@ TEST(TraceChecker, AgreesOnInjectedLoadStale)
     EXPECT_EQ(res.storeMisspecsDerived, 0u);
 }
 
-TEST(TraceChecker, AgreesOnInjectedStoreOrderViolation)
+TEST_P(TraceCheckerPolicy, AgreesOnInjectedStoreOrderViolation)
 {
-    Harness h;
+    Harness h(checkerTraceConfig(), GetParam());
     h.inj.addPlan(
         std::make_unique<AddrTouchPlan>(FaultKind::StoreWaw, h.data));
     h.rt.runFase(0, [&](Transaction &tx) { tx.writeU64(h.data, 21); });
 
     ASSERT_EQ(h.inj.specBuffer().storeMisspecs.value(), 1u);
+    h.expectRecovered(21);
     const CheckResult res = h.check();
     EXPECT_TRUE(res.ok()) << joined(res.disagreements);
     EXPECT_EQ(res.storeMisspecsDerived, 1u);
@@ -185,17 +211,19 @@ TEST(TraceChecker, NonSpeculativeDesignHasNothingToCheck)
     ASSERT_FALSE(res.notes.empty());
 }
 
-TEST(TraceChecker, CertifiesExportedBinaryLog)
+TEST_P(TraceCheckerPolicy, CertifiesExportedBinaryLog)
 {
-    const std::string out = testing::TempDir() + "pmemspec_oracle.bin";
+    const std::string out = testing::TempDir() + "pmemspec_oracle_" +
+                            policyName(GetParam()) + ".bin";
     trace::Config cfg = checkerTraceConfig();
     cfg.outPath = out;
     {
-        Harness h(cfg);
+        Harness h(cfg, GetParam());
         h.inj.addPlan(std::make_unique<AddrTouchPlan>(
             FaultKind::StoreWaw, h.data));
         h.rt.runFase(0,
                      [&](Transaction &tx) { tx.writeU64(h.data, 9); });
+        h.expectRecovered(9);
         ASSERT_EQ(observe::exportTraceFile(h.mgr), out);
     }
     const CheckResult res = observe::checkTraceFile(out);
@@ -204,6 +232,13 @@ TEST(TraceChecker, CertifiesExportedBinaryLog)
     EXPECT_EQ(res.storeMisspecsDerived, 1u);
     EXPECT_EQ(res.storeMisspecsDetected, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, TraceCheckerPolicy,
+    testing::Values(RecoveryPolicy::Lazy, RecoveryPolicy::Eager),
+    [](const testing::TestParamInfo<RecoveryPolicy> &info) {
+        return policyName(info.param);
+    });
 
 TEST(TraceChecker, UnreadableFileIsADisagreement)
 {

@@ -17,10 +17,12 @@
  * (capped at 125), so CI can gate directly on it.
  */
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,6 +79,30 @@ usage()
         "the number of failing workloads (capped at 125).\n");
 }
 
+/** Parse a non-negative decimal @p v for @p flag; false (with a
+ *  message) on an empty, signed, non-numeric or out-of-range value. */
+bool
+parseUnsigned(const char *flag, const std::string &v, unsigned &out)
+{
+    // Digits only: strtoul alone reads "abc" as 0 and "-1" as
+    // ULONG_MAX.
+    const bool digits =
+        !v.empty() && v.find_first_not_of("0123456789") == v.npos;
+    errno = 0;
+    const unsigned long n =
+        digits ? std::strtoul(v.c_str(), nullptr, 10) : 0;
+    if (!digits || errno == ERANGE ||
+        n > std::numeric_limits<unsigned>::max()) {
+        std::fprintf(stderr,
+                     "crash_check: %s wants a non-negative integer, "
+                     "got '%s'\n",
+                     flag, v.c_str());
+        return false;
+    }
+    out = static_cast<unsigned>(n);
+    return true;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
@@ -85,15 +111,16 @@ parseArgs(int argc, char **argv, Options &opt)
         if (a == "--help" || a == "-h") {
             return false;
         } else if (a.rfind("--depth=", 0) == 0) {
-            opt.depth = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 8, nullptr, 10));
+            if (!parseUnsigned("--depth", a.substr(8), opt.depth))
+                return false;
         } else if (a == "--prefix-only") {
             opt.prefixOnly = true;
         } else if (a == "--torn") {
             opt.torn = true;
         } else if (a.rfind("--sim-threads=", 0) == 0) {
-            opt.simThreads = static_cast<unsigned>(
-                std::strtoul(a.c_str() + 14, nullptr, 10));
+            if (!parseUnsigned("--sim-threads", a.substr(14),
+                               opt.simThreads))
+                return false;
         } else if (a.rfind("--json=", 0) == 0) {
             opt.jsonPath = a.substr(7);
         } else if (a == "--list") {
