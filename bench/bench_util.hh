@@ -7,43 +7,23 @@
  * *shape* (who wins, by roughly what factor) is the reproduction
  * target (see EXPERIMENTS.md).
  *
- * Common CLI (BenchOptions):
- *   --ops N          FASEs per thread (bare argv[1] still accepted)
- *   --jobs N         sweep worker threads (0/default = host cores)
- *   --sim-threads N  domain-parallel host threads inside one run
- *                    (service shards / crash-exploration ops);
- *                    0 = host cores, results byte-identical for any N
- *   --json PATH      write machine-readable results (BENCH_*.json)
- *   --designs A,B    subset of IntelX86,DPO,HOPS,PMEM-Spec
- *   --trace FLAGS    event tracing (PersistPath,PmController,
- *                    SpecBuffer,Core,FaseRuntime,FaultInject or "all")
- *   --trace-out P    export the trace (.json: Chrome trace-event
- *                    format, else the compact binary log); implies
- *                    --trace all when no flags were given
- *   --trace-ring N   per-core ring capacity in events (default 64K);
- *                    raise it for a lossless checker-grade capture
- *   --flight-recorder  bounded always-on recorder, dumped on panics
- *                    and misspeculation traps
- *   --metrics        sample time-series metrics + the per-FASE-site
- *                    speculation profile into the JSON results
- *   --metrics-interval-us N  sampling cadence in simulated
- *                    microseconds (implies --metrics; default 100)
- *   --help           usage
- *
- * All flags also accept the --flag=value spelling.
+ * The common flags (--ops, --jobs, --json, --designs, --metrics,
+ * --trace...; see --help or EXPERIMENTS.md) are declared to the
+ * shared cli::Parser by BenchOptions::parse. ycsb_service declares
+ * the CommonOptions subset too. --jobs 0 means one worker per host
+ * core; a usage error exits 2.
  */
 
 #ifndef PMEMSPEC_BENCH_BENCH_UTIL_HH
 #define PMEMSPEC_BENCH_BENCH_UTIL_HH
 
-#include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
 #include "core/experiment.hh"
@@ -58,209 +38,117 @@ namespace pmemspec::bench
  *  seconds instead of hours). */
 constexpr std::uint64_t defaultOps = 400;
 
-/** Parsed common command line of every bench binary. */
-struct BenchOptions
+/** The flags every bench binary shares, ycsb_service included. */
+struct CommonOptions
 {
-    std::uint64_t ops = defaultOps;
     /** Sweep worker threads; 0 = hardware concurrency. */
     unsigned jobs = 0;
-    /** Domain-parallel threads inside one simulated run (service
-     *  shards, crash-exploration ops); 0 = hardware concurrency.
-     *  Results are byte-identical for any value (DESIGN.md sec. 12),
-     *  so this knob trades wall clock only. */
-    unsigned simThreads = 1;
     /** Output path for the JSON results; empty = stdout only. */
     std::string jsonPath;
     std::vector<persistency::Design> designs =
         persistency::allDesigns();
-    /** Event tracing / flight recorder (off unless requested). */
-    trace::Config trace;
     /** Time-series metrics + FASE speculation profile (off unless
      *  requested; off keeps bench JSON byte-identical to pre-metrics
      *  output). */
     observe::MetricsConfig metrics;
 
+    /** Declare --jobs, --json, --designs, --metrics and
+     *  --metrics-interval-us; the usage shows the current
+     *  metrics.interval as the default. */
+    void
+    declare(cli::Parser &cli)
+    {
+        cli.count("--jobs", jobs, cli::Zero::Allowed,
+                  "parallel workers (0 = host cores)");
+        cli.string("--json", jsonPath, "PATH",
+                   "write machine-readable results "
+                   "(pmemspec-bench-v1)");
+        cli.callback("--designs", "L",
+                     [this](const std::string &list) {
+                         return parseDesigns(list);
+                     },
+                     "comma list of IntelX86,DPO,HOPS,PMEM-Spec");
+        cli.flag("--metrics", metrics.sample,
+                 "sample time-series metrics + the FASE "
+                 "speculation\nprofile into the JSON results");
+        const Tick us = nsToTicks(1000.0);
+        cli.callback(
+            "--metrics-interval-us", "N",
+            [this, us](const std::string &v) {
+                std::uint64_t n = 0;
+                std::string why = cli::readCount(
+                    "--metrics-interval-us", v, cli::Zero::Refused,
+                    std::numeric_limits<Tick>::max() / us, n);
+                if (why.empty()) {
+                    metrics.sample = true;
+                    metrics.interval = us * n;
+                }
+                return why;
+            },
+            "sampling cadence in simulated us\n(implies --metrics; "
+            "default " +
+                std::to_string(metrics.interval / us) + ")");
+    }
+
+  private:
+    std::string
+    parseDesigns(const std::string &list)
+    {
+        std::vector<persistency::Design> out;
+        for (const auto &name : cli::split(list, ',')) {
+            persistency::Design d;
+            if (!persistency::designFromName(name, d))
+                return "unknown design '" + name + "'";
+            out.push_back(d);
+        }
+        designs = std::move(out);
+        return {};
+    }
+};
+
+/** Parsed common command line of every figure binary. */
+struct BenchOptions : CommonOptions
+{
+    std::uint64_t ops = defaultOps;
+    /** Event tracing / flight recorder (off unless requested). */
+    trace::Config trace;
+
+    /** Parse argv, exiting on --help or a usage error. */
     static BenchOptions
     parse(int argc, char **argv,
           std::uint64_t fallback_ops = defaultOps)
     {
         BenchOptions opt;
         opt.ops = fallback_ops;
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            // Accept both "--flag value" and "--flag=value".
-            std::string inline_val;
-            bool has_inline = false;
-            if (arg.rfind("--", 0) == 0) {
-                const std::size_t eq = arg.find('=');
-                if (eq != std::string::npos) {
-                    inline_val = arg.substr(eq + 1);
-                    arg.resize(eq);
-                    has_inline = true;
-                }
-            }
-            auto value = [&](const char *flag) -> std::string {
-                if (has_inline)
-                    return inline_val;
-                if (++i >= argc)
-                    usageExit(argv[0], 1, "missing value for %s",
-                              flag);
-                return argv[i];
-            };
-            if (arg == "--help" || arg == "-h") {
-                usageExit(argv[0], 0, nullptr);
-            } else if (arg == "--ops") {
-                opt.ops = parseCount(argv[0], "--ops",
-                                     value("--ops").c_str());
-            } else if (arg == "--jobs") {
-                opt.jobs = static_cast<unsigned>(parseCount(
-                    argv[0], "--jobs", value("--jobs").c_str()));
-            } else if (arg == "--sim-threads") {
-                // 0 is meaningful here (= hardware concurrency), so
-                // this flag bypasses parseCount's positivity check.
-                const std::string v = value("--sim-threads");
-                if (v.empty() ||
-                    v.find_first_not_of("0123456789") !=
-                        std::string::npos)
-                    usageExit(argv[0], 1,
-                              "--sim-threads wants a non-negative "
-                              "integer, got '%s'",
-                              v.c_str());
-                opt.simThreads = static_cast<unsigned>(
-                    std::strtoull(v.c_str(), nullptr, 10));
-            } else if (arg == "--json") {
-                opt.jsonPath = value("--json");
-            } else if (arg == "--designs") {
-                opt.designs = parseDesigns(argv[0],
-                                           value("--designs"));
-            } else if (arg == "--trace") {
-                const std::string list = value("--trace");
-                if (!trace::parseFlags(list, opt.trace.flags))
-                    usageExit(argv[0], 1,
-                              "unknown trace flag in '%s'",
-                              list.c_str());
-            } else if (arg == "--trace-out") {
-                opt.trace.outPath = value("--trace-out");
-            } else if (arg == "--trace-ring") {
-                opt.trace.ringEntries = parseCount(
-                    argv[0], "--trace-ring",
-                    value("--trace-ring").c_str());
-            } else if (arg == "--flight-recorder") {
-                opt.trace.flightRecorder = true;
-            } else if (arg == "--metrics") {
-                opt.metrics.sample = true;
-            } else if (arg == "--metrics-interval-us") {
-                opt.metrics.sample = true;
-                opt.metrics.interval = nsToTicks(1000.0) *
-                    parseCount(argv[0], "--metrics-interval-us",
-                               value("--metrics-interval-us").c_str());
-            } else if (i == 1 && !arg.empty() &&
-                       arg.find_first_not_of("0123456789") ==
-                           std::string::npos) {
-                // Backward compatible bare ops_per_thread position.
-                opt.ops = parseCount(argv[0], "ops", argv[i]);
-            } else {
-                usageExit(argv[0], 1, "unknown argument '%s'",
-                          arg.c_str());
-            }
-        }
+        cli::Parser cli(argv[0]);
+        cli.count("--ops", opt.ops, cli::Zero::Refused,
+                  "FASEs per thread");
+        opt.declare(cli);
+        cli.callback("--trace", "FLAGS",
+                     [&opt](const std::string &list) {
+                         return trace::parseFlags(list, opt.trace.flags)
+                                    ? std::string()
+                                    : "unknown trace flag in '" + list +
+                                          "'";
+                     },
+                     "comma list of PersistPath,PmController,"
+                     "SpecBuffer,\nCore,FaseRuntime,FaultInject, or "
+                     "'all'");
+        cli.string("--trace-out", opt.trace.outPath, "PATH",
+                   "export the trace (.json: Chrome trace-event "
+                   "JSON;\nelse compact binary); implies --trace all");
+        cli.count("--trace-ring", opt.trace.ringEntries,
+                  cli::Zero::Refused,
+                  "per-core ring capacity in events; the offline\n"
+                  "checker needs a lossless (drop-free) trace");
+        cli.flag("--flight-recorder", opt.trace.flightRecorder,
+                 "always-on bounded recorder, dumped on faults");
+        cli.parseOrExit(argc, argv);
         // An export destination with no selected components means
         // "trace everything".
         if (!opt.trace.outPath.empty() && opt.trace.flags == 0)
             opt.trace.flags = trace::FlagAll;
         return opt;
-    }
-
-  private:
-    [[noreturn]] static void
-    usageExit(const char *prog, int code, const char *fmt, ...)
-    {
-        if (fmt) {
-            va_list args;
-            va_start(args, fmt);
-            std::fprintf(stderr, "%s: ", prog);
-            std::vfprintf(stderr, fmt, args);
-            std::fprintf(stderr, "\n");
-            va_end(args);
-        }
-        std::fprintf(
-            code ? stderr : stdout,
-            "usage: %s [ops_per_thread] [--ops N] [--jobs N]\n"
-            "       [--sim-threads N] [--json PATH] "
-            "[--designs A,B,...]\n"
-            "       [--trace FLAGS] [--trace-out PATH] "
-            "[--trace-ring N]\n"
-            "       [--flight-recorder] [--metrics]\n"
-            "       [--metrics-interval-us N] [--help]\n"
-            "\n"
-            "  --ops N        FASEs per thread\n"
-            "  --jobs N       parallel sweep workers (default: host "
-            "cores)\n"
-            "  --sim-threads N  domain-parallel threads inside one "
-            "run\n"
-            "                 (0 = host cores; output is "
-            "byte-identical for any N)\n"
-            "  --json PATH    write machine-readable results "
-            "(pmemspec-bench-v1)\n"
-            "  --designs L    comma list of IntelX86,DPO,HOPS,"
-            "PMEM-Spec\n"
-            "  --trace FLAGS  comma list of PersistPath,PmController,"
-            "SpecBuffer,\n"
-            "                 Core,FaseRuntime,FaultInject, or 'all'\n"
-            "  --trace-out P  export the trace to P (.json: Chrome "
-            "trace-event\n"
-            "                 JSON; else compact binary); implies "
-            "--trace all\n"
-            "  --trace-ring N per-core ring capacity in events "
-            "(default 65536);\n"
-            "                 the offline checker needs a lossless "
-            "(drop-free) trace\n"
-            "  --flight-recorder  always-on bounded recorder, dumped "
-            "on faults\n"
-            "  --metrics      sample time-series metrics + the FASE "
-            "speculation\n"
-            "                 profile into the JSON results\n"
-            "  --metrics-interval-us N  sampling cadence in simulated "
-            "us\n"
-            "                 (implies --metrics; default 100)\n",
-            prog);
-        std::exit(code);
-    }
-
-    static std::uint64_t
-    parseCount(const char *prog, const char *flag, const char *s)
-    {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(s, &end, 10);
-        if (!end || *end != '\0' || v == 0)
-            usageExit(prog, 1, "%s wants a positive integer, got '%s'",
-                      flag, s);
-        return static_cast<std::uint64_t>(v);
-    }
-
-    static std::vector<persistency::Design>
-    parseDesigns(const char *prog, const std::string &list)
-    {
-        std::vector<persistency::Design> out;
-        std::size_t pos = 0;
-        while (pos <= list.size()) {
-            const std::size_t comma = list.find(',', pos);
-            const std::string name =
-                list.substr(pos, comma == std::string::npos
-                                     ? std::string::npos
-                                     : comma - pos);
-            persistency::Design d;
-            if (!persistency::designFromName(name, d))
-                usageExit(prog, 1, "unknown design '%s'",
-                          name.c_str());
-            out.push_back(d);
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-        if (out.empty())
-            usageExit(prog, 1, "--designs wants at least one design");
-        return out;
     }
 };
 

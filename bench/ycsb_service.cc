@@ -22,11 +22,17 @@
  * parallelises the per-shard simulation domains inside one run
  * (DESIGN.md section 12). The JSON is byte-identical at any --jobs
  * or --sim-threads value.
+ *
+ * The flags are declared to the shared cli::Parser: --jobs, --json,
+ * --designs, --metrics and --metrics-interval-us are the figure
+ * binaries' own declarations (bench::CommonOptions), the rest are
+ * this harness's. Counts are digits only; --shards, --clients,
+ * --keys, --arrival-ns and --duration-us must be positive. A usage
+ * error exits 2, a failed --slo gate exits 1.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <set>
 
 #include "bench_util.hh"
@@ -41,47 +47,6 @@ using service::ServiceResult;
 
 namespace
 {
-
-[[noreturn]] void
-usageExit(const char *prog, int code)
-{
-    std::fprintf(
-        code ? stderr : stdout,
-        "usage: %s [--duration-us N] [--shards N] [--clients N]\n"
-        "       [--keys N] [--arrival-ns N] [--seed N]\n"
-        "       [--faults SPEC[,SPEC...]|none] [--slo]\n"
-        "       [--jobs N] [--sim-threads N] [--json PATH]\n"
-        "       [--designs A,B,...] [--metrics]\n"
-        "       [--metrics-interval-us N]\n"
-        "\n"
-        "  SPEC = kind:shard:at_us with kind one of\n"
-        "         powercut, poison, logpoison, storm\n"
-        "  --sim-threads N  host threads over the per-shard\n"
-        "         simulation domains of one run (0 = host cores);\n"
-        "         the output is byte-identical for any N\n"
-        "  --metrics  sample per-shard time-series metrics and the\n"
-        "         per-FASE-site speculation profile into the JSON\n"
-        "  --metrics-interval-us N  sampling cadence in simulated us\n"
-        "         (implies --metrics; default 500)\n"
-        "  --slo  exit non-zero unless: zero oracle violations and\n"
-        "         availability >= 0.99 on every shard without an\n"
-        "         injected fault (per design)\n",
-        prog);
-    std::exit(code);
-}
-
-std::uint64_t
-parseCount(const char *prog, const char *flag, const std::string &s)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (!end || *end != '\0') {
-        std::fprintf(stderr, "%s: %s wants an integer, got '%s'\n",
-                     prog, flag, s.c_str());
-        std::exit(1);
-    }
-    return static_cast<std::uint64_t>(v);
-}
 
 bool
 faultKindFromName(const std::string &name, ServiceFault &out)
@@ -100,47 +65,37 @@ faultKindFromName(const std::string &name, ServiceFault &out)
     return true;
 }
 
-std::vector<FaultEvent>
-parseFaults(const char *prog, const std::string &list)
+/** Parse a --faults list into @p out; "" or why it was refused. */
+std::string
+parseFaults(const std::string &list, std::vector<FaultEvent> &out)
 {
-    std::vector<FaultEvent> out;
+    out.clear();
     if (list == "none")
-        return out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string spec =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        const std::size_t c1 = spec.find(':');
-        const std::size_t c2 =
-            c1 == std::string::npos ? std::string::npos
-                                    : spec.find(':', c1 + 1);
-        if (c2 == std::string::npos) {
-            std::fprintf(stderr,
-                         "%s: fault spec '%s' is not "
-                         "kind:shard:at_us\n",
-                         prog, spec.c_str());
-            std::exit(1);
-        }
+        return {};
+    for (const auto &spec : cli::split(list, ',')) {
+        const auto field = cli::split(spec, ':');
+        if (field.size() != 3)
+            return "fault spec '" + spec + "' is not kind:shard:at_us";
         FaultEvent ev;
-        if (!faultKindFromName(spec.substr(0, c1), ev.kind)) {
-            std::fprintf(stderr, "%s: unknown fault kind in '%s'\n",
-                         prog, spec.c_str());
-            std::exit(1);
-        }
-        ev.shard = static_cast<unsigned>(parseCount(
-            prog, "fault shard", spec.substr(c1 + 1, c2 - c1 - 1)));
-        ev.at = nsToTicks(1000.0 * static_cast<double>(parseCount(
-                              prog, "fault at_us",
-                              spec.substr(c2 + 1))));
+        if (!faultKindFromName(field[0], ev.kind))
+            return "unknown fault kind in '" + spec + "'";
+        std::uint64_t shard = 0, atUs = 0;
+        std::string why = cli::readCount(
+            "fault shard", field[1], cli::Zero::Allowed,
+            std::numeric_limits<unsigned>::max(), shard);
+        // Bounded so the conversion to ticks cannot overflow.
+        if (why.empty())
+            why = cli::readCount(
+                "fault at_us", field[2], cli::Zero::Allowed,
+                std::numeric_limits<Tick>::max() / nsToTicks(1000.0),
+                atUs);
+        if (!why.empty())
+            return why;
+        ev.shard = static_cast<unsigned>(shard);
+        ev.at = nsToTicks(1000.0 * static_cast<double>(atUs));
         out.push_back(ev);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
     }
-    return out;
+    return {};
 }
 
 /** The default chaos script: every fault kind, each on its own
@@ -189,116 +144,58 @@ int
 main(int argc, char **argv)
 {
     ServiceConfig base;
-    unsigned jobs = 0;
-    std::string jsonPath;
-    std::vector<persistency::Design> designs =
-        persistency::allDesigns();
-    std::vector<FaultEvent> faults = defaultFaults(base);
+    bench::CommonOptions opt;
+    opt.metrics.interval = base.metricsInterval;
+    std::uint64_t durationUs = base.duration / ticksPerNs / 1000;
+    std::uint64_t arrivalNs = base.interArrival / ticksPerNs;
+    std::vector<FaultEvent> faults;
     bool explicitFaults = false;
     bool gateSlo = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string inline_val;
-        bool has_inline = false;
-        if (arg.rfind("--", 0) == 0) {
-            const std::size_t eq = arg.find('=');
-            if (eq != std::string::npos) {
-                inline_val = arg.substr(eq + 1);
-                arg.resize(eq);
-                has_inline = true;
-            }
-        }
-        auto value = [&](const char *flag) -> std::string {
-            if (has_inline)
-                return inline_val;
-            if (++i >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv[0], flag);
-                std::exit(1);
-            }
-            return argv[i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usageExit(argv[0], 0);
-        } else if (arg == "--duration-us") {
-            base.duration = nsToTicks(1000.0 * static_cast<double>(
-                parseCount(argv[0], "--duration-us",
-                           value("--duration-us"))));
-        } else if (arg == "--shards") {
-            base.shards = static_cast<unsigned>(parseCount(
-                argv[0], "--shards", value("--shards")));
-        } else if (arg == "--clients") {
-            base.clients = static_cast<unsigned>(parseCount(
-                argv[0], "--clients", value("--clients")));
-        } else if (arg == "--keys") {
-            base.keySpace = parseCount(argv[0], "--keys",
-                                       value("--keys"));
-        } else if (arg == "--arrival-ns") {
-            base.interArrival = nsToTicks(static_cast<double>(
-                parseCount(argv[0], "--arrival-ns",
-                           value("--arrival-ns"))));
-        } else if (arg == "--seed") {
-            base.seed = parseCount(argv[0], "--seed",
-                                   value("--seed"));
-        } else if (arg == "--faults") {
-            faults = parseFaults(argv[0], value("--faults"));
-            explicitFaults = true;
-        } else if (arg == "--metrics") {
-            base.metrics = true;
-        } else if (arg == "--metrics-interval-us") {
-            base.metrics = true;
-            base.metricsInterval = nsToTicks(1000.0) *
-                parseCount(argv[0], "--metrics-interval-us",
-                           value("--metrics-interval-us"));
-        } else if (arg == "--slo") {
-            gateSlo = true;
-        } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(parseCount(
-                argv[0], "--jobs", value("--jobs")));
-        } else if (arg == "--sim-threads") {
-            base.simThreads = static_cast<unsigned>(parseCount(
-                argv[0], "--sim-threads", value("--sim-threads")));
-        } else if (arg == "--json") {
-            jsonPath = value("--json");
-        } else if (arg == "--designs") {
-            designs.clear();
-            const std::string list = value("--designs");
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string name = list.substr(
-                    pos, comma == std::string::npos
-                             ? std::string::npos
-                             : comma - pos);
-                persistency::Design d;
-                if (!persistency::designFromName(name, d)) {
-                    std::fprintf(stderr,
-                                 "%s: unknown design '%s'\n",
-                                 argv[0], name.c_str());
-                    return 1;
-                }
-                designs.push_back(d);
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-        } else {
-            std::fprintf(stderr, "%s: unknown argument '%s'\n",
-                         argv[0], arg.c_str());
-            usageExit(argv[0], 1);
-        }
-    }
+    cli::Parser cli(argv[0]);
+    cli.count("--duration-us", durationUs, cli::Zero::Refused,
+              "simulated run length");
+    cli.count("--shards", base.shards, cli::Zero::Refused,
+              "failure domains");
+    cli.count("--clients", base.clients, cli::Zero::Refused,
+              "open-loop clients");
+    cli.count("--keys", base.keySpace, cli::Zero::Refused,
+              "preloaded key space");
+    cli.count("--arrival-ns", arrivalNs, cli::Zero::Refused,
+              "per-client inter-arrival time");
+    cli.count("--seed", base.seed, cli::Zero::Allowed, "client RNG seed");
+    cli.callback("--faults", "SPEC[,SPEC...]|none",
+                 [&](const std::string &list) {
+                     explicitFaults = true;
+                     return parseFaults(list, faults);
+                 },
+                 "replace the default chaos script; SPEC is\n"
+                 "kind:shard:at_us, kind one of powercut, poison,\n"
+                 "logpoison, storm");
+    cli.flag("--slo", gateSlo,
+             "exit 1 unless: zero oracle violations and\n"
+             "availability >= 0.99 on every shard without an\n"
+             "injected fault (per design)");
+    cli.count("--sim-threads", base.simThreads, cli::Zero::Allowed,
+              "host threads over the per-shard simulation\n"
+              "domains of one run (0 = host cores)");
+    opt.declare(cli);
+    cli.parseOrExit(argc, argv);
+    base.duration = nsToTicks(1000.0 * static_cast<double>(durationUs));
+    base.interArrival = nsToTicks(static_cast<double>(arrivalNs));
+    base.metrics = opt.metrics.sample;
+    base.metricsInterval = opt.metrics.interval;
+    const auto &designs = opt.designs;
+
     // A changed duration moves the default chaos script with it.
     if (!explicitFaults)
         faults = defaultFaults(base);
     base.faults = faults;
-    fatal_if(designs.empty(), "no designs selected");
 
     // One deterministic run per design; --jobs parallelises across
     // designs, cfg.simThreads across the shard domains inside each.
     std::vector<ServiceResult> results(designs.size());
-    core::SweepRunner runner(jobs);
+    core::SweepRunner runner(opt.jobs);
     runner.forEach(designs.size(), [&](std::size_t i) {
         ServiceConfig cfg = base;
         cfg.design = designs[i];
@@ -367,7 +264,7 @@ main(int argc, char **argv)
                Json(base.metricsInterval / ticksPerNs / 1000));
         sink.setMeta("metrics", std::move(mj));
     }
-    sink.writeFile(jsonPath);
+    sink.writeFile(opt.jsonPath);
 
     if (gateSlo && !sloOk) {
         std::fprintf(stderr, "ycsb_service: SLO gate FAILED\n");

@@ -7,9 +7,10 @@
  *   $ ./design_comparison [benchmark-name] [ops-per-thread]
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 
+#include "common/cli.hh"
 #include "core/experiment.hh"
 #include "persistency/lowering.hh"
 
@@ -19,18 +20,26 @@ main(int argc, char **argv)
     using namespace pmemspec;
     using persistency::Design;
 
+    std::vector<std::string> args;
+    cli::Parser cli(argv[0]);
+    cli.positionals(args, "[benchmark-name [ops-per-thread]]");
+    cli.parseOrExit(argc, argv);
+
     workloads::BenchId bench = workloads::BenchId::Tpcc;
-    if (argc > 1) {
-        for (auto b : workloads::allBenchmarks())
-            if (!std::strcmp(argv[1], workloads::benchName(b)))
-                bench = b;
-    }
+    if (args.size() > 2)
+        cli.fail("too many arguments");
+    if (args.size() > 0 && !workloads::benchFromName(args[0], bench))
+        cli.fail("unknown benchmark '" + args[0] + "'");
     workloads::WorkloadParams p;
     p.numThreads = 8;
-    p.opsPerThread =
-        (argc > 2 && std::atol(argv[2]) > 0)
-            ? static_cast<std::uint64_t>(std::atol(argv[2]))
-            : 200;
+    p.opsPerThread = 200;
+    if (args.size() > 1) {
+        const std::string why =
+            cli::readCount("ops-per-thread", args[1], cli::Zero::Refused,
+                           UINT64_MAX, p.opsPerThread);
+        if (!why.empty())
+            cli.fail(why);
+    }
 
     std::printf("Benchmark: %s (8 cores, %llu FASEs/thread)\n\n",
                 workloads::benchName(bench),

@@ -2,50 +2,23 @@
  * @file
  * simulate: a command-line driver over the experiment API — run
  * any Table 4 benchmark on any design with custom machine knobs and
- * dump the full statistics tree.
+ * dump the flattened statistics.
  *
  *   $ ./simulate --bench TPCC --design PMEM-Spec --cores 8 \
  *                    --ops 500 --path-ns 40 --spec-entries 8 --stats
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
+#include "common/cli.hh"
 #include "core/experiment.hh"
-#include "persistency/lowering.hh"
-
-namespace
-{
-
-using namespace pmemspec;
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --bench NAME      ArraySwaps|Queue|Hashmap|RB-Tree|TATP|"
-        "TPCC|Vacation|Memcached (default TPCC)\n"
-        "  --design NAME     IntelX86|DPO|HOPS|PMEM-Spec "
-        "(default PMEM-Spec)\n"
-        "  --cores N         threads/cores (default 8)\n"
-        "  --ops N           FASEs per thread (default 400)\n"
-        "  --path-ns N       persist-path latency in ns (default 20)\n"
-        "  --spec-entries N  speculation buffer entries (default 4)\n"
-        "  --pmcs N          PM controllers (default 1)\n"
-        "  --unordered-noc   multi-PMC NoC does not preserve order\n"
-        "  --seed N          workload RNG seed (default 1)\n"
-        "  --stats           dump the full statistics tree\n"
-        "  --config          print the Table 3 configuration\n",
-        argv0);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    using namespace pmemspec;
+    using cli::Zero;
     using persistency::Design;
 
     workloads::BenchId bench = workloads::BenchId::Tpcc;
@@ -56,107 +29,65 @@ main(int argc, char **argv)
     unsigned path_ns = 20;
     unsigned spec_entries = 4;
     unsigned pmcs = 1;
-    bool ordered_noc = true;
+    bool unordered_noc = false;
     bool dump_stats = false;
     bool show_config = false;
 
-    for (int i = 1; i < argc; ++i) {
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--bench")) {
-            const char *name = next("--bench");
-            bool found = false;
-            for (auto b : workloads::allBenchmarks()) {
-                if (!std::strcmp(name, workloads::benchName(b))) {
-                    bench = b;
-                    found = true;
-                }
-            }
-            if (!found) {
-                std::fprintf(stderr, "unknown benchmark '%s'\n", name);
-                return 1;
-            }
-        } else if (!std::strcmp(argv[i], "--design")) {
-            const char *name = next("--design");
-            bool found = false;
-            for (Design d : {Design::IntelX86, Design::DPO,
-                             Design::HOPS, Design::PmemSpec}) {
-                if (persistency::designName(d) == name) {
-                    design = d;
-                    found = true;
-                }
-            }
-            if (!found) {
-                std::fprintf(stderr, "unknown design '%s'\n", name);
-                return 1;
-            }
-        } else if (!std::strcmp(argv[i], "--cores")) {
-            cores = static_cast<unsigned>(std::atoi(next("--cores")));
-        } else if (!std::strcmp(argv[i], "--ops")) {
-            ops = static_cast<std::uint64_t>(std::atol(next("--ops")));
-        } else if (!std::strcmp(argv[i], "--seed")) {
-            seed =
-                static_cast<std::uint64_t>(std::atol(next("--seed")));
-        } else if (!std::strcmp(argv[i], "--path-ns")) {
-            path_ns =
-                static_cast<unsigned>(std::atoi(next("--path-ns")));
-        } else if (!std::strcmp(argv[i], "--spec-entries")) {
-            spec_entries = static_cast<unsigned>(
-                std::atoi(next("--spec-entries")));
-        } else if (!std::strcmp(argv[i], "--pmcs")) {
-            pmcs = static_cast<unsigned>(std::atoi(next("--pmcs")));
-        } else if (!std::strcmp(argv[i], "--unordered-noc")) {
-            ordered_noc = false;
-        } else if (!std::strcmp(argv[i], "--stats")) {
-            dump_stats = true;
-        } else if (!std::strcmp(argv[i], "--config")) {
-            show_config = true;
-        } else if (!std::strcmp(argv[i], "--help") ||
-                   !std::strcmp(argv[i], "-h")) {
-            usage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-            usage(argv[0]);
-            return 1;
-        }
-    }
+    cli::Parser cli(argv[0]);
+    cli.callback("--bench", "NAME",
+                 [&](const std::string &name) {
+                     return workloads::benchFromName(name, bench)
+                                ? std::string()
+                                : "unknown benchmark '" + name + "'";
+                 },
+                 "ArraySwaps|Queue|Hashmap|RB-Tree|TATP|TPCC|\n"
+                 "Vacation|Memcached (default TPCC)");
+    cli.callback("--design", "NAME",
+                 [&](const std::string &name) {
+                     return persistency::designFromName(name, design)
+                                ? std::string()
+                                : "unknown design '" + name + "'";
+                 },
+                 "IntelX86|DPO|HOPS|PMEM-Spec (default PMEM-Spec)");
+    cli.count("--cores", cores, Zero::Refused, "threads/cores");
+    cli.count("--ops", ops, Zero::Refused, "FASEs per thread");
+    cli.count("--path-ns", path_ns, Zero::Refused,
+              "persist-path latency in ns");
+    cli.count("--spec-entries", spec_entries, Zero::Refused,
+              "speculation buffer entries");
+    cli.count("--pmcs", pmcs, Zero::Refused, "PM controllers");
+    cli.flag("--unordered-noc", unordered_noc,
+             "multi-PMC NoC does not preserve order");
+    cli.count("--seed", seed, Zero::Allowed, "workload RNG seed");
+    cli.flag("--stats", dump_stats, "dump the flattened statistics");
+    cli.flag("--config", show_config,
+             "print the Table 3 configuration");
+    cli.parseOrExit(argc, argv);
 
-    cpu::MachineConfig mc = core::defaultMachineConfig(cores);
-    mc.design = design;
-    mc.mem.persistPathLatency = nsToTicks(path_ns);
-    mc.mem.specBufferEntries = spec_entries;
-    mc.mem.numPmcs = pmcs;
-    mc.mem.orderedNoc = ordered_noc;
-    if (design == persistency::Design::HOPS)
-        mc.mem.l1ToLlcExtra = nsToTicks(1.0);
+    core::ExperimentConfig cfg;
+    cfg.withBench(bench)
+        .withDesign(design)
+        .withMachine(core::defaultMachineConfig(cores))
+        .withThreads(cores)
+        .withOps(ops)
+        .withSeed(seed);
+    auto &mem = cfg.machine.mem;
+    mem.persistPathLatency = nsToTicks(path_ns);
+    mem.specBufferEntries = spec_entries;
+    mem.numPmcs = pmcs;
+    mem.orderedNoc = !unordered_noc;
 
     if (show_config) {
-        core::printConfig(std::cout, mc);
+        core::printConfig(std::cout, cfg.machine);
         std::printf("\n");
     }
-
-    workloads::WorkloadParams p;
-    p.numThreads = cores;
-    p.opsPerThread = ops;
-    p.seed = seed;
 
     std::printf("running %s on %s (%u cores, %llu FASEs/thread)...\n",
                 workloads::benchName(bench),
                 persistency::designName(design).c_str(), cores,
                 static_cast<unsigned long long>(ops));
-    auto logical = workloads::generateTraces(bench, p);
-    std::vector<cpu::Trace> traces;
-    for (const auto &lt : logical)
-        traces.push_back(persistency::lower(lt, design));
-    cpu::Machine m(mc);
-    m.setTraces(std::move(traces));
-    auto r = m.run();
+    const core::ExperimentResult res = core::runExperiment(cfg);
+    const cpu::RunResult &r = res.run;
 
     std::printf("  simulated time       %.2f us\n",
                 static_cast<double>(r.simTicks) / 1e6);
@@ -180,12 +111,17 @@ main(int argc, char **argv)
             std::printf("  cross-PMC hazards    %llu%s\n",
                         static_cast<unsigned long long>(
                             r.crossPmcReorderHazards),
-                        ordered_noc ? "" : "  (unordered NoC)");
+                        unordered_noc ? "  (unordered NoC)" : "");
         }
     }
     if (dump_stats) {
-        std::printf("\n--- statistics tree ---\n");
-        m.stats().dump(std::cout);
+        std::printf("\n--- statistics ---\n");
+        for (const auto &sv : res.stats) {
+            std::printf("%s %.15g", sv.name.c_str(), sv.value);
+            if (!sv.desc.empty())
+                std::printf(" # %s", sv.desc.c_str());
+            std::printf("\n");
+        }
     }
     return 0;
 }

@@ -38,6 +38,8 @@ hexMask(std::uint64_t m)
 /** Torn frontiers are exhaustive up to this word count (<= 14 proper
  *  subsets); wider frontiers use subsetMasks()'s sampled regime. */
 constexpr unsigned tornExhaustiveBits = 4;
+/** Torn subsets per crash point in the sampled regime. */
+constexpr unsigned maxTornSubsets = 12;
 
 /**
  * Never fires; records what the reference (uninterrupted) execution
@@ -118,8 +120,6 @@ class OpExplorer
           inj(pm, os),
           windowDepth(std::min<unsigned>(opts.windowDepth, 16))
     {
-        rcfg.exhaustiveBits = opts.reorderExhaustiveBits;
-        rcfg.maxSubsets = opts.maxReorderSubsets;
         rcfg.seed = opts.enumSeed;
 
         wl.setup(pm, rt);
@@ -418,7 +418,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
             // undo log every torn frontier is detected and
             // discarded, so recovery is expected to succeed.
             for (std::uint64_t mask :
-                 subsetMasks(frontier_words, opts.maxTornSubsets,
+                 subsetMasks(frontier_words, maxTornSubsets,
                              opts.enumSeed, tornExhaustiveBits)) {
                 pm.restore(pre);
                 rt.recoverAll();

@@ -166,10 +166,6 @@ struct ExploreOptions
      * report -- it must never hand back garbage as if it were fine.
      */
     bool tornWrites = false;
-    /** Torn subsets per crash point: exhaustive (every proper
-     *  nonempty subset) when the frontier is at most 4 words wide,
-     *  else a bounded pattern set capped at this many masks. */
-    unsigned maxTornSubsets = 12;
 
     /**
      * Reorder mode: for every crash point, additionally enumerate
@@ -186,11 +182,6 @@ struct ExploreOptions
      *  clamp to mem::persistsInWindow(window, path_latency) -- depth
      *  beyond the hardware window checks impossible states. */
     unsigned windowDepth = 6;
-    /** Sampled-regime cap when the (elision-reduced) window is wider
-     *  than reorderExhaustiveBits. */
-    unsigned maxReorderSubsets = 4096;
-    /** Exhaustive subset enumeration up to this window size. */
-    unsigned reorderExhaustiveBits = 12;
     /** Seed for every sampled (non-exhaustive) mask enumeration,
      *  torn and reorder alike: same seed, same masks, every run. */
     std::uint64_t enumSeed = 0x9e3779b97f4a7c15ULL;

@@ -136,7 +136,7 @@ WindowEnumerator::canonicalMasks(const ReorderConfig &cfg) const
         return out;
     const std::uint64_t full =
         m == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << m) - 1;
-    if (m <= cfg.exhaustiveBits) {
+    if (m <= reorderExhaustiveBits) {
         for (std::uint64_t t = 1; t <= full; ++t) {
             if (admissible(t))
                 out.push_back(t);
@@ -144,7 +144,8 @@ WindowEnumerator::canonicalMasks(const ReorderConfig &cfg) const
         return out;
     }
     for (std::uint64_t t :
-         subsetMasks(m, cfg.maxSubsets, cfg.seed, cfg.exhaustiveBits)) {
+         subsetMasks(m, maxReorderSubsets, cfg.seed,
+                     reorderExhaustiveBits)) {
         if (admissible(t))
             out.push_back(t);
     }

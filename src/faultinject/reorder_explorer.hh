@@ -70,16 +70,17 @@ namespace pmemspec::faultinject
 /** A captured in-flight persist (addr, bytes, spec id, barrier tag). */
 using PendingPersist = runtime::PersistentMemory::Pending;
 
+/** Window sizes up to this many entries get every admissible subset;
+ *  wider windows fall back to the shared deterministic sampled masks
+ *  (subsetMasks) filtered for admissibility. */
+constexpr unsigned reorderExhaustiveBits = 12;
+/** Mask cap in the sampled regime. */
+constexpr unsigned maxReorderSubsets = 4096;
+
 /** Enumeration knobs (window depth is the caller's: it decides how
  *  many entries to capture per crash point). */
 struct ReorderConfig
 {
-    /** Window sizes up to this many entries get every admissible
-     *  subset; wider windows fall back to the shared deterministic
-     *  sampled masks (subsetMasks) filtered for admissibility. */
-    unsigned exhaustiveBits = 12;
-    /** Mask cap in the sampled regime. */
-    unsigned maxSubsets = 4096;
     /** Seed for the sampled regime's deterministic top-up draws. */
     std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
 };
@@ -169,8 +170,8 @@ class WindowEnumerator
     std::uint64_t naiveSequences() const;
 
     /** The admissible nonempty subsets to explore, one canonical
-     *  representative per Mazurkiewicz trace: exhaustive below the
-     *  config's bit limit, the shared deterministic sample above. */
+     *  representative per Mazurkiewicz trace: exhaustive up to
+     *  reorderExhaustiveBits, the shared deterministic sample above. */
     std::vector<std::uint64_t>
     canonicalMasks(const ReorderConfig &cfg) const;
 

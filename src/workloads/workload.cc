@@ -53,6 +53,18 @@ allBenchmarks()
             BenchId::Vacation, BenchId::Memcached};
 }
 
+bool
+benchFromName(const std::string &name, BenchId &out)
+{
+    for (BenchId b : allBenchmarks()) {
+        if (name == benchName(b)) {
+            out = b;
+            return true;
+        }
+    }
+    return false;
+}
+
 namespace
 {
 

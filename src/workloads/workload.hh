@@ -50,6 +50,9 @@ const char *benchName(BenchId id);
 /** All benchmarks in the paper's figure order. */
 std::vector<BenchId> allBenchmarks();
 
+/** Parse a benchmark from its paper-facing name; false on no match. */
+bool benchFromName(const std::string &name, BenchId &out);
+
 /** Generation knobs. */
 struct WorkloadParams
 {

@@ -14,19 +14,18 @@
  * wall_ms fields change.
  *
  * Exit status is the number of workloads with oracle violations
- * (capped at 125), so CI can gate directly on it.
+ * (capped at 125), so CI can gate directly on it. The flags are
+ * declared to the shared cli::Parser (both --flag=value and
+ * --flag value; counts are digits only), and a usage error exits 2.
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "core/sweep.hh"
 #include "faultinject/crash_explorer.hh"
 #include "faultinject/pmds_workloads.hh"
@@ -48,93 +47,35 @@ struct Options
     unsigned simThreads = 1;
     std::string jsonPath;
     std::vector<std::string> workloads;
+
+    void
+    parse(int argc, char **argv)
+    {
+        pmemspec::cli::Parser cli(
+            "crash_check",
+            "Explores every crash point of each workload (default: all)\n"
+            "and the reordered persist subsets of its speculation\n"
+            "window. Exit status is the number of failing workloads\n"
+            "(capped at 125); a usage error exits 2.");
+        using pmemspec::cli::Zero;
+        cli.count("--depth", depth, Zero::Allowed,
+                  "window entries enumerated past each crash\n"
+                  "point, clamped to the timing model's window");
+        cli.flag("--prefix-only", prefixOnly,
+                 "disable reorder exploration (baseline)");
+        cli.flag("--torn", torn, "also explore torn-write frontiers");
+        cli.count("--sim-threads", simThreads, Zero::Allowed,
+                  "host threads over the per-op exploration\n"
+                  "domains (0 = host cores); results are\n"
+                  "byte-identical for any N");
+        cli.string("--json", jsonPath, "PATH",
+                   "write the pmemspec-bench-v1 envelope");
+        cli.flag("--list", listOnly,
+                 "print the known workload names and exit");
+        cli.positionals(workloads, "[workload ...]");
+        cli.parseOrExit(argc, argv);
+    }
 };
-
-void
-usage()
-{
-    std::fprintf(
-        stderr,
-        "usage: crash_check [options] [workload ...]\n"
-        "\n"
-        "Explores every crash point of each workload and, per crash\n"
-        "point, the order-consistent persist subsets of the\n"
-        "speculation window (the reordered crash states prefix\n"
-        "enumeration cannot reach), checking the recovery oracles on\n"
-        "each novel state.\n"
-        "\n"
-        "  --depth=N       speculation-window entries enumerated past\n"
-        "                  each crash point (default 6, clamped to\n"
-        "                  the default timing model's window)\n"
-        "  --prefix-only   disable reorder exploration (baseline)\n"
-        "  --torn          also explore torn-write frontiers\n"
-        "  --sim-threads=N host threads over the per-op exploration\n"
-        "                  domains (default 1 = sequential, 0 = host\n"
-        "                  cores); all results are byte-identical for\n"
-        "                  any N -- only wall_ms changes\n"
-        "  --json=PATH     write the pmemspec-bench-v1 envelope\n"
-        "  --list          print the known workload names and exit\n"
-        "\n"
-        "With no workload arguments, all of them run. Exit status is\n"
-        "the number of failing workloads (capped at 125).\n");
-}
-
-/** Parse a non-negative decimal @p v for @p flag; false (with a
- *  message) on an empty, signed, non-numeric or out-of-range value. */
-bool
-parseUnsigned(const char *flag, const std::string &v, unsigned &out)
-{
-    // Digits only: strtoul alone reads "abc" as 0 and "-1" as
-    // ULONG_MAX.
-    const bool digits =
-        !v.empty() && v.find_first_not_of("0123456789") == v.npos;
-    errno = 0;
-    const unsigned long n =
-        digits ? std::strtoul(v.c_str(), nullptr, 10) : 0;
-    if (!digits || errno == ERANGE ||
-        n > std::numeric_limits<unsigned>::max()) {
-        std::fprintf(stderr,
-                     "crash_check: %s wants a non-negative integer, "
-                     "got '%s'\n",
-                     flag, v.c_str());
-        return false;
-    }
-    out = static_cast<unsigned>(n);
-    return true;
-}
-
-bool
-parseArgs(int argc, char **argv, Options &opt)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--help" || a == "-h") {
-            return false;
-        } else if (a.rfind("--depth=", 0) == 0) {
-            if (!parseUnsigned("--depth", a.substr(8), opt.depth))
-                return false;
-        } else if (a == "--prefix-only") {
-            opt.prefixOnly = true;
-        } else if (a == "--torn") {
-            opt.torn = true;
-        } else if (a.rfind("--sim-threads=", 0) == 0) {
-            if (!parseUnsigned("--sim-threads", a.substr(14),
-                               opt.simThreads))
-                return false;
-        } else if (a.rfind("--json=", 0) == 0) {
-            opt.jsonPath = a.substr(7);
-        } else if (a == "--list") {
-            opt.listOnly = true;
-        } else if (a.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "crash_check: unknown option %s\n",
-                         a.c_str());
-            return false;
-        } else {
-            opt.workloads.push_back(a);
-        }
-    }
-    return true;
-}
 
 } // namespace
 
@@ -146,10 +87,7 @@ main(int argc, char **argv)
     using faultinject::ExploreResult;
 
     Options opt;
-    if (!parseArgs(argc, argv, opt)) {
-        usage();
-        return 2;
-    }
+    opt.parse(argc, argv);
 
     // The seeded-bug twins are selectable by name (demo / debugging)
     // but excluded from the default run: misordered_undo FAILS by
