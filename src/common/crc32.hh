@@ -6,9 +6,11 @@
  * entries instead of trusting the persist order alone: a torn or
  * bit-flipped entry fails its CRC and is reported, never replayed.
  * CRC-32C is the polynomial real storage stacks use (iSCSI, ext4,
- * btrfs, SSE4.2 crc32 instruction); this is the portable table-driven
- * form -- integrity checking here is correctness machinery, not a
- * modelled latency, so the software implementation is fine.
+ * btrfs). Integrity checking here is correctness machinery, not a
+ * modelled latency, but it runs on every logged store, so crc32c()
+ * uses the SSE4.2 `crc32` instruction when the CPU has it (chosen
+ * once at start-up) and a byte-at-a-time table otherwise. Both paths
+ * compute the same function bit for bit.
  */
 
 #ifndef PMEMSPEC_COMMON_CRC32_HH
@@ -28,6 +30,23 @@ namespace pmemspec
  */
 std::uint32_t crc32c(const void *data, std::size_t n,
                      std::uint32_t seed = 0);
+
+/** The two implementations crc32c() dispatches between, exposed so
+ *  tests can check each against a reference on any host. */
+namespace crc32c_impl
+{
+
+/** Portable table-driven path. */
+std::uint32_t table(const void *data, std::size_t n, std::uint32_t seed);
+
+/** SSE4.2 path; call only when hardwareAvailable(). */
+std::uint32_t hardware(const void *data, std::size_t n,
+                       std::uint32_t seed);
+
+/** The CPU supports the SSE4.2 `crc32` instruction. */
+bool hardwareAvailable();
+
+} // namespace crc32c_impl
 
 } // namespace pmemspec
 

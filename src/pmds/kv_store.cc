@@ -162,6 +162,8 @@ KvStore::checkInvariants() const
     if (!cfg.lruTracking)
         return true;
     // Forward walk matches the index size; back-links are coherent.
+    // The size is a full chain walk: take it once, not per node.
+    const std::size_t items = index.size();
     std::size_t n = 0;
     Addr prev = 0;
     for (Addr m = pm.readU64(lruHeadSlot); m != 0;
@@ -173,12 +175,12 @@ KvStore::checkInvariants() const
         if (!found || *found != m)
             return false;
         prev = m;
-        if (++n > index.size())
+        if (++n > items)
             return false; // cycle
     }
     if (pm.readU64(lruTailSlot) != prev)
         return false;
-    return n == index.size();
+    return n == items;
 }
 
 } // namespace pmemspec::pmds

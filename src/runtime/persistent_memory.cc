@@ -81,13 +81,12 @@ PersistentMemory::writeTagged(Addr a, const void *src, std::size_t n,
                 poisoned.erase(w);
         }
     }
-    Pending p;
+    Pending &p = inFlight.emplace_back();
     p.addr = a;
     p.bytes.assign(static_cast<const std::uint8_t *>(src),
                    static_cast<const std::uint8_t *>(src) + n);
     p.specId = nextSpec++;
     p.ordered = ordered;
-    inFlight.push_back(std::move(p));
     if (observer)
         observer(MemOp::Write, a, static_cast<std::uint32_t>(n));
 }

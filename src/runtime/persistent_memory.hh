@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <set>
 #include <vector>
@@ -67,6 +66,108 @@ enum class MemOp : std::uint8_t
 struct MediaError
 {
     Addr addr; ///< first poisoned word the access overlapped
+};
+
+/**
+ * The payload of one in-flight persist: a byte string that stores up
+ * to kInline bytes in place (word stores, log headers, tombstones --
+ * nearly every persist) and only larger ones on the heap, so queueing
+ * a store does not allocate. Offers the slice of std::vector's
+ * interface that persist consumers use.
+ */
+class PersistBytes
+{
+  public:
+    static constexpr std::size_t kInline = 32;
+
+    PersistBytes() = default;
+    PersistBytes(const PersistBytes &o) { assign(o.data(), o.data() + o.n); }
+    PersistBytes(PersistBytes &&o) noexcept { steal(o); }
+    PersistBytes &
+    operator=(const PersistBytes &o)
+    {
+        if (this != &o)
+            assign(o.data(), o.data() + o.n);
+        return *this;
+    }
+    PersistBytes &
+    operator=(PersistBytes &&o) noexcept
+    {
+        if (this != &o) {
+            release();
+            steal(o);
+        }
+        return *this;
+    }
+    ~PersistBytes() { release(); }
+
+    const std::uint8_t *data() const { return onHeap() ? heap : inl; }
+    std::size_t size() const { return n; }
+    bool empty() const { return n == 0; }
+
+    /** Replace the contents with [first, last). */
+    void
+    assign(const std::uint8_t *first, const std::uint8_t *last)
+    {
+        const auto count = static_cast<std::size_t>(last - first);
+        std::memcpy(resize(count), first, count);
+    }
+
+    /** Replace the contents with `count` copies of `b`. */
+    void
+    assign(std::size_t count, std::uint8_t b)
+    {
+        std::memset(resize(count), b, count);
+    }
+
+    friend bool
+    operator==(const PersistBytes &a, const PersistBytes &b)
+    {
+        return a.n == b.n && std::memcmp(a.data(), b.data(), a.n) == 0;
+    }
+
+  private:
+    bool onHeap() const { return n > kInline; }
+
+    void
+    release()
+    {
+        if (onHeap())
+            delete[] heap;
+        n = 0;
+    }
+
+    /** Take o's contents (this holds none); o is left empty if its
+     *  bytes were on the heap. */
+    void
+    steal(PersistBytes &o) noexcept
+    {
+        n = o.n;
+        if (o.onHeap()) {
+            heap = o.heap;
+            o.n = 0;
+        } else {
+            std::memcpy(inl, o.inl, n);
+        }
+    }
+
+    /** Drop the contents and make room for `count` bytes. */
+    std::uint8_t *
+    resize(std::size_t count)
+    {
+        release();
+        if (count > kInline)
+            heap = new std::uint8_t[count];
+        n = count;
+        return onHeap() ? heap : inl;
+    }
+
+    std::size_t n = 0;
+    union
+    {
+        std::uint8_t inl[kInline];
+        std::uint8_t *heap; ///< owned; live iff n > kInline
+    };
 };
 
 /** Byte-addressable persistent memory with crash semantics. */
@@ -186,7 +287,7 @@ class PersistentMemory
     struct Pending
     {
         Addr addr;
-        std::vector<std::uint8_t> bytes;
+        PersistBytes bytes;
         /** Monotonic store-order id, the functional analogue of the
          *  speculation ID the PMC's order check keys on: persist i
          *  precedes persist j in store order iff specId_i < specId_j. */
@@ -225,7 +326,7 @@ class PersistentMemory
 
         std::vector<std::uint8_t> volatileImg;
         std::vector<std::uint8_t> persistedImg;
-        std::deque<Pending> inFlight;
+        std::vector<Pending> inFlight;
         std::set<Addr> poisoned;
         std::size_t brk = 0;
         SpecId nextSpec = 1;
@@ -283,7 +384,7 @@ class PersistentMemory
         /** blockBytes per block, in `blocks` order. */
         std::vector<std::uint8_t> volatileBytes;
         std::vector<std::uint8_t> persistedBytes;
-        std::deque<Pending> inFlight;
+        std::vector<Pending> inFlight;
         std::set<Addr> poisoned;
         std::size_t brk = 0;
         SpecId nextSpec = 1;
@@ -337,7 +438,8 @@ class PersistentMemory
 
     std::vector<std::uint8_t> volatileImg;
     std::vector<std::uint8_t> persistedImg;
-    std::deque<Pending> inFlight;
+    /** Cleared, never shrunk, at every drain: its capacity is reused. */
+    std::vector<Pending> inFlight;
     /** Word-aligned base addresses of uncorrectable words. */
     std::set<Addr> poisoned;
     std::size_t brk = 64; ///< address 0 stays unmapped (null guard)

@@ -288,7 +288,11 @@ class Domain
             return; // degraded: the oracle stops vouching here
         std::optional<std::uint8_t> now;
         try {
-            now = shard.kv().lookup(op.key);
+            now = shard.inspect(
+                [&](const pmds::KvStore &kv,
+                    const runtime::PersistentMemory &) {
+                    return kv.lookup(op.key);
+                });
         } catch (const runtime::MediaError &) {
             ++dr.oracle.poisonSkipped;
             return;
@@ -317,50 +321,53 @@ class Domain
             ++dr.oracle.degradedSkipped;
             return;
         }
-        std::uint64_t mine = 0;
-        for (const auto &[key, fill] : shadow) {
-            ++mine;
+        shard.inspect([&](const pmds::KvStore &kv,
+                          const runtime::PersistentMemory &pm) {
+            std::uint64_t mine = 0;
+            for (const auto &[key, fill] : shadow) {
+                ++mine;
+                ++dr.oracle.checks;
+                std::optional<std::uint8_t> v;
+                try {
+                    v = kv.lookup(key);
+                } catch (const runtime::MediaError &) {
+                    ++dr.oracle.poisonSkipped;
+                    continue;
+                }
+                auto region = kv.slabRegion(key);
+                if (region && !pm.poisonedWordsIn(region->first,
+                                                  region->second)
+                                   .empty()) {
+                    ++dr.oracle.poisonSkipped;
+                    continue;
+                }
+                if (v != std::optional<std::uint8_t>{fill}) {
+                    ++dr.oracle.violations;
+                    if (dr.oracle.details.size() < 16)
+                        dr.oracle.details.push_back(
+                            "post-recovery mismatch on key " +
+                            std::to_string(key));
+                }
+            }
             ++dr.oracle.checks;
-            std::optional<std::uint8_t> v;
-            try {
-                v = shard.kv().lookup(key);
-            } catch (const runtime::MediaError &) {
-                ++dr.oracle.poisonSkipped;
-                continue;
-            }
-            auto region = shard.kv().slabRegion(key);
-            if (region && !shard.pm()
-                               .poisonedWordsIn(region->first,
-                                                region->second)
-                               .empty()) {
-                ++dr.oracle.poisonSkipped;
-                continue;
-            }
-            if (v != std::optional<std::uint8_t>{fill}) {
+            const std::size_t held = kv.size();
+            if (held != mine) {
                 ++dr.oracle.violations;
                 if (dr.oracle.details.size() < 16)
                     dr.oracle.details.push_back(
-                        "post-recovery mismatch on key " +
-                        std::to_string(key));
+                        "shard " + std::to_string(s) + " holds " +
+                        std::to_string(held) + " items, shadow " +
+                        std::to_string(mine));
             }
-        }
-        ++dr.oracle.checks;
-        if (shard.kv().size() != mine) {
-            ++dr.oracle.violations;
-            if (dr.oracle.details.size() < 16)
-                dr.oracle.details.push_back(
-                    "shard " + std::to_string(s) + " holds " +
-                    std::to_string(shard.kv().size()) +
-                    " items, shadow " + std::to_string(mine));
-        }
-        ++dr.oracle.checks;
-        if (!shard.kv().checkInvariants()) {
-            ++dr.oracle.violations;
-            if (dr.oracle.details.size() < 16)
-                dr.oracle.details.push_back(
-                    "shard " + std::to_string(s) +
-                    " failed checkInvariants");
-        }
+            ++dr.oracle.checks;
+            if (!kv.checkInvariants()) {
+                ++dr.oracle.violations;
+                if (dr.oracle.details.size() < 16)
+                    dr.oracle.details.push_back(
+                        "shard " + std::to_string(s) +
+                        " failed checkInvariants");
+            }
+        });
     }
 
     void

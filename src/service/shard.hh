@@ -32,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faultinject/fault_injector.hh"
@@ -146,8 +147,29 @@ class Shard
 
     unsigned id() const { return shardId; }
     ShardState state() const { return state_; }
-    const pmds::KvStore &kv() const { return *store; }
-    const runtime::PersistentMemory &pm() const { return *pmem; }
+
+    /**
+     * Read the shard outside client traffic, as the service's
+     * consistency oracle does: returns f(kv, pm) with plan forwarding
+     * muted, so the reads neither advance the injector's access index
+     * nor use up fires an armed plan (a storm) holds for client ops.
+     * This is the only access to the store and PM from outside.
+     */
+    template <typename F>
+    decltype(auto)
+    inspect(F &&f)
+    {
+        struct Unmute
+        {
+            bool &flag;
+            bool was;
+            ~Unmute() { flag = was; }
+        } unmute{muted, muted};
+        muted = true;
+        return std::forward<F>(f)(std::as_const(*store),
+                                  std::as_const(*pmem));
+    }
+
     runtime::FaseRuntime &runtime() { return *rt; }
     faultinject::FaultInjector &injector() { return *inj; }
     const runtime::RecoveryReport &lastReport() const

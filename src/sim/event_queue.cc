@@ -13,7 +13,8 @@ EventQueue::EventQueue()
 EventQueue::~EventQueue()
 {
     // Destroy callables still pending (ring chains hold only live
-    // slots; the far heap may also hold lazily-cancelled ones).
+    // slots; the far heap and run may also hold lazily-cancelled
+    // ones).
     for (std::uint32_t b = 0; b < kBuckets; ++b) {
         for (std::uint32_t i = buckets[b].head; i != kNil;) {
             Slot &s = slotAt(i);
@@ -22,11 +23,15 @@ EventQueue::~EventQueue()
             i = s.next;
         }
     }
-    for (std::uint32_t i : farHeap) {
+    auto destroyFar = [this](std::uint32_t i) {
         Slot &s = slotAt(i);
         if (s.invoke && s.destroy)
             s.destroy(s.buf);
-    }
+    };
+    for (std::uint32_t i : farHeap)
+        destroyFar(i);
+    for (std::uint32_t i : farRun)
+        destroyFar(i);
 }
 
 void
@@ -92,6 +97,10 @@ EventQueue::link(std::uint32_t idx, Slot &s)
     if (numPending == 0) {
         // Empty queue: re-anchor the ring window at this event.
         baseDay = day;
+    } else if (day < baseDay) {
+        // Earlier than the window (the queue was anchored on an event
+        // scheduled ahead of now): lower the window onto this event.
+        lowerBase(day);
     }
     ++numPending;
     if (day - baseDay < kBuckets) {
@@ -101,6 +110,35 @@ EventQueue::link(std::uint32_t idx, Slot &s)
         farPush(idx);
         ++farLive;
     }
+}
+
+void
+EventQueue::lowerBase(std::uint64_t day)
+{
+    // Each bucket chain holds a single day, so a chain either still
+    // fits the lowered window or moves to the far set whole; left in
+    // the ring it would alias an earlier day of the new window.
+    for (std::uint32_t w = 0; w < bucketBits.size(); ++w) {
+        for (std::uint64_t bits = bucketBits[w]; bits; bits &= bits - 1) {
+            const std::uint32_t b =
+                (w << 6) + static_cast<std::uint32_t>(__builtin_ctzll(bits));
+            Bucket &bk = buckets[b];
+            if ((slotAt(bk.head).when >> kDayShift) - day < kBuckets)
+                continue;
+            for (std::uint32_t i = bk.head; i != kNil;) {
+                Slot &e = slotAt(i);
+                const std::uint32_t next = e.next;
+                e.where = Where::Far;
+                farPush(i);
+                ++farLive;
+                --ringCount;
+                i = next;
+            }
+            bk.head = bk.tail = kNil;
+            clearBit(b);
+        }
+    }
+    baseDay = day;
 }
 
 void
@@ -211,6 +249,45 @@ EventQueue::farLess(std::uint32_t a, std::uint32_t b) const
 void
 EventQueue::farPush(std::uint32_t idx)
 {
+    const std::size_t n = farRun.size();
+    std::size_t undercut = 0;
+    while (undercut < n && farLess(idx, farRun[n - 1 - undercut])) {
+        if (++undercut > kRunEvict) {
+            heapPush(idx);
+            return;
+        }
+    }
+    for (; undercut != 0; --undercut) {
+        heapPush(farRun.back());
+        farRun.pop_back();
+    }
+    farRun.push_back(idx);
+}
+
+std::uint32_t
+EventQueue::farTop() const
+{
+    if (farHeap.empty())
+        return farRun.front();
+    if (farRun.empty() || farLess(farHeap.front(), farRun.front()))
+        return farHeap.front();
+    return farRun.front();
+}
+
+std::uint32_t
+EventQueue::farPop()
+{
+    const std::uint32_t top = farTop();
+    if (!farRun.empty() && farRun.front() == top)
+        farRun.pop_front();
+    else
+        heapPop();
+    return top;
+}
+
+void
+EventQueue::heapPush(std::uint32_t idx)
+{
     farHeap.push_back(idx);
     std::size_t i = farHeap.size() - 1;
     while (i > 0) {
@@ -223,7 +300,7 @@ EventQueue::farPush(std::uint32_t idx)
 }
 
 std::uint32_t
-EventQueue::farPop()
+EventQueue::heapPop()
 {
     const std::uint32_t top = farHeap.front();
     farHeap.front() = farHeap.back();
@@ -249,11 +326,12 @@ EventQueue::farPop()
 void
 EventQueue::cleanFarTop()
 {
-    while (!farHeap.empty()) {
-        Slot &s = slotAt(farHeap.front());
-        if (s.invoke)
-            return;
-        freeSlot(farPop()); // reap a lazily-cancelled far event
+    // Reap lazily-cancelled far events.
+    while (!farHeap.empty() && !slotAt(farHeap.front()).invoke)
+        freeSlot(heapPop());
+    while (!farRun.empty() && !slotAt(farRun.front()).invoke) {
+        freeSlot(farRun.front());
+        farRun.pop_front();
     }
 }
 
@@ -277,7 +355,7 @@ EventQueue::popMin()
         cleanFarTop();
         bool migrate = true;
         if (ringCount != 0) {
-            const Slot &ft = slotAt(farHeap.front());
+            const Slot &ft = slotAt(farTop());
             const Slot &rm = slotAt(idx = findRingMin());
             migrate = ft.when < rm.when ||
                       (ft.when == rm.when && ft.seq < rm.seq);
@@ -327,7 +405,8 @@ EventQueue::cancel(EventRef ref)
         freeSlot(ref.slot);
     } else {
         // Far events are reaped lazily when they surface at the heap
-        // top; removing from the middle of a binary heap is O(n).
+        // top or run front; removing from the middle of either is
+        // O(n).
         --farLive;
     }
     return true;
@@ -375,9 +454,9 @@ EventQueue::runUntil(Tick t)
         if (farLive != 0) {
             cleanFarTop();
             if (ringCount == 0) {
-                next = slotAt(farHeap.front()).when;
+                next = slotAt(farTop()).when;
             } else {
-                const Slot &ft = slotAt(farHeap.front());
+                const Slot &ft = slotAt(farTop());
                 const Slot &rm = slotAt(findRingMin());
                 next = ft.when < rm.when ? ft.when : rm.when;
             }

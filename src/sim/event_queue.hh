@@ -20,6 +20,10 @@
  *    plus a far-future binary heap for events beyond the ring horizon.
  *    A bitmap over the buckets makes "find the next non-empty day" a
  *    couple of word scans.
+ *  - Far events that arrive in ascending (when, seq) order -- a
+ *    pre-scheduled arrival stream such as a service's client tape --
+ *    queue in a sorted FIFO run beside the far heap, so they enter
+ *    and leave in O(1) instead of O(log n).
  *  - schedule() hands back an EventRef supporting O(chain) intrusive
  *    cancellation -- no std::function wrapper, no shared generation
  *    counters.
@@ -35,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -271,6 +276,10 @@ class EventQueue
     /** File a freshly initialised slot into the ring or the far heap. */
     void link(std::uint32_t idx, Slot &s);
 
+    /** Move the window down to start at `day` (< baseDay), sending
+     *  ring events beyond its new end to the far set. */
+    void lowerBase(std::uint64_t day);
+
     /** Sorted insertion into the ring bucket for s.when. */
     void ringInsert(std::uint32_t idx, Slot &s);
 
@@ -280,18 +289,27 @@ class EventQueue
     /** Index of the earliest ring event; ring must be non-empty. */
     std::uint32_t findRingMin() const;
 
-    /** Drop cancelled slots off the far-heap top; heap may empty. */
+    /** Drop cancelled slots off the far heap's top and the far run's
+     *  front; either may empty. */
     void cleanFarTop();
 
-    /** Move the far-heap minimum into the ring (advances baseDay). */
+    /** Move the far minimum into the ring (advances baseDay). */
     void migrateFarMin();
 
     /** Detach the globally earliest pending event and return its slot
      *  index; numPending must be non-zero. */
     std::uint32_t popMin();
 
+    /** File a far event into the far run or the far heap. */
     void farPush(std::uint32_t idx);
+    /** Earliest far entry, heap top or run front (after cleanFarTop
+     *  with farLive != 0, a live event). */
+    std::uint32_t farTop() const;
+    /** Detach farTop(). */
     std::uint32_t farPop();
+
+    void heapPush(std::uint32_t idx);
+    std::uint32_t heapPop();
 
     bool farLess(std::uint32_t a, std::uint32_t b) const;
 
@@ -312,10 +330,20 @@ class EventQueue
     std::uint64_t baseDay = 0;
     std::size_t ringCount = 0;
 
-    /** Far-future events (day >= baseDay + kBuckets at insert time),
-     *  as a binary min-heap of slot indices ordered by (when, seq).
-     *  Cancelled entries are reaped lazily at the top. */
+    /** Far-future events (day >= baseDay + kBuckets at insert time)
+     *  are split between a binary min-heap of slot indices ordered by
+     *  (when, seq) and the far run: slot indices sorted by (when, seq),
+     *  appended at the back and popped at the front. An insert joins
+     *  the run unless it precedes more than kRunEvict of the run's
+     *  tail entries; the ones it precedes move to the heap. So a few
+     *  stray events filed before an ascending stream (a service's
+     *  fault schedule before its tape) cost a few heap pushes, and a
+     *  late insert ahead of a long stream goes to the heap alone.
+     *  Cancelled entries of both are reaped lazily at the top. */
+    static constexpr std::size_t kRunEvict = 16;
     std::vector<std::uint32_t> farHeap;
+    std::deque<std::uint32_t> farRun;
+    /** Live (uncancelled) events in farHeap and farRun together. */
     std::size_t farLive = 0;
 
     Tick curTick = 0;

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/clock.hh"
 #include "sim/event_queue.hh"
 
@@ -304,6 +307,90 @@ TEST(EventQueue, PendingCallablesDestroyedWithQueue)
         EXPECT_EQ(token.use_count(), 3);
     }
     EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, RandomMixRunsInWhenSeqOrder)
+{
+    // Far events land beyond the ring horizon (4096 days of 256
+    // ticks); ascending far runs exercise the far FIFO run, stray far
+    // inserts the far heap, and the two meet in eviction. Callbacks
+    // keep scheduling and cancelling while the queue drains. Nothing
+    // is scheduled in the past, so the execution order must be the
+    // sort of every surviving event by (when, schedule order).
+    constexpr Tick kFar = Tick{1} << 21;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        EventQueue eq;
+        Rng rng(seed);
+        struct Ev
+        {
+            Tick when;
+            std::uint64_t id;
+            sim::EventRef ref;
+            bool cancelled = false;
+        };
+        std::vector<Ev> evs;
+        std::vector<std::uint64_t> ran;
+        std::function<void(std::uint64_t)> body;
+
+        auto add = [&](Tick when) {
+            const std::uint64_t id = evs.size();
+            evs.push_back({when, id, {}});
+            evs.back().ref = eq.schedule(when, [&body, id] { body(id); });
+        };
+        auto ascendingRun = [&](Tick from, unsigned n) {
+            Tick t = from;
+            for (unsigned i = 0; i < n; ++i) {
+                add(t);
+                t += rng.below(3) == 0 ? 0 : 1 + rng.below(kFar / 8);
+            }
+        };
+        auto cancelSome = [&] {
+            if (evs.empty())
+                return;
+            Ev &e = evs[rng.below(evs.size())];
+            if (eq.cancel(e.ref))
+                e.cancelled = true;
+        };
+        body = [&](std::uint64_t id) {
+            ran.push_back(id);
+            if (evs.size() >= 4000)
+                return;
+            const Tick now = eq.now();
+            switch (rng.below(6)) {
+              case 0: add(now + rng.below(1 << 18)); break; // near
+              case 1: add(now + kFar + rng.below(kFar * 8)); break;
+              case 2: ascendingRun(now + kFar * rng.below(4), 6); break;
+              case 3: cancelSome(); break;
+              default: break;
+            }
+        };
+
+        // A few stray far events first (a fault schedule), then long
+        // ascending streams (client tapes) interleaved with near
+        // events, stray far inserts and cancellations.
+        for (unsigned i = 0; i < 4; ++i)
+            add(kFar * (4 + rng.below(40)));
+        for (unsigned r = 0; r < 3; ++r) {
+            ascendingRun(rng.below(kFar), 300);
+            for (unsigned i = 0; i < 50; ++i) {
+                add(rng.below(kFar * 64));
+                add(rng.below(1 << 18));
+                cancelSome();
+            }
+        }
+        eq.run();
+
+        std::vector<std::tuple<Tick, std::uint64_t>> want;
+        for (const Ev &e : evs)
+            if (!e.cancelled)
+                want.emplace_back(e.when, e.id);
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(ran.size(), want.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(ran[i], std::get<1>(want[i]))
+                << "seed " << seed << " position " << i;
+        EXPECT_TRUE(eq.empty());
+    }
 }
 
 TEST(Clock, DefaultIsTwoGigahertz)

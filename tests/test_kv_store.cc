@@ -177,3 +177,33 @@ TEST(KvStore, LruTrackingCanBeDisabled)
     EXPECT_EQ(kv.lruFrontKey(), 0u);
     EXPECT_TRUE(kv.checkInvariants());
 }
+
+TEST(KvStore, CheckInvariantsReadsAreLinear)
+{
+    // One check walks the LRU list once and each bucket chain a
+    // constant number of times: its observed PM reads stay within a
+    // constant factor of items + buckets as the store grows.
+    constexpr std::size_t kBuckets = 256;
+    constexpr std::uint64_t kReadsPerUnit = 16;
+    for (const std::size_t items : {std::size_t{256}, std::size_t{1024}}) {
+        PersistentMemory pm(1 << 24);
+        VirtualOs os;
+        KvConfig cfg;
+        cfg.buckets = kBuckets;
+        cfg.valueBytes = 16;
+        KvStore kv(pm, cfg);
+        FaseRuntime rt(pm, os, 1, RecoveryPolicy::Lazy, 1 << 17);
+        for (std::uint64_t k = 0; k < items; ++k)
+            rt.runFase(0, [&](Transaction &tx) {
+                kv.set(tx, k, static_cast<std::uint8_t>(k | 1));
+            });
+        std::uint64_t reads = 0;
+        pm.setObserver([&](runtime::MemOp op, Addr, std::uint32_t) {
+            reads += op != runtime::MemOp::Write;
+        });
+        EXPECT_TRUE(kv.checkInvariants());
+        pm.setObserver(nullptr);
+        EXPECT_LE(reads, kReadsPerUnit * (items + kBuckets))
+            << items << " items";
+    }
+}

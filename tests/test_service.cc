@@ -209,6 +209,41 @@ TEST(Service, ShardApplyHandlesDegradedReads)
     EXPECT_EQ(wr.status, Shard::OpStatus::RejectedDegraded);
 }
 
+TEST(Service, OracleReadsLeaveArmedStormUntouched)
+{
+    // The consistency oracle reads a shard between client ops (after
+    // a recovery, or to settle a power cut's ambiguity). Those reads
+    // must not advance the injector or spend a storm's fires: the
+    // storm is aimed at client traffic.
+    ServiceConfig cfg = tinyConfig();
+    Shard sh(0, cfg);
+    for (std::uint64_t k = 0; k < 16; ++k)
+        sh.preload(k, 0x42);
+    sh.armStorm(1, 1); // fire on the next observed access
+    const std::uint64_t stales = sh.injector().loadStalesInjected();
+
+    const bool consistent = sh.inspect(
+        [](const pmds::KvStore &kv, const runtime::PersistentMemory &pm) {
+            bool ok = kv.size() == 16 && kv.checkInvariants();
+            for (std::uint64_t k = 0; k < 16; ++k) {
+                ok = ok && kv.lookup(k) == std::optional<std::uint8_t>{0x42};
+                if (auto region = kv.slabRegion(k))
+                    ok = ok && pm.poisonedWordsIn(region->first,
+                                                  region->second)
+                                   .empty();
+            }
+            return ok;
+        });
+    EXPECT_TRUE(consistent);
+    EXPECT_EQ(sh.injector().loadStalesInjected(), stales);
+    EXPECT_TRUE(sh.stormActive()) << "the oracle spent the storm's fire";
+
+    // Client traffic still meets the storm.
+    sh.apply(OpKind::Read, 3, 0);
+    EXPECT_EQ(sh.injector().loadStalesInjected(), stales + 1);
+    EXPECT_FALSE(sh.stormActive());
+}
+
 TEST(Service, SimThreadsIsByteInvariantFaultFree)
 {
     // The domain-parallel determinism contract (DESIGN.md section
