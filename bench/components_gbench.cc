@@ -15,8 +15,6 @@
 #include "common/rng.hh"
 #include "common/trace.hh"
 #include "core/experiment.hh"
-#include "faultinject/crash_explorer.hh"
-#include "faultinject/pmds_workloads.hh"
 #include "service/service.hh"
 #include "mem/cache.hh"
 #include "mem/persist_path.hh"
@@ -304,41 +302,6 @@ BM_ServiceScaling(benchmark::State &state)
 // mostly idle (it joins the pool), so the default CPU-time rate
 // would be meaningless; wall clock is the quantity being scaled.
 BENCHMARK(BM_ServiceScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Host-thread scaling of the parallel crash-state exploration (arg =
- * threads handed to exploreCrashPointsParallel): the pm_queue
- * workload with reorder exploration at the default depth. items/sec
- * is reordered crash states explored per host second -- the states/s
- * axis of the EXPERIMENTS.md scaling table.
- */
-static void
-BM_CrashExploreScaling(benchmark::State &state)
-{
-    const auto factory =
-        faultinject::workloadFactory("pm_queue");
-    faultinject::ExploreOptions eopt;
-    eopt.reorderings = true;
-
-    std::uint64_t states = 0;
-    for (auto _ : state) {
-        const auto res = faultinject::exploreCrashPointsParallel(
-            factory, eopt,
-            static_cast<unsigned>(state.range(0)));
-        states += res.reorderStatesExplored;
-        benchmark::DoNotOptimize(states);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(states));
-    state.SetLabel("sim_threads=" +
-                   std::to_string(state.range(0)));
-}
-BENCHMARK(BM_CrashExploreScaling)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

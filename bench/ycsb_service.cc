@@ -27,8 +27,9 @@
  * --designs, --metrics and --metrics-interval-us are the figure
  * binaries' own declarations (bench::CommonOptions), the rest are
  * this harness's. Counts are digits only; --shards, --clients,
- * --keys, --arrival-ns and --duration-us must be positive. A usage
- * error exits 2, a failed --slo gate exits 1.
+ * --keys, --arrival-ns and --duration-us must be positive, and every
+ * --faults spec must name an existing shard and fire before the run
+ * ends. A usage error exits 2, a failed --slo gate exits 1.
  */
 
 #include <algorithm>
@@ -186,6 +187,20 @@ main(int argc, char **argv)
     base.metrics = opt.metrics.sample;
     base.metricsInterval = opt.metrics.interval;
     const auto &designs = opt.designs;
+
+    // A fault that cannot fire would let --slo pass vacuously.
+    for (const FaultEvent &f : faults) {
+        if (f.shard >= base.shards)
+            cli.fail("fault shard " + std::to_string(f.shard) +
+                     " is out of range for --shards " +
+                     std::to_string(base.shards));
+        if (f.at >= base.duration)
+            cli.fail("fault at_us " +
+                     std::to_string(f.at / ticksPerNs / 1000) +
+                     " is not before the end of the run "
+                     "(--duration-us " + std::to_string(durationUs) +
+                     ")");
+    }
 
     // A changed duration moves the default chaos script with it.
     if (!explicitFaults)

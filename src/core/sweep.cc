@@ -2,48 +2,13 @@
 
 #include <algorithm>
 #include <fstream>
-#include <thread>
 
 #include "common/logging.hh"
-#include "sim/domain_pool.hh"
 
 namespace pmemspec::core
 {
 
 using persistency::Design;
-
-SweepRunner::SweepRunner(unsigned jobs)
-{
-    if (jobs == 0) {
-        jobs = std::thread::hardware_concurrency();
-        if (jobs == 0)
-            jobs = 1;
-    }
-    njobs = std::clamp(jobs, 1u, maxJobs);
-}
-
-void
-SweepRunner::forEach(std::size_t n,
-                     const std::function<void(std::size_t)> &task,
-                     std::vector<std::string> *errors) const
-{
-    // Each sweep point is an independent simulation domain; the
-    // generic pool provides the dispatch + per-index error capture.
-    // Only the error prefix ("sweep point" vs "domain") is ours.
-    std::vector<std::string> local_errors;
-    sim::DomainPool(njobs).run(n, task, &local_errors);
-
-    if (errors) {
-        *errors = std::move(local_errors);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!local_errors[i].empty())
-            throw std::runtime_error("sweep point " +
-                                     std::to_string(i) + ": " +
-                                     local_errors[i]);
-    }
-}
 
 std::vector<SweepResult>
 SweepRunner::run(const std::vector<SweepPoint> &points) const

@@ -24,6 +24,7 @@
 
 #include "common/json.hh"
 #include "core/experiment.hh"
+#include "sim/domain_pool.hh"
 
 namespace pmemspec::core
 {
@@ -49,38 +50,34 @@ struct SweepResult
 };
 
 /**
- * Executes sweep points across a worker pool of `jobs` host threads
- * (0 = hardware concurrency). Results are collected in submission
+ * Executes sweep points across a sim::DomainPool of `jobs` host
+ * threads (0 = hardware concurrency, clamped to
+ * DomainPool::maxThreads). Results are collected in submission
  * order; an exception in one point is captured into its SweepResult
  * and does not poison the pool.
  */
 class SweepRunner
 {
   public:
-    /** Upper clamp on --jobs (a typo guard, not a tuning limit). */
-    static constexpr unsigned maxJobs = 256;
+    explicit SweepRunner(unsigned jobs = 0) : pool(jobs) {}
 
-    explicit SweepRunner(unsigned jobs = 0);
+    unsigned jobs() const { return pool.threads(); }
 
-    unsigned jobs() const { return njobs; }
-
-    /**
-     * Deterministic parallel for: run task(i) for every i in [0, n)
-     * across the pool. When `errors` is non-null it is resized to n
-     * and each task's exception text lands at its own index; when
-     * null, the first (lowest-index) exception is rethrown as
-     * std::runtime_error after every task finished.
-     */
-    void forEach(std::size_t n,
-                 const std::function<void(std::size_t)> &task,
-                 std::vector<std::string> *errors = nullptr) const;
+    /** Deterministic parallel for over the pool: see
+     *  sim::DomainPool::run for the error contract. */
+    void
+    forEach(std::size_t n, const std::function<void(std::size_t)> &task,
+            std::vector<std::string> *errors = nullptr) const
+    {
+        pool.run(n, task, errors);
+    }
 
     /** Run every point; results in submission order. */
     std::vector<SweepResult>
     run(const std::vector<SweepPoint> &points) const;
 
   private:
-    unsigned njobs;
+    sim::DomainPool pool;
 };
 
 /**

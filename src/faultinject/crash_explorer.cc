@@ -7,12 +7,10 @@
 #include <set>
 
 #include "common/crc32.hh"
-#include "common/logging.hh"
 #include "faultinject/fault_injector.hh"
 #include "faultinject/fault_plan.hh"
 #include "faultinject/reorder_explorer.hh"
 #include "runtime/virtual_os.hh"
-#include "sim/domain_pool.hh"
 
 namespace pmemspec::faultinject
 {
@@ -93,29 +91,15 @@ class RecordingPlan : public FaultPlan
 };
 
 /**
- * One workload instance's exploration machinery: the PM arena,
- * runtime and injector, plus the per-operation explore/fast-forward
- * primitives. The sequential path walks one OpExplorer through every
- * op; the parallel path builds a private OpExplorer per op and
- * fast-forwards it to that op's start state.
- *
- * The state-equivalence contract between the two primitives:
- * exploreOp()'s terminating trial is restore(pre) -> recoverAll ->
- * persistAll -> runFase (committed) -> applyToModel -> persistAll,
- * where pre was snapshotted right after a persistAll. commitOp()
- * replays that sequence from the op-start state itself: restoring a
- * snapshot just taken is the identity, and the armed PowerCutPlan of
- * the trial never fires on the committed run and plans only observe,
- * so omitting either cannot change a byte. Hence
- * commitOp(0..op-1) and exploreOp(0..op-1) leave identical PM images
- * and shadow models, which is what makes per-op fragments
- * position-independent.
+ * One workload's exploration machinery: the PM arena, runtime and
+ * injector, plus the result every operation's trials count into.
  */
 class OpExplorer
 {
   public:
-    OpExplorer(CrashWorkload &wl, const ExploreOptions &opts)
-        : wl(wl), opts(opts), pm(wl.pmBytes()),
+    OpExplorer(CrashWorkload &wl, const ExploreOptions &opts,
+               ExploreResult &res)
+        : wl(wl), opts(opts), res(res), pm(wl.pmBytes()),
           rt(pm, os, 1, runtime::RecoveryPolicy::Lazy, wl.logBytes()),
           inj(pm, os),
           windowDepth(std::min<unsigned>(opts.windowDepth, 16))
@@ -127,49 +111,31 @@ class OpExplorer
         inj.attach();
     }
 
-    /** Fast-forward one operation: commit it along the same
-     *  machine-level path the sequential explorer's successful trial
-     *  takes, without exploring any crash point. */
-    void
-    commitOp(std::size_t op)
-    {
-        pm.persistAll();
-        rt.recoverAll();
-        pm.persistAll();
-        inj.clearPlans();
-        rt.runFase(0,
-                   [&](runtime::Transaction &tx) { wl.runOp(tx, op); });
-        wl.applyToModel(op);
-        pm.persistAll();
-    }
-
-    /** Explore every crash point of one operation into `frag` (one
-     *  fragment: frag.ops == 1), leaving the operation committed. */
-    void exploreOp(std::size_t op, ExploreResult &frag);
+    /** Explore every crash point of one operation, leaving the
+     *  operation committed. */
+    void exploreOp(std::size_t op);
 
   private:
     void
-    fail(ExploreResult &frag, std::size_t op, std::size_t k,
-         const char *what)
+    fail(std::size_t op, std::size_t k, const char *what)
     {
-        ++frag.failures;
+        ++res.failures;
         // Cap the stored messages: a pathological workload can fail
         // at thousands of states, and the count is what matters past
-        // the first examples. The cap also applies per fragment --
-        // the merge can only ever drop messages the global cap would
-        // have dropped too.
-        if (frag.messages.size() >= opts.maxMessages) {
-            ++frag.messagesSuppressed;
+        // the first examples. Operations run in order, so the kept
+        // messages are the first in (op, crash prefix) order.
+        if (res.messages.size() >= opts.maxMessages) {
+            ++res.messagesSuppressed;
             return;
         }
-        frag.messages.push_back(std::string(wl.name()) + ": op " +
-                                std::to_string(op) +
-                                ", crash prefix " +
-                                std::to_string(k) + ": " + what);
+        res.messages.push_back(std::string(wl.name()) + ": op " +
+                               std::to_string(op) + ", crash prefix " +
+                               std::to_string(k) + ": " + what);
     }
 
     CrashWorkload &wl;
     const ExploreOptions &opts;
+    ExploreResult &res;
     runtime::PersistentMemory pm;
     runtime::VirtualOs os;
     runtime::FaseRuntime rt;
@@ -179,9 +145,10 @@ class OpExplorer
 };
 
 void
-OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
+OpExplorer::exploreOp(std::size_t op)
 {
-    ++frag.ops;
+    ++res.ops;
+    const std::size_t firstCrashPoint = res.crashPoints;
     pm.persistAll();
     const auto pre = pm.snapshot();
 
@@ -261,7 +228,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
     bool committed = false;
     for (std::size_t k = 0; !committed; ++k) {
         if (k >= maxPrefixesPerOp) {
-            fail(frag, op, k, "prefix enumeration did not converge");
+            fail(op, k, "prefix enumeration did not converge");
             break;
         }
         // Rewind to the pre-operation state. recoverAll() then
@@ -291,7 +258,7 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
         inj.clearPlans();
 
         if (crashed) {
-            ++frag.crashPoints;
+            ++res.crashPoints;
             // Reorder mode: the speculation window a cut at
             // prefix k interrupted -- reference-stream entries
             // [k, k+depth) -- and the post-crash (pre-recovery)
@@ -312,21 +279,21 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                 // A clean prefix contains no corruption by
                 // construction; refusing to recover it is a
                 // fail-safe false positive.
-                ++frag.corruptionReported;
-                fail(frag, op, k, "clean-prefix crash reported "
-                                  "unrecoverable corruption");
+                ++res.corruptionReported;
+                fail(op, k, "clean-prefix crash reported "
+                            "unrecoverable corruption");
                 continue;
             }
             if (!wl.checkInvariants())
-                fail(frag, op, k,
+                fail(op, k,
                      "invariants violated after recovery");
             if (!wl.matchesModel() && !committedDurably())
-                fail(frag, op, k,
+                fail(op, k,
                      "recovered state is neither the pre- "
                      "nor the post-operation state "
                      "(atomicity)");
             if (!converged())
-                fail(frag, op, k,
+                fail(op, k,
                      "volatile/persisted images diverge "
                      "after recovery");
 
@@ -361,8 +328,8 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                         // it means the structure published a
                         // validity marker its persists did not
                         // back -- the WAW-inversion bug class.
-                        ++frag.corruptionReported;
-                        fail(frag, op, k,
+                        ++res.corruptionReported;
+                        fail(op, k,
                              ("in-window persist reordering "
                               "reported unrecoverable corruption" +
                               ctx)
@@ -370,19 +337,19 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                         return;
                     }
                     if (!wl.checkInvariants())
-                        fail(frag, op, k,
+                        fail(op, k,
                              ("invariants violated after "
                               "reordered-crash recovery" + ctx)
                                  .c_str());
                     if (!wl.matchesModel() && !committedDurably())
-                        fail(frag, op, k,
+                        fail(op, k,
                              ("recovered state is neither the "
                               "pre- nor the post-operation state "
                               "(atomicity under persist "
                               "reordering)" + ctx)
                                  .c_str());
                     if (!converged())
-                        fail(frag, op, k,
+                        fail(op, k,
                              ("volatile/persisted images diverge "
                               "after reordered-crash recovery" +
                               ctx)
@@ -390,19 +357,19 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                 };
                 const ReorderCounts rc = exploreReorderWindow(
                     window, rcfg, hooks, seenDigests);
-                frag.reorderWindows += rc.windows;
-                frag.naiveStates += rc.naiveStates;
-                frag.reorderStatesExplored += rc.statesExplored;
-                frag.reorderStatesDeduped += rc.statesDeduped;
-                frag.elidedPersists += rc.elidedPersists;
-                frag.orderingsCollapsed += rc.orderingsCollapsed;
+                res.reorderWindows += rc.windows;
+                res.naiveStates += rc.naiveStates;
+                res.reorderStatesExplored += rc.statesExplored;
+                res.reorderStatesDeduped += rc.statesDeduped;
+                res.elidedPersists += rc.elidedPersists;
+                res.orderingsCollapsed += rc.orderingsCollapsed;
                 // Leave a clean slate for the next k: the last
                 // explored state's recovery is still in the
                 // images.
                 pm.restoreBlocks(crashSnap);
             }
             if (opts.reorderings && touchedOutsideDirty())
-                fail(frag, op, k,
+                fail(op, k,
                      "trial touched a block outside the reference "
                      "run's dirty set (reorder rewind and digest "
                      "would be inexact)");
@@ -437,37 +404,37 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
                 }
                 inj.clearPlans();
                 if (!cut) {
-                    fail(frag, op, k,
+                    fail(op, k,
                          ("torn plan (mask=" + hexMask(mask) +
                           ") did not fire on a re-run that "
                           "crashed before")
                              .c_str());
                     continue;
                 }
-                ++frag.tornTrials;
+                ++res.tornTrials;
 
                 try {
                     rt.recoverAll();
                 } catch (const runtime::UnrecoverableCorruption &) {
                     // Explicit refusal: the no-silent-corruption
                     // oracle is satisfied; nothing was replayed.
-                    ++frag.corruptionReported;
+                    ++res.corruptionReported;
                     continue;
                 }
                 const std::string ctx =
                     " (torn mask=" + hexMask(mask) + ")";
                 if (!wl.checkInvariants())
-                    fail(frag, op, k,
+                    fail(op, k,
                          ("invariants violated after torn-write "
                           "recovery" + ctx).c_str());
                 if (!wl.matchesModel() && !committedDurably())
-                    fail(frag, op, k,
+                    fail(op, k,
                          ("silent corruption: torn-write recovery "
                           "returned success but the state is "
                           "neither the pre- nor the post-operation "
                           "state" + ctx).c_str());
                 if (!converged())
-                    fail(frag, op, k,
+                    fail(op, k,
                          ("volatile/persisted images diverge after "
                           "torn-write recovery" + ctx).c_str());
             }
@@ -475,50 +442,17 @@ OpExplorer::exploreOp(std::size_t op, ExploreResult &frag)
     }
 
     if (committed) {
+        // Every prefix before the committed run crashed, so the
+        // committed run's prefix is the op's crash-point count.
+        const std::size_t k = res.crashPoints - firstCrashPoint;
         wl.applyToModel(op);
         if (!wl.checkInvariants())
-            fail(frag, op, frag.crashPoints,
-                 "invariants violated after commit");
+            fail(op, k, "invariants violated after commit");
         if (!wl.matchesModel())
-            fail(frag, op, frag.crashPoints,
-                 "committed state does not match the model");
+            fail(op, k, "committed state does not match the model");
         if (!converged())
-            fail(frag, op, frag.crashPoints,
-                 "volatile/persisted images diverge after commit");
+            fail(op, k, "volatile/persisted images diverge after commit");
     }
-}
-
-/** Fold per-op fragments (op order) into one ExploreResult with the
- *  global message cap re-applied; deterministic in the fragment
- *  contents alone. */
-ExploreResult
-mergeFragments(std::string workload,
-               std::vector<ExploreResult> frags,
-               std::size_t maxMessages)
-{
-    ExploreResult res;
-    res.workload = std::move(workload);
-    for (ExploreResult &f : frags) {
-        res.ops += f.ops;
-        res.crashPoints += f.crashPoints;
-        res.tornTrials += f.tornTrials;
-        res.corruptionReported += f.corruptionReported;
-        res.failures += f.failures;
-        res.messagesSuppressed += f.messagesSuppressed;
-        for (std::string &m : f.messages) {
-            if (res.messages.size() < maxMessages)
-                res.messages.push_back(std::move(m));
-            else
-                ++res.messagesSuppressed;
-        }
-        res.reorderWindows += f.reorderWindows;
-        res.naiveStates += f.naiveStates;
-        res.reorderStatesExplored += f.reorderStatesExplored;
-        res.reorderStatesDeduped += f.reorderStatesDeduped;
-        res.elidedPersists += f.elidedPersists;
-        res.orderingsCollapsed += f.orderingsCollapsed;
-    }
-    return res;
 }
 
 } // namespace
@@ -526,42 +460,12 @@ mergeFragments(std::string workload,
 ExploreResult
 exploreCrashPoints(CrashWorkload &wl, const ExploreOptions &opts)
 {
-    OpExplorer ex(wl, opts);
-    std::vector<ExploreResult> frags(wl.numOps());
-    for (std::size_t op = 0; op < frags.size(); ++op)
-        ex.exploreOp(op, frags[op]);
-    return mergeFragments(wl.name(), std::move(frags),
-                          opts.maxMessages);
-}
-
-ExploreResult
-exploreCrashPointsParallel(const WorkloadFactory &factory,
-                           const ExploreOptions &opts,
-                           unsigned threads)
-{
-    const auto probe = factory();
-    fatal_if(!probe, "workload factory returned nothing");
-    const std::size_t n = probe->numOps();
-    const std::string name = probe->name();
-
-    const sim::DomainPool pool(threads);
-    if (pool.threads() <= 1 || n <= 1)
-        return exploreCrashPoints(*probe, opts);
-
-    // One domain per operation: a private workload + PM replica,
-    // fast-forwarded through [0, op) on the exact committed-trial
-    // path (see OpExplorer's state-equivalence contract), then
-    // explored. Fragments land in per-op slots; the merge below is
-    // op-ordered, so the result is thread-count invariant.
-    std::vector<ExploreResult> frags(n);
-    pool.run(n, [&](std::size_t op) {
-        auto wl = factory();
-        OpExplorer ex(*wl, opts);
-        for (std::size_t j = 0; j < op; ++j)
-            ex.commitOp(j);
-        ex.exploreOp(op, frags[op]);
-    });
-    return mergeFragments(name, std::move(frags), opts.maxMessages);
+    ExploreResult res;
+    res.workload = wl.name();
+    OpExplorer ex(wl, opts, res);
+    for (std::size_t op = 0; op < wl.numOps(); ++op)
+        ex.exploreOp(op);
+    return res;
 }
 
 } // namespace pmemspec::faultinject

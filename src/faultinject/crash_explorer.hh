@@ -101,8 +101,9 @@ struct ExploreResult
      *  trials, which can never legitimately corrupt). */
     std::size_t corruptionReported = 0;
     std::size_t failures = 0;    ///< oracle violations
-    /** One per violation, capped at ExploreOptions::maxMessages;
-     *  the overflow is counted, not stored. */
+    /** One per violation in (op, crash prefix) order, capped at
+     *  ExploreOptions::maxMessages; the overflow is counted, not
+     *  stored. */
     std::vector<std::string> messages;
     /** Violation messages dropped by the cap (failures still counts
      *  every one). */
@@ -194,29 +195,10 @@ struct ExploreOptions
 ExploreResult exploreCrashPoints(CrashWorkload &wl,
                                  const ExploreOptions &opts = {});
 
-/** Builds a fresh, independent instance of one workload. Every
- *  invocation must return an equivalent object (same name, numOps
- *  and deterministic op bodies) so per-op exploration replicas are
- *  interchangeable. */
+/** Builds a fresh, independent instance of one workload (see
+ *  workloadFactory() in pmds_workloads.hh). */
 using WorkloadFactory =
     std::function<std::unique_ptr<CrashWorkload>()>;
-
-/**
- * Domain-parallel crash exploration: one worker task per operation,
- * each owning a private workload instance + PM replica built by
- * `factory`. A task fast-forwards its replica through ops [0, op)
- * (committing each exactly the way the sequential explorer's
- * successful trial does, so the op-start state is byte-identical),
- * then explores op's crash points. Per-op ExploreResult fragments
- * are merged in op order with deterministic message capping, so the
- * result equals exploreCrashPoints() for any `threads` value
- * (DESIGN.md section 12). threads: 0 = hardware concurrency; 1 runs
- * the sequential explorer on a single instance.
- */
-ExploreResult
-exploreCrashPointsParallel(const WorkloadFactory &factory,
-                           const ExploreOptions &opts = {},
-                           unsigned threads = 0);
 
 } // namespace pmemspec::faultinject
 

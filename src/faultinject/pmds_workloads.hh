@@ -53,9 +53,9 @@ makeSpecOrderingBugWorkload(bool ordering_tags);
 
 /**
  * Factory for fresh instances of the named workload (every name
- * makeAllWorkloads() and the seeded-bug twins answer to), the form
- * exploreCrashPointsParallel() needs to build per-op replicas.
- * Returns an empty function for an unknown name.
+ * makeAllWorkloads() and the seeded-bug twins answer to), for
+ * callers that select workloads by name. Returns an empty function
+ * for an unknown name.
  */
 WorkloadFactory workloadFactory(const std::string &name);
 

@@ -95,6 +95,8 @@ class Reader
         return true;
     }
 
+    std::size_t remaining() const { return buf.size() - pos; }
+
   private:
     const std::string &buf;
     std::size_t pos = 0;
@@ -186,11 +188,16 @@ readBinaryTrace(const std::string &path, std::string *err)
         return fail("truncated header");
     bt.meta.numCores = cores;
     bt.meta.specAutomaton = automaton != 0;
-    bt.meta.design.resize(design_len);
-    if (design_len && !r.bytes(bt.meta.design.data(), design_len))
+    // Size every buffer from the bytes the file holds, never from a
+    // header count alone: a corrupt count must not allocate.
+    if (design_len > r.remaining())
         return fail("truncated design name");
+    bt.meta.design.resize(design_len);
+    r.bytes(bt.meta.design.data(), design_len);
     if (!r.u64(event_count) || !r.u64(bt.dropped))
         return fail("truncated header");
+    if (event_count > r.remaining() / kEventBytes)
+        return fail("event count exceeds the file size");
 
     bt.events.resize(event_count);
     for (std::uint64_t i = 0; i < event_count; ++i) {

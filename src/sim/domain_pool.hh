@@ -5,16 +5,15 @@
  * A simulation *domain* is a self-contained piece of simulated
  * machinery -- its own EventQueue, memories, runtimes, fault state --
  * that never shares mutable state with any sibling. Per-shard service
- * failure domains, per-(workload,design) sweep points and per-op
- * crash-exploration replicas all have this shape, which makes them
- * embarrassingly parallel across host threads *without* giving up the
- * repo-wide determinism contract: each domain's internal (when, seq)
- * event order is untouched, and results are collected into
- * submission-indexed slots so the merged output is byte-identical for
- * any host thread count.
+ * failure domains and per-(workload,design) sweep points both have
+ * this shape, which makes them embarrassingly parallel across host
+ * threads *without* giving up the repo-wide determinism contract:
+ * each domain's internal (when, seq) event order is untouched, and
+ * results are collected into submission-indexed slots so the merged
+ * output is byte-identical for any host thread count.
  *
- * DomainPool is the one primitive behind that pattern (SweepRunner's
- * forEach delegates here). The rules a caller must follow:
+ * DomainPool is the one primitive behind that pattern (SweepRunner
+ * holds one). The rules a caller must follow:
  *
  *  - task(i) may only touch domain i's state plus its own result
  *    slot; anything shared must be immutable for the whole run.
@@ -39,8 +38,8 @@ namespace pmemspec::sim
 class DomainPool
 {
   public:
-    /** Upper clamp on the thread count (a typo guard, not a tuning
-     *  limit); mirrors SweepRunner::maxJobs. */
+    /** Upper clamp on the thread count, --jobs and --sim-threads
+     *  alike (a typo guard, not a tuning limit). */
     static constexpr unsigned maxThreads = 256;
 
     /** @param threads worker count; 0 = hardware concurrency. */

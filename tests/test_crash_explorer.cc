@@ -16,39 +16,10 @@
 using namespace pmemspec;
 using faultinject::CrashWorkload;
 using faultinject::ExploreOptions;
-using faultinject::ExploreResult;
 using faultinject::exploreCrashPoints;
-using faultinject::exploreCrashPointsParallel;
 using faultinject::makeStandardWorkloads;
 using faultinject::workloadFactory;
 using runtime::Transaction;
-
-namespace
-{
-
-/** Every field of the two results must match -- the parallel
- *  explorer's contract is bit-equality with the sequential one, not
- *  just the same verdict. */
-void
-expectSameResult(const ExploreResult &seq, const ExploreResult &par)
-{
-    EXPECT_EQ(par.workload, seq.workload);
-    EXPECT_EQ(par.ops, seq.ops);
-    EXPECT_EQ(par.crashPoints, seq.crashPoints);
-    EXPECT_EQ(par.tornTrials, seq.tornTrials);
-    EXPECT_EQ(par.corruptionReported, seq.corruptionReported);
-    EXPECT_EQ(par.failures, seq.failures);
-    EXPECT_EQ(par.messages, seq.messages);
-    EXPECT_EQ(par.messagesSuppressed, seq.messagesSuppressed);
-    EXPECT_EQ(par.reorderWindows, seq.reorderWindows);
-    EXPECT_EQ(par.naiveStates, seq.naiveStates);
-    EXPECT_EQ(par.reorderStatesExplored, seq.reorderStatesExplored);
-    EXPECT_EQ(par.reorderStatesDeduped, seq.reorderStatesDeduped);
-    EXPECT_EQ(par.elidedPersists, seq.elidedPersists);
-    EXPECT_EQ(par.orderingsCollapsed, seq.orderingsCollapsed);
-}
-
-} // namespace
 
 TEST(CrashExplorer, AllStandardWorkloadsSurviveEveryCrashPoint)
 {
@@ -160,62 +131,6 @@ TEST(CrashExplorer, CatchesUnloggedWrites)
     EXPECT_GT(res.failures, 0u);
     ASSERT_FALSE(res.messages.empty());
     EXPECT_NE(res.messages.front().find("atomicity"), std::string::npos);
-}
-
-TEST(CrashExplorer, ParallelMatchesSequentialOnPassingWorkloads)
-{
-    // Per-op domain parallelism with reorder + torn exploration on:
-    // every counter and message of the merged result must equal the
-    // sequential explorer's, at any thread count.
-    ExploreOptions opts;
-    opts.reorderings = true;
-    opts.windowDepth = 4;
-    opts.tornWrites = true;
-    for (const char *name : {"pm_array", "pm_queue"}) {
-        const auto factory = workloadFactory(name);
-        ASSERT_TRUE(factory) << name;
-        auto wl = factory();
-        const ExploreResult seq = exploreCrashPoints(*wl, opts);
-        for (unsigned threads : {2u, 4u}) {
-            const ExploreResult par =
-                exploreCrashPointsParallel(factory, opts, threads);
-            SCOPED_TRACE(std::string(name) + " threads=" +
-                         std::to_string(threads));
-            expectSameResult(seq, par);
-            EXPECT_TRUE(par.passed());
-        }
-    }
-}
-
-TEST(CrashExplorer, ParallelMatchesSequentialOnAFailingWorkload)
-{
-    // The seeded misordered-undo bug: the parallel explorer must
-    // find exactly the same violations (count AND messages) as the
-    // sequential one -- the regression that would hide if per-op
-    // replicas diverged from the committed-run state.
-    ExploreOptions opts;
-    opts.reorderings = true;
-    opts.windowDepth = 4;
-    const auto factory = workloadFactory("misordered_undo");
-    ASSERT_TRUE(factory);
-    auto wl = factory();
-    const ExploreResult seq = exploreCrashPoints(*wl, opts);
-    ASSERT_FALSE(seq.passed());
-    const ExploreResult par =
-        exploreCrashPointsParallel(factory, opts, 4);
-    expectSameResult(seq, par);
-    EXPECT_FALSE(par.passed());
-}
-
-TEST(CrashExplorer, ParallelSingleThreadFallsBackToSequential)
-{
-    const auto factory = workloadFactory("kv_store");
-    ASSERT_TRUE(factory);
-    auto wl = factory();
-    const ExploreResult seq = exploreCrashPoints(*wl);
-    const ExploreResult par =
-        exploreCrashPointsParallel(factory, {}, 1);
-    expectSameResult(seq, par);
 }
 
 TEST(CrashExplorer, WorkloadFactoryKnowsEveryName)

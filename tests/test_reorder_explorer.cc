@@ -12,9 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "faultinject/crash_explorer.hh"
@@ -277,6 +282,27 @@ TEST(ReorderExplorer, FindsMisorderedUndoPublicationThatPrefixesMiss)
         << (fixed.messages.empty() ? "?" : fixed.messages.front());
 }
 
+namespace
+{
+
+/** (op, crash prefix) of an explorer violation message. */
+std::pair<unsigned long, unsigned long>
+opAndPrefix(const std::string &msg)
+{
+    unsigned long op = 0, k = 0;
+    const auto at = msg.find(": op ");
+    EXPECT_NE(at, std::string::npos) << msg;
+    if (at != std::string::npos) {
+        EXPECT_EQ(std::sscanf(msg.c_str() + at,
+                              ": op %lu, crash prefix %lu", &op, &k),
+                  2)
+            << msg;
+    }
+    return {op, k};
+}
+
+} // namespace
+
 TEST(ReorderExplorer, MessageCapBoundsResultGrowth)
 {
     ExploreOptions opts;
@@ -289,6 +315,34 @@ TEST(ReorderExplorer, MessageCapBoundsResultGrowth)
     EXPECT_GT(res.messagesSuppressed, 0u);
     EXPECT_EQ(res.failures,
               res.messages.size() + res.messagesSuppressed);
+
+    // The seeded bug fails at crash points of every op, so a cap
+    // that falls inside op 1 must keep all of op 0's messages and
+    // the first of op 1's, in (op, crash prefix) order.
+    opts.maxMessages = std::numeric_limits<std::size_t>::max();
+    const auto all = exploreCrashPoints(
+        *faultinject::makeSpecOrderingBugWorkload(false), opts);
+    EXPECT_EQ(all.messagesSuppressed, 0u);
+    ASSERT_EQ(all.messages.size(), all.failures);
+    std::vector<std::pair<unsigned long, unsigned long>> order;
+    for (const auto &m : all.messages)
+        order.push_back(opAndPrefix(m));
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+    ASSERT_GT(order.back().first, 1u);
+    const std::size_t op0 = static_cast<std::size_t>(
+        std::count_if(order.begin(), order.end(),
+                      [](const auto &o) { return o.first == 0; }));
+
+    opts.maxMessages = op0 + 2;
+    const auto capped = exploreCrashPoints(
+        *faultinject::makeSpecOrderingBugWorkload(false), opts);
+    EXPECT_EQ(capped.failures, all.failures);
+    const std::vector<std::string> first(
+        all.messages.begin(), all.messages.begin() + op0 + 2);
+    EXPECT_EQ(capped.messages, first);
+    EXPECT_EQ(opAndPrefix(capped.messages.back()).first, 1u);
+    EXPECT_EQ(capped.messages.size() + capped.messagesSuppressed,
+              capped.failures);
 }
 
 namespace

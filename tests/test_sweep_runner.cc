@@ -63,7 +63,7 @@ TEST(SweepRunner, JobsClamping)
     EXPECT_GE(SweepRunner(0).jobs(), 1u); // hw_concurrency, >= 1
     EXPECT_EQ(SweepRunner(1).jobs(), 1u);
     EXPECT_EQ(SweepRunner(3).jobs(), 3u);
-    EXPECT_EQ(SweepRunner(100000).jobs(), SweepRunner::maxJobs);
+    EXPECT_EQ(SweepRunner(100000).jobs(), sim::DomainPool::maxThreads);
 }
 
 TEST(SweepRunner, ParallelMatchesSerialByteForByte)
@@ -144,7 +144,7 @@ TEST(SweepRunner, ForEachRethrowsFirstErrorWithoutErrorsVector)
     } catch (const std::runtime_error &e) {
         // The lowest failing index wins deterministically, and the
         // remaining tasks still ran before the rethrow.
-        EXPECT_STREQ(e.what(), "sweep point 1: boom 1");
+        EXPECT_STREQ(e.what(), "domain 1: boom 1");
     }
     EXPECT_EQ(ran.load(), 4u);
 }

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "cpu/machine.hh"
 #include "faultinject/fault_injector.hh"
 #include "faultinject/fault_plan.hh"
+#include "observe/binary_log.hh"
 #include "observe/trace_checker.hh"
 #include "observe/trace_export.hh"
 #include "runtime/fase_runtime.hh"
@@ -245,6 +248,39 @@ TEST(TraceChecker, UnreadableFileIsADisagreement)
     const CheckResult res =
         observe::checkTraceFile("/nonexistent/pmemspec.bin");
     EXPECT_FALSE(res.ok());
+}
+
+TEST(TraceChecker, CorruptHeaderCountIsRefusedBeforeAllocating)
+{
+    // With the 9-byte design name "PMEM-Spec", designLen sits at
+    // bytes 40-43 and eventCount at 53-60. A count corrupted past
+    // the file's size must be refused as unreadable before any
+    // buffer is sized from it (an absurd count throws
+    // std::bad_alloc, which aborts trace_check).
+    trace::Meta meta;
+    meta.design = "PMEM-Spec";
+    meta.flags = trace::FlagSpecBuffer;
+    meta.numCores = 1;
+    std::vector<trace::Event> events(2);
+    events[1].seq = 1;
+    const std::string path =
+        testing::TempDir() + "pmemspec_corrupt_header.bin";
+    ASSERT_TRUE(observe::writeBinaryTrace(path, meta, events, 0));
+    ASSERT_TRUE(observe::readBinaryTrace(path));
+    std::ifstream in(path, std::ios::binary);
+    const std::string clean{std::istreambuf_iterator<char>(in), {}};
+    in.close();
+
+    for (std::size_t offset : {40, 41, 56, 57, 60}) {
+        std::string bytes = clean;
+        bytes[offset] = '\xff';
+        std::ofstream(path, std::ios::binary) << bytes;
+        std::string err;
+        EXPECT_FALSE(observe::readBinaryTrace(path, &err)) << offset;
+        EXPECT_FALSE(err.empty()) << offset;
+        EXPECT_FALSE(observe::checkTraceFile(path).ok()) << offset;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceChecker, AgreesWithTimingMachineOnProvokedMisspec)

@@ -8,10 +8,8 @@
  * exploration on, prints the per-workload verdict with the reduction
  * counters, and optionally writes the pmemspec-bench-v1 JSON
  * envelope for CI gating and the BENCH_modelcheck.json trajectory.
- * `--sim-threads=N` fans the per-op exploration domains out over N
- * host threads (exploreCrashPointsParallel); every counter, message
- * and verdict is byte-identical to the sequential run -- only the
- * wall_ms fields change.
+ * Each workload is explored sequentially on one host thread
+ * (exploreCrashPoints); two runs differ only in the wall_ms fields.
  *
  * Exit status is the number of workloads with oracle violations
  * (capped at 125), so CI can gate directly on it. The flags are
@@ -41,10 +39,6 @@ struct Options
     bool prefixOnly = false;
     bool torn = false;
     bool listOnly = false;
-    /** Host threads over the per-op exploration domains; 1 =
-     *  sequential explorer, 0 = hardware concurrency. The verdict
-     *  and every counter are byte-identical for any value. */
-    unsigned simThreads = 1;
     std::string jsonPath;
     std::vector<std::string> workloads;
 
@@ -64,10 +58,6 @@ struct Options
         cli.flag("--prefix-only", prefixOnly,
                  "disable reorder exploration (baseline)");
         cli.flag("--torn", torn, "also explore torn-write frontiers");
-        cli.count("--sim-threads", simThreads, Zero::Allowed,
-                  "host threads over the per-op exploration\n"
-                  "domains (0 = host cores); results are\n"
-                  "byte-identical for any N");
         cli.string("--json", jsonPath, "PATH",
                    "write the pmemspec-bench-v1 envelope");
         cli.flag("--list", listOnly,
@@ -143,9 +133,6 @@ main(int argc, char **argv)
     eopt.tornWrites = opt.torn;
 
     core::ResultSink sink("crash_check");
-    // --sim-threads is a host fact, not a result; leaving it out of
-    // the meta keeps the JSON byte-identical across thread counts
-    // (only wall_ms / total_wall_ms vary).
     sink.setMeta("window_depth", Json(std::uint64_t{opt.depth}));
     sink.setMeta("reorderings", Json(!opt.prefixOnly));
     sink.setMeta("torn_writes", Json(opt.torn));
@@ -154,10 +141,10 @@ main(int argc, char **argv)
     std::uint64_t totNaive = 0, totExplored = 0, totPruned = 0;
     double totalMs = 0;
     for (const auto &name : selected) {
-        const auto factory = faultinject::workloadFactory(name);
+        const auto wl = faultinject::workloadFactory(name)();
         const auto t0 = std::chrono::steady_clock::now();
-        const ExploreResult res = faultinject::
-            exploreCrashPointsParallel(factory, eopt, opt.simThreads);
+        const ExploreResult res =
+            faultinject::exploreCrashPoints(*wl, eopt);
         const double ms =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - t0)
