@@ -8,24 +8,17 @@
 
 #include <benchmark/benchmark.h>
 
-#include <string>
-#include <vector>
-
 #include "common/bloom_filter.hh"
 #include "common/rng.hh"
 #include "common/trace.hh"
-#include "core/experiment.hh"
-#include "service/service.hh"
 #include "mem/cache.hh"
 #include "mem/persist_path.hh"
 #include "observe/spec_profile.hh"
-#include "persistency/lowering.hh"
 #include "pmds/pm_rbtree.hh"
 #include "runtime/fase_runtime.hh"
 #include "runtime/undo_log.hh"
 #include "runtime/virtual_os.hh"
 #include "sim/event_queue.hh"
-#include "workloads/workload.hh"
 
 using namespace pmemspec;
 
@@ -214,128 +207,4 @@ BM_RbTreeInsertErase(benchmark::State &state)
 }
 BENCHMARK(BM_RbTreeInsertErase)->Iterations(50000);
 
-/**
- * Simulated-ops/sec of the whole timing machine on the fig09
- * configuration (Table 3 defaults, 8 cores, TPCC), one benchmark per
- * design (arg = Design enumerator). Traces are generated and lowered
- * once in setup; every iteration constructs and runs a fresh timing
- * machine, so items/sec is committed FASEs per host second -- the
- * simulator-core throughput number CI gates against BENCH_simcore.json.
- */
-static void
-BM_SimCoreFig09(benchmark::State &state)
-{
-    const auto design =
-        static_cast<persistency::Design>(state.range(0));
-    cpu::MachineConfig machine = core::defaultMachineConfig(8);
-    machine.design = design;
-    machine.mem.l1ToLlcExtra =
-        design == persistency::Design::HOPS ? nsToTicks(1.0) : 0;
-
-    workloads::WorkloadParams params;
-    params.numThreads = 8;
-    params.opsPerThread = 50;
-    const auto logical =
-        workloads::generateTraces(workloads::BenchId::Tpcc, params);
-    std::vector<cpu::Trace> traces;
-    traces.reserve(logical.size());
-    for (const auto &lt : logical)
-        traces.push_back(persistency::lower(lt, design));
-
-    std::uint64_t fases = 0;
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        cpu::Machine m(machine);
-        m.setTraces(traces); // copy: each run consumes its own
-        const auto r = m.run();
-        fases += r.fases;
-        events += r.events;
-        benchmark::DoNotOptimize(fases);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(fases));
-    state.counters["events_per_fase"] = benchmark::Counter(
-        fases ? static_cast<double>(events) /
-                    static_cast<double>(fases)
-              : 0);
-    state.SetLabel(persistency::designName(design));
-}
-BENCHMARK(BM_SimCoreFig09)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * Host-thread scaling of the domain-parallel service run (arg =
- * --sim-threads): one full ycsb_service-shaped run per iteration --
- * 8 shard domains, default chaos disabled, PMEM-Spec design --
- * executed on N host threads. items/sec is succeeded client ops per
- * host second, the FASEs/s axis of the EXPERIMENTS.md scaling table
- * and the number CI gates against BENCH_service.json. The merged
- * result is byte-identical across the arg values (DESIGN.md section
- * 12); only the wall clock moves, so the ratio between args IS the
- * scaling curve.
- */
-static void
-BM_ServiceScaling(benchmark::State &state)
-{
-    service::ServiceConfig cfg;
-    cfg.shards = 8;
-    cfg.clients = 8;
-    cfg.duration = nsToTicks(4000000); // 4 ms simulated
-    cfg.design = persistency::Design::PmemSpec;
-    cfg.simThreads = static_cast<unsigned>(state.range(0));
-
-    std::uint64_t ops = 0;
-    for (auto _ : state) {
-        service::Service svc(cfg);
-        const auto r = svc.run();
-        ops += r.succeeded;
-        benchmark::DoNotOptimize(ops);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-    state.SetLabel("sim_threads=" +
-                   std::to_string(state.range(0)));
-}
-// UseRealTime: with worker threads the main thread's CPU clock is
-// mostly idle (it joins the pool), so the default CPU-time rate
-// would be meaningless; wall clock is the quantity being scaled.
-BENCHMARK(BM_ServiceScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Custom main: translate the repo-wide `--json PATH` flag into
-// google-benchmark's JSON reporter so this binary emits a
-// BENCH_*.json like every other bench binary.
-int
-main(int argc, char **argv)
-{
-    std::vector<std::string> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-            args.push_back(std::string("--benchmark_out=") +
-                           argv[i + 1]);
-            args.push_back("--benchmark_out_format=json");
-            ++i;
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-    std::vector<char *> cargs;
-    cargs.reserve(args.size());
-    for (auto &a : args)
-        cargs.push_back(a.data());
-    int cargc = static_cast<int>(cargs.size());
-
-    benchmark::Initialize(&cargc, cargs.data());
-    if (benchmark::ReportUnrecognizedArguments(cargc, cargs.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -15,7 +15,8 @@
  * `--faults powercut:1:500` cuts power on shard 1 at t=500us -- the
  * CI smoke configuration). `--slo` turns the acceptance criteria into
  * the exit code: zero oracle violations and >= 99% availability on
- *  every shard a fault was not injected into.
+ * every shard a fault was not injected into, of which there must be
+ * at least one.
  *
  * Each (config, design) run is a deterministic discrete-event
  * simulation; --jobs parallelises across designs and --sim-threads
@@ -119,24 +120,32 @@ defaultFaults(const ServiceConfig &cfg)
 }
 
 /** The acceptance gate: no oracle violations, and every shard that
- *  had no fault injected stayed >= 99% available. */
-bool
-meetsSlo(const ServiceConfig &cfg, const ServiceResult &res)
+ *  had no fault injected stayed >= 99% available. A run that faulted
+ *  every shard checked no availability at all, so it fails too.
+ *  Returns "" on a pass, else why the gate failed. */
+std::string
+sloFailure(const ServiceResult &res)
 {
     if (res.oracle.violations != 0)
-        return false;
+        return std::to_string(res.oracle.violations) +
+               " oracle violation(s)";
     std::set<unsigned> faulted;
     for (const auto &f : res.faults)
         if (f.outcome != "skipped")
             faulted.insert(f.shard);
+    if (faulted.size() >= res.shards.size())
+        return "every shard had a fault, so no shard's availability "
+               "was checked";
     for (std::size_t s = 0; s < res.shards.size(); ++s) {
         if (faulted.count(static_cast<unsigned>(s)))
             continue;
         if (res.shards[s].availability() < 0.99)
-            return false;
+            return "unfaulted shard " + std::to_string(s) +
+                   " availability " +
+                   std::to_string(res.shards[s].availability()) +
+                   " < 0.99";
     }
-    (void)cfg;
-    return true;
+    return {};
 }
 
 } // namespace
@@ -176,7 +185,8 @@ main(int argc, char **argv)
     cli.flag("--slo", gateSlo,
              "exit 1 unless: zero oracle violations and\n"
              "availability >= 0.99 on every shard without an\n"
-             "injected fault (per design)");
+             "injected fault, of which there is at least one\n"
+             "(per design)");
     cli.count("--sim-threads", base.simThreads, cli::Zero::Allowed,
               "host threads over the per-shard simulation\n"
               "domains of one run (0 = host cores)");
@@ -232,7 +242,12 @@ main(int argc, char **argv)
     core::ResultSink sink("ycsb_service");
     for (std::size_t i = 0; i < designs.size(); ++i) {
         const ServiceResult &r = results[i];
-        const bool ok = meetsSlo(base, r);
+        const std::string why = sloFailure(r);
+        const bool ok = why.empty();
+        if (!ok)
+            std::fprintf(stderr, "ycsb_service: %s fails the SLO: %s\n",
+                         persistency::designName(designs[i]).c_str(),
+                         why.c_str());
         sloOk = sloOk && ok;
         std::printf("%-10s %12.0f %8.4f %9llu %9llu %9llu %6llu %6s\n",
                     persistency::designName(designs[i]).c_str(),

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/cli.hh"
-#include "core/experiment.hh"
+#include "core/sweep.hh"
 #include "persistency/lowering.hh"
 
 int
@@ -60,8 +60,8 @@ main(int argc, char **argv)
     }
 
     // The throughput those models produce.
-    auto row =
-        core::runNormalized(bench, core::defaultMachineConfig(8), p);
+    const auto row = core::runNormalizedSweep(
+        {bench}, core::defaultMachineConfig(8), p, core::SweepRunner())[0];
     std::printf("\nThroughput normalised to IntelX86:\n");
     for (Design d : row.designs) {
         std::printf("  %-10s %6.3f\n",

@@ -6,8 +6,7 @@
  * Components carry an optional trace::Manager pointer (setter
  * injection; nullptr means tracing is off and costs one branch per
  * trace point). Each trace point is runtime-gated by a per-component
- * flag (gem5-DPRINTF style) and can additionally be compiled out with
- * -DPMEMSPEC_TRACE_DISABLED. Events are typed records -- tick, core,
+ * flag (gem5-DPRINTF style). Events are typed records -- tick, core,
  * physical address, speculation ID, automaton state before/after --
  * appended to per-core single-writer ring buffers (one extra ring
  * collects events with no originating core, e.g. PMC activity).
@@ -269,14 +268,12 @@ class Manager
 
 /**
  * gem5-DPRINTF-style trace point: evaluates its arguments only when
- * `mgr` is installed and wants `flag`; compiles to nothing under
- * -DPMEMSPEC_TRACE_DISABLED.
+ * `mgr` is installed and wants `flag`.
  *
  *   PMEMSPEC_TRACE(traceMgr, FlagSpecBuffer, EventKind::SbPersist,
  *                  curTick(), kNoCore, addr,
  *                  {.stateBefore = b, .stateAfter = a, .unit = unit});
  */
-#ifndef PMEMSPEC_TRACE_DISABLED
 #define PMEMSPEC_TRACE(mgr, flag, ...)                                   \
     do {                                                                 \
         ::pmemspec::trace::Manager *pmemspec_tm_ = (mgr);                \
@@ -284,10 +281,5 @@ class Manager
             pmemspec_tm_->wants(::pmemspec::trace::flag))                \
             pmemspec_tm_->record(::pmemspec::trace::flag, __VA_ARGS__);  \
     } while (0)
-#else
-#define PMEMSPEC_TRACE(mgr, flag, ...)                                   \
-    do {                                                                 \
-    } while (0)
-#endif
 
 #endif // PMEMSPEC_COMMON_TRACE_HH

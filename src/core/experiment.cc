@@ -1,7 +1,5 @@
 #include "experiment.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "observe/trace_export.hh"
 #include "persistency/lowering.hh"
@@ -85,28 +83,6 @@ makeNormalizedRow(workloads::BenchId bench,
     for (Design d : persistency::allDesigns())
         row.normalized[d] = raw.at(d) / base;
     return row;
-}
-
-NormalizedRow
-runNormalized(workloads::BenchId bench,
-              const cpu::MachineConfig &machine,
-              const workloads::WorkloadParams &params,
-              const std::vector<Design> &designs)
-{
-    std::vector<Design> to_run = designs;
-    const Design baseline = Design::IntelX86;
-    if (std::find(to_run.begin(), to_run.end(), baseline) ==
-        to_run.end())
-        to_run.insert(to_run.begin(), baseline);
-
-    persistency::DesignTable<double> raw;
-    for (Design d : to_run) {
-        ExperimentConfig cfg;
-        cfg.withBench(bench).withDesign(d).withMachine(machine);
-        cfg.workload = params;
-        raw[d] = runExperiment(cfg).throughput;
-    }
-    return makeNormalizedRow(bench, designs, raw, baseline);
 }
 
 void

@@ -162,20 +162,6 @@ makeNormalizedRow(workloads::BenchId bench,
                   persistency::Design baseline =
                       persistency::Design::IntelX86);
 
-/**
- * Run one benchmark across the given designs (default: all four)
- * with a common machine configuration, serially on the calling
- * thread. The baseline design is always measured, even when it is
- * not in the requested list. For whole-matrix runs use the parallel
- * runNormalizedSweep in core/sweep.hh instead.
- */
-NormalizedRow
-runNormalized(workloads::BenchId bench,
-              const cpu::MachineConfig &machine,
-              const workloads::WorkloadParams &params,
-              const std::vector<persistency::Design> &designs =
-                  persistency::allDesigns());
-
 /** Print the Table 3 configuration of a machine. */
 void printConfig(std::ostream &os, const cpu::MachineConfig &cfg);
 

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/crc32.hh"
+
 namespace pmemspec::observe
 {
 
@@ -10,7 +12,8 @@ namespace
 {
 
 constexpr char kMagic[8] = {'P', 'M', 'T', 'R', 'A', 'C', 'E', '1'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kCrcBytes = 4;
 constexpr std::size_t kEventBytes = 48;
 
 void
@@ -137,6 +140,7 @@ writeBinaryTrace(const std::string &path, const trace::Meta &meta,
         out.push_back(static_cast<char>(e.stateAfter));
         out.append(2, '\0');
     }
+    put32(out, crc32c(out.data(), out.size()));
 
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
@@ -172,8 +176,24 @@ readBinaryTrace(const std::string &path, std::string *err)
     if (!r.bytes(magic, 8) || std::memcmp(magic, kMagic, 8) != 0)
         return fail("bad magic (not a PMTRACE1 file)");
     std::uint32_t version;
-    if (!r.u32(version) || version != kVersion)
-        return fail("unsupported version");
+    if (!r.u32(version))
+        return fail("truncated header");
+    if (version != kVersion)
+        return fail("unsupported version " + std::to_string(version) +
+                    " (this reader reads version " +
+                    std::to_string(kVersion) + ")");
+    // The trailing CRC-32C seals every byte before it, so a flipped
+    // bit or a cut anywhere is refused before any field is trusted.
+    if (r.remaining() < kCrcBytes)
+        return fail("truncated header");
+    const std::size_t sealed = data.size() - kCrcBytes;
+    Reader trailer(data);
+    std::uint32_t stored;
+    trailer.skip(sealed);
+    trailer.u32(stored);
+    if (crc32c(data.data(), sealed) != stored)
+        return fail("checksum mismatch (corrupt or truncated log)");
+    data.resize(sealed);
 
     BinaryTrace bt;
     std::uint8_t automaton;
@@ -210,6 +230,8 @@ readBinaryTrace(const std::string &path, std::string *err)
             return fail("truncated event record");
         e.kind = static_cast<trace::EventKind>(kind);
     }
+    if (r.remaining() != 0)
+        return fail("trailing bytes after the last event");
     return bt;
 }
 

@@ -5,7 +5,7 @@
  * Layout (all integers little-endian):
  *
  *   char     magic[8]      "PMTRACE1"
- *   u32      version       1
+ *   u32      version       2
  *   u32      flags         trace flag mask the stream was recorded with
  *   u64      specWindow    speculation window (ticks)
  *   u32      specEntries   speculation buffer capacity
@@ -19,6 +19,7 @@
  *     u64 tick, u64 seq, u64 addr, u64 arg,
  *     u32 specId, u32 core, u16 unit,
  *     u8 flagBit, u8 kind, u8 stateBefore, u8 stateAfter, u8 pad[2]
+ *   u32      crc           CRC-32C of every byte above
  *
  * This is the lossless format the offline trace checker consumes; the
  * Chrome exporter is for human timelines.
@@ -49,8 +50,9 @@ bool writeBinaryTrace(const std::string &path, const trace::Meta &meta,
                       const std::vector<trace::Event> &events,
                       std::uint64_t dropped);
 
-/** Read a binary trace log. On failure returns nullopt and, when
- *  `err` is non-null, stores a diagnostic. */
+/** Read a binary trace log. A log whose checksum does not match, or
+ *  whose counts disagree with its size, is refused: returns nullopt
+ *  and, when `err` is non-null, stores a diagnostic. */
 std::optional<BinaryTrace> readBinaryTrace(const std::string &path,
                                            std::string *err = nullptr);
 

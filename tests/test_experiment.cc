@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "core/experiment.hh"
+#include "core/sweep.hh"
 
 using namespace pmemspec;
 using namespace pmemspec::core;
@@ -82,8 +83,9 @@ TEST(Experiment, NormalizedBaselineIsOne)
     workloads::WorkloadParams p;
     p.numThreads = 2;
     p.opsPerThread = 20;
-    auto row = runNormalized(BenchId::ArraySwaps,
-                             defaultMachineConfig(2), p);
+    const auto row = runNormalizedSweep({BenchId::ArraySwaps},
+                                        defaultMachineConfig(2), p,
+                                        SweepRunner(1))[0];
     EXPECT_EQ(row.bench, BenchId::ArraySwaps);
     EXPECT_EQ(row.baseline, Design::IntelX86);
     EXPECT_EQ(row.designs, persistency::allDesigns());
@@ -104,8 +106,9 @@ TEST(Experiment, NormalizedSubsetAlwaysMeasuresBaseline)
     workloads::WorkloadParams p;
     p.numThreads = 2;
     p.opsPerThread = 10;
-    auto row = runNormalized(BenchId::Queue, defaultMachineConfig(2),
-                             p, {Design::HOPS});
+    const auto row =
+        runNormalizedSweep({BenchId::Queue}, defaultMachineConfig(2), p,
+                           SweepRunner(1), {Design::HOPS})[0];
     // Requested columns only...
     ASSERT_EQ(row.designs.size(), 1u);
     EXPECT_EQ(row.designs[0], Design::HOPS);

@@ -159,24 +159,29 @@ TEST(SweepRunner, FailedExperimentPointIsCapturedNotFatal)
         EXPECT_TRUE(r.ok()) << r.id << ": " << r.error;
 }
 
-TEST(SweepRunner, NormalizedSweepMatchesSerialRunNormalized)
+TEST(SweepRunner, NormalizedSweepIsIndependentOfJobs)
 {
     const auto machine = defaultMachineConfig(2);
     workloads::WorkloadParams p;
     p.numThreads = 2;
     p.opsPerThread = 8;
 
-    SweepRunner runner(4);
     const std::vector<BenchId> benches = {BenchId::ArraySwaps,
                                           BenchId::Queue};
-    const auto rows =
-        runNormalizedSweep(benches, machine, p, runner);
-    ASSERT_EQ(rows.size(), 2u);
+    const auto serial =
+        runNormalizedSweep(benches, machine, p, SweepRunner(1));
+    const auto parallel =
+        runNormalizedSweep(benches, machine, p, SweepRunner(4));
+    ASSERT_EQ(serial.size(), 2u);
+    ASSERT_EQ(parallel.size(), 2u);
     for (std::size_t i = 0; i < benches.size(); ++i) {
-        const auto serial = runNormalized(benches[i], machine, p);
-        for (auto d : serial.designs) {
-            EXPECT_DOUBLE_EQ(rows[i].normalized.at(d),
-                             serial.normalized.at(d))
+        EXPECT_EQ(parallel[i].bench, benches[i]);
+        for (auto d : serial[i].designs) {
+            EXPECT_EQ(parallel[i].throughput.at(d),
+                      serial[i].throughput.at(d))
+                << workloads::benchName(benches[i]);
+            EXPECT_EQ(parallel[i].normalized.at(d),
+                      serial[i].normalized.at(d))
                 << workloads::benchName(benches[i]);
         }
     }

@@ -3,21 +3,32 @@
  * Tests for the event-tracing layer: flag parsing, ring buffer
  * policies (drop-and-count in trace mode, overwrite in flight-recorder
  * mode), event formatting, the flight dump, the machine-level flight
- * recorder on a forced misspeculation trap, and both exporters
- * (Chrome trace-event JSON schema keys, binary log round trip).
+ * recorder on a forced misspeculation trap, both exporters (Chrome
+ * trace-event JSON schema keys, binary log round trip) and a seeded
+ * mutation fuzz of the binary log reader.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/trace.hh"
 #include "cpu/machine.hh"
+#include "faultinject/fault_injector.hh"
+#include "faultinject/fault_plan.hh"
 #include "observe/binary_log.hh"
 #include "observe/chrome_trace.hh"
+#include "observe/trace_checker.hh"
 #include "observe/trace_export.hh"
+#include "runtime/fase_runtime.hh"
+#include "runtime/persistent_memory.hh"
+#include "runtime/virtual_os.hh"
 
 using namespace pmemspec;
 using trace::Config;
@@ -311,6 +322,103 @@ TEST(TraceExport, BinaryLogRoundTrips)
     EXPECT_TRUE(bt->meta.specAutomaton);
     EXPECT_EQ(bt->dropped, 0u);
     EXPECT_EQ(bt->events, m.snapshot());
+}
+
+/**
+ * Seeded mutation fuzz of the sealed binary log. A one-FASE run with
+ * one injected store-order misspeculation is exported; each round
+ * truncates the log, flips bits in it or overwrites header bytes.
+ * Every mutant must either be refused by the reader (so trace_check
+ * reports it and exits 1) or, when the mutation left the bytes as
+ * they were, yield exactly the original verdict.
+ */
+TEST(TraceLogFuzz, EveryMutantIsRefusedOrGivesTheOriginalVerdict)
+{
+    const std::string path = tmpPath("fuzz.bin");
+    {
+        Config cfg;
+        cfg.flags = trace::FlagSpecBuffer | trace::FlagPmController |
+                    trace::FlagFaultInject;
+        cfg.outPath = path;
+        runtime::PersistentMemory pm(1 << 20);
+        runtime::VirtualOs os;
+        runtime::FaseRuntime rt(pm, os, 1, runtime::RecoveryPolicy::Lazy);
+        faultinject::FaultInjector inj(pm, os);
+        Manager mgr(cfg, 0);
+        const Addr data = pm.alloc(64, 64);
+        pm.persistAll();
+        inj.setTraceManager(&mgr);
+        inj.attach();
+        inj.addPlan(std::make_unique<faultinject::AddrTouchPlan>(
+            faultinject::FaultKind::StoreWaw, data));
+        rt.runFase(0, [&](runtime::Transaction &tx) {
+            tx.writeU64(data, 9);
+        });
+        ASSERT_EQ(observe::exportTraceFile(mgr), path);
+    }
+    const observe::CheckResult original = observe::checkTraceFile(path);
+    ASSERT_TRUE(original.ok());
+    ASSERT_EQ(original.storeMisspecsDerived, 1u);
+    std::ifstream in(path, std::ios::binary);
+    const std::string clean{std::istreambuf_iterator<char>(in), {}};
+    in.close();
+    // magic, version, flags, window, entries, cores, automaton + pad,
+    // designLen, "PMEM-Spec", eventCount, droppedCount.
+    const std::size_t header = 8 + 4 + 4 + 8 + 4 + 4 + 8 + 4 + 9 + 8 + 8;
+    ASSERT_GT(clean.size(), header);
+
+    constexpr std::uint64_t seed = 2026;
+    constexpr std::size_t rounds = 300;
+    Rng rng(seed);
+    std::size_t truncated = 0, flipped = 0, overwritten = 0,
+                refusals = 0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+        std::string bytes = clean;
+        switch (rng.below(3)) {
+        case 0:
+            bytes.resize(rng.below(clean.size()));
+            ++truncated;
+            break;
+        case 1:
+            for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i)
+                bytes[rng.below(bytes.size())] ^=
+                    static_cast<char>(1u << rng.below(8));
+            ++flipped;
+            break;
+        default:
+            for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i)
+                bytes[rng.below(header)] =
+                    static_cast<char>(rng.below(256));
+            ++overwritten;
+            break;
+        }
+        std::ofstream(path, std::ios::binary) << bytes;
+
+        std::string err;
+        const bool readable = observe::readBinaryTrace(path, &err)
+                                  .has_value();
+        const observe::CheckResult res = observe::checkTraceFile(path);
+        if (bytes == clean) {
+            ASSERT_TRUE(readable) << "round " << round << ": " << err;
+            // The verdict as trace_check prints it, and its reasons.
+            ASSERT_EQ(res.summary(), original.summary()) << round;
+            ASSERT_EQ(res.disagreements, original.disagreements);
+            ASSERT_EQ(res.notes, original.notes);
+            continue;
+        }
+        ASSERT_FALSE(readable)
+            << "round " << round << " (seed " << seed
+            << "): a mutated log was read";
+        ASSERT_FALSE(err.empty()) << "round " << round;
+        ASSERT_FALSE(res.ok()) << "round " << round;
+        ++refusals;
+    }
+    std::remove(path.c_str());
+    // Every mutation kind ran and the reader refused some mutants.
+    EXPECT_GE(truncated, 1u);
+    EXPECT_GE(flipped, 1u);
+    EXPECT_GE(overwritten, 1u);
+    EXPECT_GE(refusals, rounds / 2);
 }
 
 TEST(TraceExport, LabelledPathKeepsExtension)

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hh"
 #include "cpu/machine.hh"
 #include "faultinject/fault_injector.hh"
 #include "faultinject/fault_plan.hh"
@@ -256,7 +257,9 @@ TEST(TraceChecker, CorruptHeaderCountIsRefusedBeforeAllocating)
     // bytes 40-43 and eventCount at 53-60. A count corrupted past
     // the file's size must be refused as unreadable before any
     // buffer is sized from it (an absurd count throws
-    // std::bad_alloc, which aborts trace_check).
+    // std::bad_alloc, which aborts trace_check). Each mutant is
+    // resealed with a matching checksum, so the count checks
+    // themselves are what refuse it.
     trace::Meta meta;
     meta.design = "PMEM-Spec";
     meta.flags = trace::FlagSpecBuffer;
@@ -274,6 +277,10 @@ TEST(TraceChecker, CorruptHeaderCountIsRefusedBeforeAllocating)
     for (std::size_t offset : {40, 41, 56, 57, 60}) {
         std::string bytes = clean;
         bytes[offset] = '\xff';
+        const std::size_t sealed = bytes.size() - 4;
+        const std::uint32_t crc = crc32c(bytes.data(), sealed);
+        for (int i = 0; i < 4; ++i)
+            bytes[sealed + i] = static_cast<char>((crc >> (8 * i)) & 0xff);
         std::ofstream(path, std::ios::binary) << bytes;
         std::string err;
         EXPECT_FALSE(observe::readBinaryTrace(path, &err)) << offset;
