@@ -254,38 +254,11 @@ FaultInjector::injectPoison(Addr addr)
 void
 FaultInjector::persistArrives(Addr block, SpecId id)
 {
-    // Mirror PmController::checkStoreOrder exactly (max-merge on
-    // refresh, lazy one-shot expiry sweep) so the offline trace
-    // checker's single model re-derives both implementations.
     PMEMSPEC_TRACE(traceMgr, FlagPmController,
                    trace::EventKind::PmcPersistAccept, eq.now(),
                    trace::kNoCore, block, {.specId = id});
-    const auto r = specTrack.specPersist(block, id, eq.now(), window);
-    switch (r.step) {
-      case mem::BlockTable::SpecStep::Violation:
-        PMEMSPEC_TRACE(traceMgr, FlagPmController,
-                       trace::EventKind::PmcStoreOrderViolation,
-                       eq.now(), trace::kNoCore, block,
-                       {.specId = id, .arg = r.prev});
-        specBuf->reportStoreMisspec(block);
-        return;
-
-      case mem::BlockTable::SpecStep::Refreshed:
-        return;
-
-      case mem::BlockTable::SpecStep::Inserted:
-        eq.schedule(After{window + 1}, [this, block] {
-            SpecId expired;
-            if (specTrack.specExpire(block, eq.now(), window,
-                                     &expired)) {
-                PMEMSPEC_TRACE(traceMgr, FlagPmController,
-                               trace::EventKind::PmcTrackExpire,
-                               eq.now(), trace::kNoCore, block,
-                               {.specId = expired});
-            }
-        });
-        return;
-    }
+    mem::stepStoreOrder(specTrack, eq, *specBuf, traceMgr, 0, block, id,
+                        window);
 }
 
 } // namespace pmemspec::faultinject

@@ -161,21 +161,6 @@ class FaultInjector
      */
     void setTraceManager(trace::Manager *mgr);
 
-    /**
-     * Capture the modelled PMC order-check table (the per-block
-     * spec-ID automata) as durable metadata, and re-install a capture
-     * -- the crash-consistency hook for explorers that checkpoint the
-     * injector around a simulated outage.
-     */
-    mem::BlockTable::Snapshot orderCheckSnapshot() const
-    {
-        return specTrack.snapshot();
-    }
-    void restoreOrderCheck(const mem::BlockTable::Snapshot &s)
-    {
-        specTrack.restore(s);
-    }
-
     std::uint64_t loadStalesInjected() const { return loadStales; }
     std::uint64_t storeWawsInjected() const { return storeWaws; }
     std::uint64_t powerCutsInjected() const { return powerCuts; }
@@ -190,11 +175,11 @@ class FaultInjector
     void onAccess(runtime::MemOp op, Addr a, std::uint32_t n);
     void fire(const FaultAction &action);
 
-    /** Modelled PMC order check (Section 5.2.2), algorithmically
-     *  identical to PmController::checkStoreOrder (max-merge refresh,
-     *  lazy expiry sweep) so one checker model covers both: a tagged
-     *  persist with a lower spec ID than one recorded for the block
-     *  within the window is a store misspeculation. */
+    /** Modelled PMC order check (Section 5.2.2): the PMC's own
+     *  mem::stepStoreOrder on the injector's table and queue, so one
+     *  checker model covers both: a tagged persist with a lower spec
+     *  ID than one recorded for the block within the window is a
+     *  store misspeculation. */
     void persistArrives(Addr block, SpecId id);
 
     runtime::PersistentMemory &pm;

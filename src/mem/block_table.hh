@@ -17,11 +17,6 @@
  * clearing an automaton just drops its flag bit, and fully-dead
  * entries are compacted away at the next rehash -- so probe chains
  * stay intact without deletion bookkeeping.
- *
- * The durable automaton state (everything except the read-waiter
- * callbacks, which are volatile by nature) can be captured with
- * snapshot() and re-installed with restore(), giving the fault
- * injection layer a crash-consistent view of controller metadata.
  */
 
 #ifndef PMEMSPEC_MEM_BLOCK_TABLE_HH
@@ -261,62 +256,6 @@ class BlockTable
     {
         const std::uint32_t i = find(a);
         return i != kNil && (flags_[i] & kSpecTracked);
-    }
-
-    // ---- snapshot / restore ----------------------------------------
-
-    /**
-     * Durable per-block automaton state, compacted to live entries.
-     * Read-waiter callbacks are volatile (they reference simulation
-     * objects of the running instance) and are deliberately excluded:
-     * a restore re-installs metadata, not in-flight continuations.
-     */
-    struct Snapshot
-    {
-        std::vector<Addr> key;
-        std::vector<std::uint8_t> flags;
-        std::vector<std::uint32_t> poisonTtl;
-        std::vector<std::uint32_t> persistCnt;
-        std::vector<SpecId> specId;
-        std::vector<Tick> specAt;
-    };
-
-    Snapshot
-    snapshot() const
-    {
-        Snapshot s;
-        for (std::uint32_t i = 0; i < cap_; ++i) {
-            if (!(flags_[i] & kOccupied) || dead(i))
-                continue;
-            s.key.push_back(key_[i]);
-            s.flags.push_back(
-                flags_[i] & static_cast<std::uint8_t>(~kOccupied));
-            s.poisonTtl.push_back(poisonTtl_[i]);
-            s.persistCnt.push_back(persistCnt_[i]);
-            s.specId.push_back(specId_[i]);
-            s.specAt.push_back(specAt_[i]);
-        }
-        return s;
-    }
-
-    /** Replace the table contents with a snapshot's (waiters reset). */
-    void
-    restore(const Snapshot &s)
-    {
-        std::size_t cap = 16;
-        while (cap * 10 < s.key.size() * 16)
-            cap <<= 1;
-        rebuild(cap);
-        waiters_.clear();
-        waiterFree_ = kNil;
-        for (std::size_t n = 0; n < s.key.size(); ++n) {
-            const std::uint32_t i = findOrInsert(s.key[n]);
-            flags_[i] = static_cast<std::uint8_t>(s.flags[n] | kOccupied);
-            poisonTtl_[i] = s.poisonTtl[n];
-            persistCnt_[i] = s.persistCnt[n];
-            specId_[i] = s.specId[n];
-            specAt_[i] = s.specAt[n];
-        }
     }
 
     /** Live (non-dead) entries; dead ones compact away on rehash. */

@@ -298,27 +298,28 @@ PmController::acceptPersist(CoreId core, Addr block_addr,
     if (design == Design::PmemSpec) {
         specBuf->persist(block_addr);
         if (spec_id)
-            checkStoreOrder(block_addr, *spec_id);
+            stepStoreOrder(blocks, eventQueue(), *specBuf, traceMgr,
+                           traceUnit, block_addr, *spec_id,
+                           cfg.effectiveSpecWindow());
     }
     return true;
 }
 
 void
-PmController::checkStoreOrder(Addr block_addr, SpecId spec_id)
+stepStoreOrder(BlockTable &table, sim::EventQueue &eq,
+               SpeculationBuffer &spec, trace::Manager *const &mgr,
+               std::uint16_t unit, Addr block, SpecId id, Tick window)
 {
-    const Tick window = cfg.effectiveSpecWindow();
-    const auto r = blocks.specPersist(block_addr, spec_id, curTick(),
-                                      window);
+    const auto r = table.specPersist(block, id, eq.now(), window);
     switch (r.step) {
       case BlockTable::SpecStep::Violation:
         // A store ordered *earlier* by the happens-before order
         // persisted after a later one: missing-update hazard.
-        PMEMSPEC_TRACE(traceMgr, FlagPmController,
+        PMEMSPEC_TRACE(mgr, FlagPmController,
                        trace::EventKind::PmcStoreOrderViolation,
-                       curTick(), trace::kNoCore, block_addr,
-                       {.specId = spec_id, .arg = r.prev,
-                        .unit = traceUnit});
-        specBuf->reportStoreMisspec(block_addr);
+                       eq.now(), trace::kNoCore, block,
+                       {.specId = id, .arg = r.prev, .unit = unit});
+        spec.reportStoreMisspec(block);
         return;
 
       case BlockTable::SpecStep::Refreshed:
@@ -327,16 +328,18 @@ PmController::checkStoreOrder(Addr block_addr, SpecId spec_id)
       case BlockTable::SpecStep::Inserted:
         // Bound the table: expire this entry after the window unless
         // it was refreshed (lazy sweep keyed on the insertion tick).
-        schedule(After{window + 1}, [this, block_addr] {
-            SpecId expired;
-            if (blocks.specExpire(block_addr, curTick(),
-                                  cfg.effectiveSpecWindow(), &expired)) {
-                PMEMSPEC_TRACE(traceMgr, FlagPmController,
-                               trace::EventKind::PmcTrackExpire,
-                               curTick(), trace::kNoCore, block_addr,
-                               {.specId = expired, .unit = traceUnit});
-            }
-        });
+        eq.schedule(After{window + 1},
+                    [&table, &eq, &mgr, unit, block, window] {
+                        SpecId expired;
+                        if (table.specExpire(block, eq.now(), window,
+                                             &expired)) {
+                            PMEMSPEC_TRACE(
+                                mgr, FlagPmController,
+                                trace::EventKind::PmcTrackExpire,
+                                eq.now(), trace::kNoCore, block,
+                                {.specId = expired, .unit = unit});
+                        }
+                    });
         return;
     }
 }

@@ -54,6 +54,21 @@ storeOrderViolated(SpecId recorded, SpecId arriving)
     return arriving < recorded;
 }
 
+/**
+ * One tagged persist through the Section 5.2.2 order check: step
+ * `table`'s spec-ID automaton for `block`; trace a violation and
+ * report it to `spec`; give a newly tracked entry its lazy expiry
+ * sweep on `eq`, `window` + 1 ticks on. The timing PMC and the fault
+ * injector's modelled PMC both take this step, so the offline trace
+ * checker's one model re-derives both. `mgr` is the owner's trace
+ * manager member, read when each event is recorded; `unit` tags the
+ * events.
+ */
+void stepStoreOrder(BlockTable &table, sim::EventQueue &eq,
+                    SpeculationBuffer &spec, trace::Manager *const &mgr,
+                    std::uint16_t unit, Addr block, SpecId id,
+                    Tick window);
+
 /** Outcome of a checked PM read (media-fault aware read path). */
 enum class ReadStatus
 {
@@ -189,9 +204,6 @@ class PmController : public sim::SimObject
 
     /** PMEM-Spec machinery. */
     std::optional<SpeculationBuffer> specBuf;
-
-    /** Run the spec-ID check for a tagged persist. */
-    void checkStoreOrder(Addr block_addr, SpecId spec_id);
 
     trace::Manager *traceMgr = nullptr;
     std::uint16_t traceUnit = 0;

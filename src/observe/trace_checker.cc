@@ -150,7 +150,7 @@ struct Checker
     }
 
     /** Fire pending spec-ID sweeps scheduled strictly before `t`,
-     *  mirroring PmController::checkStoreOrder's lazy sweep. Erasing
+     *  mirroring mem::stepStoreOrder's lazy sweep. Erasing
      *  sweeps emit PmcTrackExpire and are handled by their own event
      *  (exact interleaving); a sweep that would erase but produced no
      *  event by now was missed by the hardware. */

@@ -70,8 +70,8 @@ PersistentMemory::writeTagged(Addr a, const void *src, std::size_t n,
                               bool ordered)
 {
     checkRange(a, n);
-    std::memcpy(volatileImg.data() + a, src, n);
     touch(a, n);
+    std::memcpy(volatileImg.data() + a, src, n);
     // A full 8-byte overwrite of a poisoned word heals it (the
     // device remaps the line when fresh data arrives); a partial
     // overwrite leaves the word uncorrectable.
@@ -168,9 +168,9 @@ PersistentMemory::writeU32(Addr a, std::uint32_t v)
 void
 PersistentMemory::applyPending(const Pending &p)
 {
+    touch(p.addr, p.bytes.size());
     std::memcpy(persistedImg.data() + p.addr, p.bytes.data(),
                 p.bytes.size());
-    touch(p.addr, p.bytes.size());
 }
 
 void
@@ -194,10 +194,17 @@ PersistentMemory::touch(Addr a, std::size_t n)
         return;
     for (Addr b = blockAlign(a); b < a + n; b += blockBytes) {
         std::uint8_t &mark = journalMark[b / blockBytes];
-        if (!mark) {
-            mark = 1;
-            journaled.push_back(b);
-        }
+        if (mark)
+            continue;
+        mark = 1;
+        journaled.push_back(b);
+        const std::size_t at = preVolatile.size();
+        preVolatile.resize(at + blockBytes);
+        prePersisted.resize(at + blockBytes);
+        std::memcpy(preVolatile.data() + at, volatileImg.data() + b,
+                    blockSpan(b));
+        std::memcpy(prePersisted.data() + at, persistedImg.data() + b,
+                    blockSpan(b));
     }
 }
 
@@ -211,28 +218,34 @@ PersistentMemory::rebaseJournal(std::uint64_t id, bool base_converged)
     for (Addr b : journaled)
         journalMark[b / blockBytes] = 0;
     journaled.clear();
+    preVolatile.clear();
+    prePersisted.clear();
     journalBase = id;
     journalBaseConverged = base_converged;
 }
 
-bool
-PersistentMemory::journalsFrom(const Snapshot &s) const
+void
+PersistentMemory::checkJournalBase(const Snapshot &s,
+                                   const char *what) const
 {
-    return journalBase != 0 && s.id == journalBase;
+    panic_if(journalBase == 0 || s.id != journalBase,
+             "%s of snapshot %llu, but this PM's journal runs from "
+             "snapshot %llu: only the latest snapshot taken on this PM "
+             "can be used",
+             what, static_cast<unsigned long long>(s.id),
+             static_cast<unsigned long long>(journalBase));
 }
 
 PersistentMemory::Snapshot
 PersistentMemory::snapshot()
 {
     Snapshot s;
-    s.volatileImg = volatileImg;
-    s.persistedImg = persistedImg;
     s.inFlight = inFlight;
     s.poisoned = poisoned;
     s.brk = brk;
     s.nextSpec = nextSpec;
     s.id = ++lastSnapshotId;
-    s.converged = volatileImg == persistedImg;
+    s.converged = imagesAgree();
     rebaseJournal(s.id, s.converged);
     return s;
 }
@@ -240,20 +253,14 @@ PersistentMemory::snapshot()
 void
 PersistentMemory::restore(const Snapshot &s)
 {
-    panic_if(s.volatileImg.size() != volatileImg.size(),
-             "snapshot of a %zu-byte space restored into %zu bytes",
-             s.volatileImg.size(), volatileImg.size());
-    if (journalsFrom(s)) {
-        // Outside the journal both images still equal s's.
-        for (Addr b : journaled) {
-            std::memcpy(volatileImg.data() + b, s.volatileImg.data() + b,
-                        blockSpan(b));
-            std::memcpy(persistedImg.data() + b,
-                        s.persistedImg.data() + b, blockSpan(b));
-        }
-    } else {
-        volatileImg = s.volatileImg;
-        persistedImg = s.persistedImg;
+    checkJournalBase(s, "restore");
+    // Outside the journal both images still equal s's.
+    for (std::size_t i = 0; i < journaled.size(); ++i) {
+        const Addr b = journaled[i];
+        std::memcpy(volatileImg.data() + b,
+                    preVolatile.data() + i * blockBytes, blockSpan(b));
+        std::memcpy(persistedImg.data() + b,
+                    prePersisted.data() + i * blockBytes, blockSpan(b));
     }
     inFlight = s.inFlight;
     poisoned = s.poisoned;
@@ -294,11 +301,11 @@ PersistentMemory::restoreBlocks(const BlockSnapshot &s)
     for (std::size_t i = 0; i < s.blocks.size(); ++i) {
         const Addr b = s.blocks[i];
         checkRange(b, blockBytes);
+        touch(b, blockBytes);
         std::memcpy(volatileImg.data() + b,
                     s.volatileBytes.data() + i * blockBytes, blockBytes);
         std::memcpy(persistedImg.data() + b,
                     s.persistedBytes.data() + i * blockBytes, blockBytes);
-        touch(b, blockBytes);
     }
     inFlight = s.inFlight;
     poisoned = s.poisoned;
@@ -321,28 +328,24 @@ PersistentMemory::imagesAgree() const
     return true;
 }
 
+bool
+PersistentMemory::persistedChanged(std::size_t i) const
+{
+    const Addr b = journaled[i];
+    return std::memcmp(persistedImg.data() + b,
+                       prePersisted.data() + i * blockBytes,
+                       blockSpan(b)) != 0;
+}
+
 std::vector<Addr>
 PersistentMemory::durableChangesSince(const Snapshot &base) const
 {
-    panic_if(base.persistedImg.size() != persistedImg.size(),
-             "snapshot of a %zu-byte space compared with %zu bytes",
-             base.persistedImg.size(), persistedImg.size());
+    checkJournalBase(base, "durableChangesSince");
     std::vector<Addr> out;
-    auto differs = [&](Addr b) {
-        return std::memcmp(persistedImg.data() + b,
-                           base.persistedImg.data() + b,
-                           blockSpan(b)) != 0;
-    };
-    if (journalsFrom(base)) {
-        for (Addr b : journaled)
-            if (differs(b))
-                out.push_back(b);
-        std::sort(out.begin(), out.end());
-    } else {
-        for (Addr b = 0; b < persistedImg.size(); b += blockBytes)
-            if (differs(b))
-                out.push_back(b);
-    }
+    for (std::size_t i = 0; i < journaled.size(); ++i)
+        if (persistedChanged(i))
+            out.push_back(journaled[i]);
+    std::sort(out.begin(), out.end());
     return out;
 }
 
@@ -350,33 +353,21 @@ bool
 PersistentMemory::durableMatches(const Snapshot &base,
                                  const BlockSnapshot &over) const
 {
-    panic_if(base.persistedImg.size() != persistedImg.size(),
-             "snapshot of a %zu-byte space compared with %zu bytes",
-             base.persistedImg.size(), persistedImg.size());
+    checkJournalBase(base, "durableMatches");
     for (Addr b : over.blocks)
         checkRange(b, blockBytes);
-    auto overlaid = [&](std::size_t i) {
-        return over.persistedBytes.data() + i * blockBytes;
-    };
-    if (!journalsFrom(base)) {
-        std::vector<std::uint8_t> expect = base.persistedImg;
-        for (std::size_t i = 0; i < over.blocks.size(); ++i)
-            std::memcpy(expect.data() + over.blocks[i], overlaid(i),
-                        blockBytes);
-        return expect == persistedImg;
-    }
     // Outside the journal the persisted image still equals base's,
     // so only journaled and overlaid blocks can mismatch.
     for (std::size_t i = 0; i < over.blocks.size(); ++i) {
-        if (std::memcmp(persistedImg.data() + over.blocks[i], overlaid(i),
+        if (std::memcmp(persistedImg.data() + over.blocks[i],
+                        over.persistedBytes.data() + i * blockBytes,
                         blockBytes) != 0)
             return false;
     }
-    for (Addr b : journaled) {
-        if (std::binary_search(over.blocks.begin(), over.blocks.end(), b))
-            continue;
-        if (std::memcmp(persistedImg.data() + b,
-                        base.persistedImg.data() + b, blockSpan(b)) != 0)
+    for (std::size_t i = 0; i < journaled.size(); ++i) {
+        if (!std::binary_search(over.blocks.begin(), over.blocks.end(),
+                                journaled[i]) &&
+            persistedChanged(i))
             return false;
     }
     return true;
@@ -386,9 +377,9 @@ void
 PersistentMemory::overlayDurable(Addr a, const void *src, std::size_t n)
 {
     checkRange(a, n);
+    touch(a, n);
     std::memcpy(volatileImg.data() + a, src, n);
     std::memcpy(persistedImg.data() + a, src, n);
-    touch(a, n);
 }
 
 void
@@ -411,9 +402,9 @@ PersistentMemory::reboot()
     for (Addr b = 0; b < volatileImg.size(); b += blockBytes) {
         if (std::memcmp(volatileImg.data() + b, persistedImg.data() + b,
                         blockSpan(b)) != 0) {
+            touch(b, blockSpan(b));
             std::memcpy(volatileImg.data() + b, persistedImg.data() + b,
                         blockSpan(b));
-            touch(b, blockSpan(b));
         }
     }
 }
@@ -483,9 +474,9 @@ PersistentMemory::crashTorn(std::size_t keep_prefix,
                 continue;
             const Addr lo = w > p.addr ? w : p.addr;
             const Addr hi = w + wordBytes < end ? w + wordBytes : end;
+            touch(lo, hi - lo);
             std::memcpy(persistedImg.data() + lo,
                         p.bytes.data() + (lo - p.addr), hi - lo);
-            touch(lo, hi - lo);
         }
     }
     inFlight.clear();
@@ -526,13 +517,13 @@ PersistentMemory::corruptWord(Addr a, std::uint64_t xor_mask)
 {
     const Addr w = wordAlign(a);
     checkRange(w, wordBytes);
+    touch(w, wordBytes);
     for (unsigned b = 0; b < wordBytes; ++b) {
         const auto flip =
             static_cast<std::uint8_t>(xor_mask >> (8 * b));
         volatileImg[w + b] ^= flip;
         persistedImg[w + b] ^= flip;
     }
-    touch(w, wordBytes);
 }
 
 } // namespace pmemspec::runtime

@@ -312,20 +312,22 @@ class PersistentMemory
     void overlayDurable(Addr a, const void *src, std::size_t n);
 
     /**
-     * A full copy of the PM state (both images, the in-flight queue,
-     * the poison set, the arena cursor and the store-order counter).
-     * The crash-point explorer snapshots the state once per operation
-     * and rewinds between crash(k) trials; the observer is not part of
-     * the state and survives restore(). Immutable once taken: only
-     * snapshot() fills one in.
+     * The PM state apart from the two images: the in-flight queue,
+     * the poison set, the arena cursor and the store-order counter.
+     * The images need no copy because the block-touch journal keeps
+     * them: snapshot() (re)starts the journal, and the first change
+     * to a block after it saves that block's 64 B of both images.
+     * Only the snapshot the journal runs from can be restored or
+     * compared against. The crash-point explorer snapshots once per
+     * operation and rewinds between crash(k) trials; the observer is
+     * not part of the state and survives restore(). Immutable once
+     * taken: only snapshot() fills one in.
      */
     class Snapshot
     {
       private:
         friend class PersistentMemory;
 
-        std::vector<std::uint8_t> volatileImg;
-        std::vector<std::uint8_t> persistedImg;
         std::vector<Pending> inFlight;
         std::set<Addr> poisoned;
         std::size_t brk = 0;
@@ -337,29 +339,29 @@ class PersistentMemory
     };
 
     /**
-     * Take a full snapshot and (re)start the block-touch journal at
-     * it. From here on every path that changes either image --
+     * Take a snapshot and (re)start the block-touch journal at it.
+     * From here on every path that changes either image --
      * write(), writeOrdered(), persist application (persistAll(),
      * crash(), crashTorn()), the torn-word copy, overlayDurable(),
-     * corruptWord() and restoreBlocks() -- records the 64-byte
-     * blocks it touched, so outside the journal both images still
+     * corruptWord() and restoreBlocks() -- journals each 64-byte
+     * block before its first change, with that block's pre-image
+     * from both images, so outside the journal both images still
      * equal the snapshot's. That invariant makes these exact and
      * proportional to the blocks written rather than to size():
      *
-     *  - restore() of the journal's snapshot copies journaled blocks
-     *    only (any other snapshot: a full copy, after which the
-     *    journal runs from that snapshot instead);
-     *  - the reboot in crash()/crashTorn() copies persisted to
-     *    volatile over journaled blocks only, when the snapshot's
-     *    two images were equal (checked once, here); otherwise it
-     *    scans the whole image;
-     *  - imagesAgree() (same condition), durableChangesSince() and
-     *    durableMatches() (journal running from the snapshot they
-     *    are given) compare journaled blocks only, and whole images
-     *    otherwise.
+     *  - restore() copies the journaled pre-images back;
+     *  - durableChangesSince() and durableMatches() compare against
+     *    the journaled persisted pre-images;
+     *  - the reboot in crash()/crashTorn() and imagesAgree() read
+     *    journaled blocks only when the snapshot's two images were
+     *    equal (imagesAgree() at snapshot time, itself journal-only
+     *    after a converged snapshot); otherwise they scan the whole
+     *    image.
      *
-     * A PM that never took a snapshot never journals, and so keeps
-     * whole-image reboots.
+     * restore(), durableChangesSince() and durableMatches() panic on
+     * any snapshot but the one the journal runs from: an older one,
+     * or one taken on another PM. A PM that never took a snapshot
+     * never journals, and so keeps whole-image reboots.
      */
     Snapshot snapshot();
     void restore(const Snapshot &s);
@@ -407,11 +409,11 @@ class PersistentMemory
     bool imagesAgree() const;
 
     /** Sorted bases of the blocks whose persisted contents differ
-     *  from `base`'s. */
+     *  from `base`'s (the journal's snapshot). */
     std::vector<Addr> durableChangesSince(const Snapshot &base) const;
 
-    /** The persisted image equals `base`'s persisted image with the
-     *  persisted blocks of `over` laid on top. */
+    /** The persisted image equals `base`'s (the journal's snapshot)
+     *  with the persisted blocks of `over` laid on top. */
     bool durableMatches(const Snapshot &base,
                         const BlockSnapshot &over) const;
 
@@ -425,12 +427,18 @@ class PersistentMemory
     void applyPending(const Pending &p);
     void writeTagged(Addr a, const void *src, std::size_t n,
                      bool ordered);
-    /** Journal the blocks [a, a+n) overlaps (no-op without one). */
+    /** Journal the blocks [a, a+n) overlaps, saving the pre-image
+     *  of each one not yet journaled; call before changing them
+     *  (no-op without a journal). */
     void touch(Addr a, std::size_t n);
     /** Restart the journal, empty, at snapshot `id`. */
     void rebaseJournal(std::uint64_t id, bool base_converged);
-    /** The journal runs from snapshot `s`. */
-    bool journalsFrom(const Snapshot &s) const;
+    /** Panic unless the journal runs from `s`; `what` names the
+     *  caller. */
+    void checkJournalBase(const Snapshot &s, const char *what) const;
+    /** The persisted image differs from the pre-image of journaled
+     *  block `i`. */
+    bool persistedChanged(std::size_t i) const;
     /** Post-crash reboot: volatile image := persisted image. */
     void reboot();
     /** Bytes of block `b` inside the space (the last may be short). */
@@ -454,6 +462,10 @@ class PersistentMemory
     bool journalBaseConverged = false;
     /** Journaled block bases, in first-touch order. */
     std::vector<Addr> journaled;
+    /** blockBytes per journaled block, in `journaled` order: its
+     *  contents in each image when first touched. */
+    std::vector<std::uint8_t> preVolatile;
+    std::vector<std::uint8_t> prePersisted;
     /** One flag per block: already in `journaled`. */
     std::vector<std::uint8_t> journalMark;
 };

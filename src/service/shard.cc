@@ -275,14 +275,6 @@ Shard::stormActive() const
     return storm != nullptr && storm->firesRemaining() > 0;
 }
 
-void
-Shard::disarmPlans()
-{
-    inj->clearPlans();
-    storm = nullptr;
-    pendingCut.reset();
-}
-
 bool
 Shard::poisonValue(std::uint64_t key)
 {

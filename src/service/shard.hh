@@ -124,9 +124,6 @@ class Shard
      *  pass cannot verify the log and degrades the shard. */
     void poisonLog();
 
-    /** Disarm every plan (a fired PowerCutPlan stays spent). */
-    void disarmPlans();
-
     /** Attach a per-FASE-site speculation profile (nullptr detaches).
      *  Registers this shard's named sites -- preload, one per OpKind,
      *  quarantine -- in a fixed order, so every domain's profile has

@@ -1,18 +1,13 @@
 /**
  * @file
- * Unit tests for the SoA per-block state table, including the
- * snapshot/restore round-trip the fault-injection layer relies on
- * when checkpointing controller metadata around a simulated outage.
+ * Unit tests for the SoA per-block state table.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "faultinject/fault_injector.hh"
 #include "mem/block_table.hh"
-#include "runtime/persistent_memory.hh"
-#include "runtime/virtual_os.hh"
 
 using namespace pmemspec;
 using mem::BlockTable;
@@ -148,90 +143,4 @@ TEST(BlockTable, GrowsPastInitialCapacityAndCompactsDeadEntries)
         t.persistBuffered((static_cast<Addr>(i) * 64) + (1ull << 20));
     for (unsigned i = 0; i < n; ++i)
         EXPECT_FALSE(t.poisoned(static_cast<Addr>(i) * 64));
-}
-
-TEST(BlockTable, SnapshotRestoreRoundTrip)
-{
-    const Tick window = 500;
-    BlockTable t;
-    t.markCoalescable(kA);
-    t.poison(kB, 3);
-    t.persistBuffered(kC);
-    t.persistBuffered(kC);
-    t.specPersist(kA, 11, 42, window);
-
-    BlockTable::Snapshot snap = t.snapshot();
-
-    // Mutate everything after the capture...
-    t.clearCoalescable(kA);
-    t.clearPoison(kB);
-    t.persistDrained(kC);
-    t.specPersist(kA, 2, 43, window); // violation clears the entry
-    EXPECT_FALSE(t.specTracked(kA));
-
-    // ...then restore and verify the captured automata come back.
-    t.restore(snap);
-    EXPECT_TRUE(t.coalescable(kA));
-    EXPECT_TRUE(t.poisoned(kB));
-    EXPECT_EQ(t.pendingPersists(kC), 2u);
-    EXPECT_TRUE(t.specTracked(kA));
-    auto r = t.specPersist(kA, 2, 43, window);
-    EXPECT_EQ(r.step, BlockTable::SpecStep::Violation);
-    EXPECT_EQ(r.prev, 11u);
-
-    // The transient-poison countdown survives the round trip.
-    EXPECT_EQ(t.notePoisonRead(kB), BlockTable::PoisonRead::Faulted);
-    EXPECT_EQ(t.notePoisonRead(kB), BlockTable::PoisonRead::Faulted);
-    EXPECT_EQ(t.notePoisonRead(kB), BlockTable::PoisonRead::Healed);
-}
-
-TEST(BlockTable, RestoreIntoPopulatedTableDropsCurrentState)
-{
-    BlockTable t;
-    BlockTable::Snapshot empty = t.snapshot();
-    t.poison(kA, 0);
-    t.markCoalescable(kB);
-    t.restore(empty);
-    EXPECT_FALSE(t.poisoned(kA));
-    EXPECT_FALSE(t.coalescable(kB));
-    EXPECT_EQ(t.blocksTracked(), 0u);
-}
-
-TEST(BlockTable, SnapshotCompactsToLiveEntries)
-{
-    BlockTable t;
-    for (unsigned i = 0; i < 100; ++i)
-        t.poison(static_cast<Addr>(i) * 64, 0);
-    for (unsigned i = 10; i < 100; ++i)
-        t.clearPoison(static_cast<Addr>(i) * 64);
-    BlockTable::Snapshot snap = t.snapshot();
-    EXPECT_EQ(snap.key.size(), 10u);
-}
-
-TEST(FaultInjectorBlockTable, OrderCheckSnapshotRoundTrip)
-{
-    // The injector's modelled PMC order check runs on the same table;
-    // checkpoint it mid-window and verify a restore re-arms the
-    // violation the mutation had consumed.
-    runtime::PersistentMemory pm(1 << 16);
-    runtime::VirtualOs os;
-    faultinject::FaultInjector inj(pm, os);
-
-    inj.injectStoreWaw(0x4000); // persist id=2 then id=1: one misspec
-    const auto misspecs_after_first =
-        inj.specBuffer().storeMisspecs.value();
-    EXPECT_EQ(misspecs_after_first, 1u);
-
-    // A WAW against restored metadata: persist id=2, snapshot,
-    // violate with id=1, restore, violate again.
-    inj.eventQueue().schedule(After{1}, [] {});
-    inj.eventQueue().run();
-
-    BlockTable::Snapshot snap = inj.orderCheckSnapshot();
-    inj.restoreOrderCheck(snap);
-    const BlockTable::Snapshot snap2 = inj.orderCheckSnapshot();
-    EXPECT_EQ(snap.key.size(), snap2.key.size());
-    EXPECT_EQ(snap.specId, snap2.specId);
-    EXPECT_EQ(snap.specAt, snap2.specAt);
-    EXPECT_EQ(snap.flags, snap2.flags);
 }

@@ -1,14 +1,19 @@
 /**
  * @file
  * Unit tests for the minimal JSON writer: value types, escaping,
- * insertion order, deterministic number formatting.
+ * insertion order, deterministic number formatting; and a seeded
+ * mutation fuzz of the parser over a committed bench envelope.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 
 using namespace pmemspec;
 
@@ -77,4 +82,72 @@ TEST(Json, PrettyPrint)
     EXPECT_EQ(obj.dump(2), "{\n  \"a\": 1\n}");
     Json empty = Json::object();
     EXPECT_EQ(empty.dump(2), "{}");
+}
+
+/**
+ * Seeded mutation fuzz of Json::parse over the committed
+ * BENCH_modelcheck.json envelope: each round truncates it, flips bits
+ * in it or overwrites bytes of it. A mutant the parser refuses must
+ * come back Null with a non-empty error; one it accepts must
+ * round-trip, parse(dump()) dumping the same bytes.
+ */
+TEST(JsonParseFuzz, EveryMutantIsRefusedOrRoundTrips)
+{
+    std::ifstream in(PMEMSPEC_SOURCE_DIR "/BENCH_modelcheck.json",
+                     std::ios::binary);
+    ASSERT_TRUE(in) << "BENCH_modelcheck.json not found";
+    const std::string clean{std::istreambuf_iterator<char>(in), {}};
+    std::string err;
+    ASSERT_FALSE(Json::parse(clean, &err).isNull()) << err;
+
+    constexpr std::uint64_t seed = 2026;
+    constexpr std::size_t rounds = 300;
+    Rng rng(seed);
+    std::size_t truncated = 0, flipped = 0, overwritten = 0,
+                refusals = 0, accepted = 0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+        std::string bytes = clean;
+        switch (rng.below(3)) {
+        case 0:
+            bytes.resize(rng.below(clean.size()));
+            ++truncated;
+            break;
+        case 1:
+            for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i)
+                bytes[rng.below(bytes.size())] ^=
+                    static_cast<char>(1u << rng.below(8));
+            ++flipped;
+            break;
+        default:
+            for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i)
+                bytes[rng.below(bytes.size())] =
+                    static_cast<char>(rng.below(256));
+            ++overwritten;
+            break;
+        }
+        err.clear();
+        const Json doc = Json::parse(bytes, &err);
+        if (!err.empty()) {
+            ASSERT_TRUE(doc.isNull())
+                << "round " << round << " (seed " << seed
+                << "): refused with a value";
+            ++refusals;
+            continue;
+        }
+        const std::string dumped = doc.dump();
+        std::string again;
+        const Json back = Json::parse(dumped, &again);
+        ASSERT_TRUE(again.empty())
+            << "round " << round << " (seed " << seed
+            << "): dump() of an accepted mutant does not parse: "
+            << again;
+        ASSERT_EQ(back.dump(), dumped) << "round " << round;
+        ++accepted;
+    }
+    // Every mutation kind ran, and both outcomes occurred.
+    EXPECT_GE(truncated, 1u);
+    EXPECT_GE(flipped, 1u);
+    EXPECT_GE(overwritten, 1u);
+    EXPECT_GE(refusals, 1u);
+    EXPECT_GE(accepted, 1u);
 }

@@ -233,36 +233,37 @@ TEST(PersistentMemory, NoSnapshotNoJournal)
     EXPECT_EQ(pm.touchedBlocks(), std::vector<Addr>{a});
 }
 
-TEST(PersistentMemory, RestoringAnOlderSnapshotCopiesEverything)
+TEST(PersistentMemory, OnlyTheJournalsSnapshotIsAccepted)
 {
-    // `b` changes between the two snapshots, so it is in neither
-    // journal: only a full copy can bring back `older`'s zero there.
+    // The journal holds pre-images from its own snapshot on only, so
+    // a superseded snapshot, or one taken on another PM of the same
+    // size, can be neither restored nor compared against.
     PersistentMemory pm(1 << 16);
-    Addr a = pm.alloc(8, 64);
-    Addr b = pm.alloc(8, 64);
+    PersistentMemory twin(1 << 16);
+    const Addr a = pm.alloc(8, 64);
     pm.writeU64(a, 1);
     pm.persistAll();
     const auto older = pm.snapshot();
-    pm.writeU64(b, 2);
+    pm.writeU64(a, 2);
     pm.persistAll();
     const auto newer = pm.snapshot();
-    EXPECT_TRUE(pm.touchedBlocks().empty());
+    const auto foreign = twin.snapshot();
+    const auto over = pm.snapshotBlocks({a});
+    for (const auto *s : {&older, &foreign}) {
+        EXPECT_DEATH(pm.restore(*s), "restore of snapshot");
+        EXPECT_DEATH(pm.durableChangesSince(*s),
+                     "durableChangesSince of snapshot");
+        EXPECT_DEATH(pm.durableMatches(*s, over),
+                     "durableMatches of snapshot");
+    }
+
+    // The journal's own snapshot still works.
     pm.writeU64(a, 3);
     pm.persistAll();
-
-    pm.restore(older);
-    EXPECT_EQ(pm.readU64(a), 1u);
-    EXPECT_EQ(pm.readU64(b), 0u);
-    std::uint64_t durable;
-    std::memcpy(&durable, pm.persistedImage() + b, 8);
-    EXPECT_EQ(durable, 0u);
-
-    // The journal now runs from `older`, so `newer` is the full copy.
+    EXPECT_EQ(pm.durableChangesSince(newer), std::vector<Addr>{a});
+    EXPECT_FALSE(pm.durableMatches(newer, over));
     pm.restore(newer);
-    EXPECT_EQ(pm.readU64(a), 1u);
-    EXPECT_EQ(pm.readU64(b), 2u);
-    std::memcpy(&durable, pm.persistedImage() + b, 8);
-    EXPECT_EQ(durable, 2u);
+    EXPECT_EQ(pm.readU64(a), 2u);
 }
 
 namespace
@@ -437,14 +438,21 @@ TEST(PersistentMemory, PersistPayloadsRoundTripAtEverySize)
             << data[i].size() << "-byte persist";
     }
 
-    // snapshot/restore carries the queue (copies of every payload).
-    auto snap = pm.snapshot();
-    PersistentMemory other(1 << 16);
-    other.restore(snap);
-    ASSERT_EQ(other.inFlightCount(), data.size());
-    for (std::size_t i = 0; i < data.size(); ++i)
-        EXPECT_TRUE(other.pendingEntry(i).bytes ==
-                    pm.pendingEntry(i).bytes);
+    // snapshot/restore carries the queue (copies of every payload)
+    // back after a crash that lost all of it.
+    const auto snap = pm.snapshot();
+    pm.crash(0);
+    ASSERT_EQ(pm.inFlightCount(), 0u);
+    pm.restore(snap);
+    ASSERT_EQ(pm.inFlightCount(), data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        const auto &p = pm.pendingEntry(i);
+        ASSERT_EQ(p.bytes.size(), data[i].size());
+        EXPECT_EQ(std::memcmp(p.bytes.data(), data[i].data(),
+                              data[i].size()),
+                  0)
+            << data[i].size() << "-byte persist after restore";
+    }
 
     // crash(k): exactly the first k payloads reach the media.
     for (std::size_t k = 0; k <= data.size(); ++k) {
@@ -479,14 +487,17 @@ TEST(PersistentMemory, JournaledRewindAndRebootMatchFullCopies)
     // the journal; `ref` never snapshots, so it never journals and
     // every reboot is a whole-image copy. Both take the same random
     // steps; they must never differ in any byte of state, and every
-    // rewind of `pm` must land exactly on `base`. The seeds cycle
+    // rewind of `pm` must land exactly on `base`. Some rounds start
+    // by stepping away from `base` and snapshotting again, so the
+    // journal restarts there and must capture fresh first-touch
+    // pre-images for the rest of the round. The seeds cycle
     // through three kinds of snapshot: images equal with nothing in
     // flight, images unequal (reboots must not take the journal's
     // shortcut), and images equal with persists still in flight
     // (their blocks are not journaled until they land). Sparse
     // snapshots live across rounds, so restoreBlocks() also brings
     // back blocks changed before the journal started.
-    int convergedInFlight = 0, diverged = 0;
+    int convergedInFlight = 0, diverged = 0, rebases = 0;
     for (std::uint64_t seed = 1; seed <= 30; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
         RandomOps ops(seed);
@@ -507,11 +518,19 @@ TEST(PersistentMemory, JournaledRewindAndRebootMatchFullCopies)
         const bool agree = pm.imagesAgree();
         convergedInFlight += agree && pm.inFlightCount() > 0;
         diverged += !agree;
-        const PersistentMemory base = pm;
-        const auto snap = pm.snapshot();
+        PersistentMemory base = ref;
+        auto snap = pm.snapshot();
         for (int round = 0; round < 8; ++round) {
             if (round > 0)
                 ref = base;
+            if (round % 3 == 2) {
+                for (int i = 0; i < 10; ++i)
+                    ops.step({&pm, &ref});
+                expectSameState(pm, ref);
+                base = ref;
+                snap = pm.snapshot();
+                ++rebases;
+            }
             for (int i = 0; i < 30; ++i) {
                 ops.step({&pm, &ref});
                 expectSameState(pm, ref);
@@ -546,4 +565,5 @@ TEST(PersistentMemory, JournaledRewindAndRebootMatchFullCopies)
     }
     EXPECT_GT(convergedInFlight, 0);
     EXPECT_GT(diverged, 0);
+    EXPECT_GT(rebases, 0);
 }

@@ -84,9 +84,29 @@ loadEnvelope(const char *prog, const std::string &path)
     return doc;
 }
 
-/** Pull the (label, series, profile) runs out of one envelope. */
+/** Exit 1: `path` parsed as JSON, but `what` has the wrong shape. */
+[[noreturn]] void
+shapeExit(const char *prog, const std::string &path,
+          const std::string &what)
+{
+    std::fprintf(stderr, "%s: %s: %s\n", prog, path.c_str(),
+                 what.c_str());
+    std::exit(1);
+}
+
+bool
+isArray(const Json *j)
+{
+    return j && j->type() == Json::Type::Array;
+}
+
+/**
+ * Pull the (label, series, profile) runs out of one envelope. Every
+ * array the renderers index is checked to be one here, so a
+ * well-formed document of the wrong shape exits 1 with a diagnostic.
+ */
 std::vector<Run>
-extractRuns(const Json &doc)
+extractRuns(const char *prog, const std::string &path, const Json &doc)
 {
     std::vector<Run> runs;
     auto addRun = [&](const std::string &label, const Json &row) {
@@ -98,6 +118,12 @@ extractRuns(const Json &doc)
         r.label = label;
         r.row = &row;
         r.profile = profile;
+        if (profile) {
+            const Json *sites = profile->find("sites");
+            if (sites && !isArray(sites))
+                shapeExit(prog, path,
+                          label + ": profile sites is not an array");
+        }
         if (metrics) {
             // Service rows nest the merged series under "total";
             // sweep points carry a bare {columns, rows} series.
@@ -107,11 +133,29 @@ extractRuns(const Json &doc)
             if (const Json *iv = metrics->find("interval_us"))
                 r.intervalUs = iv->number();
         }
+        if (r.series) {
+            const Json *cols = r.series->find("columns");
+            const Json *rows = r.series->find("rows");
+            if ((cols && !isArray(cols)) || (rows && !isArray(rows)))
+                shapeExit(prog, path,
+                          label + ": series columns and rows must be "
+                                  "arrays");
+            for (std::size_t i = 0; rows && i < rows->size(); ++i)
+                if (!isArray(&rows->at(i)) || rows->at(i).size() == 0)
+                    shapeExit(prog, path,
+                              label + ": series row " + std::to_string(i) +
+                                  " is not a non-empty array");
+        }
         runs.push_back(r);
     };
 
     if (const Json *tables = doc.find("tables")) {
+        if (tables->type() != Json::Type::Object)
+            shapeExit(prog, path, "\"tables\" is not an object");
         for (const auto &[name, rows] : tables->members()) {
+            if (!isArray(&rows))
+                shapeExit(prog, path,
+                          "table \"" + name + "\" is not an array");
             for (std::size_t i = 0; i < rows.size(); ++i) {
                 const Json &row = rows.at(i);
                 const Json *design = row.find("design");
@@ -123,6 +167,8 @@ extractRuns(const Json &doc)
         }
     }
     if (const Json *points = doc.find("points")) {
+        if (!isArray(points))
+            shapeExit(prog, path, "\"points\" is not an array");
         for (std::size_t i = 0; i < points->size(); ++i) {
             const Json &p = points->at(i);
             const Json *id = p.find("id");
@@ -343,7 +389,7 @@ main(int argc, char **argv)
         usageExit(argv[0], 0);
 
     const Json doc = loadEnvelope(argv[0], arg1);
-    const std::vector<Run> runs = extractRuns(doc);
+    const std::vector<Run> runs = extractRuns(argv[0], arg1, doc);
     if (runs.empty()) {
         std::fprintf(stderr,
                      "%s: %s has no metrics/profile sections (run "
@@ -363,7 +409,8 @@ main(int argc, char **argv)
     }
 
     const Json baseDoc = loadEnvelope(argv[0], argv[2]);
-    const std::vector<Run> baseRuns = extractRuns(baseDoc);
+    const std::vector<Run> baseRuns =
+        extractRuns(argv[0], argv[2], baseDoc);
     std::printf("# pm_top diff: %s vs %s\n\n", argv[1], argv[2]);
     bool any = false;
     for (const Run &r : runs) {
