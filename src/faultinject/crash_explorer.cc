@@ -41,7 +41,7 @@ constexpr unsigned maxTornSubsets = 12;
 
 /**
  * Never fires; records what the reference (uninterrupted) execution
- * persists. Reorder mode needs two things from that run:
+ * persists. Reorder and torn modes need two things from that run:
  *
  *  - the full tagged persist stream (addr, bytes, ordering tag),
  *    copied off the in-flight queue as each write is observed. A
@@ -50,13 +50,15 @@ constexpr unsigned maxTornSubsets = 12;
  *    so stream entries [k, k+depth) are exactly the speculation
  *    window a cut at prefix k interrupted -- including the entries
  *    the armed trial never got to issue because its plan fired the
- *    moment write k+1 was queued;
+ *    moment write k+1 was queued. Entry k is also the frontier the
+ *    armed trial captures, which checks that determinism;
  *  - the dirty-block set: the only blocks any trial state of this
  *    operation can differ in (recovery writes only the logged data
- *    blocks and the log region, all touched here). The reorder
- *    path's crash snapshot, rewind and digest cover exactly these
- *    blocks; the PM's block-touch journal checks the claim after
- *    every crash point.
+ *    blocks and the log region, all touched here). The crash
+ *    snapshot that reorder states and torn frontiers rewind to, and
+ *    the reorder digest, cover exactly these blocks; the PM's
+ *    block-touch journal checks the claim after every crash point
+ *    and every torn trial.
  */
 class RecordingPlan : public FaultPlan
 {
@@ -90,6 +92,17 @@ class RecordingPlan : public FaultPlan
     std::set<Addr> &blocks;
 };
 
+/** Same persist apart from its store-order id: the trials' pre-arm
+ *  recovery queues persists the reference run did not, which shifts
+ *  every later id. */
+bool
+samePersist(const runtime::PersistentMemory::Pending &a,
+            const runtime::PersistentMemory::Pending &b)
+{
+    return a.addr == b.addr && a.bytes == b.bytes &&
+           a.ordered == b.ordered;
+}
+
 /**
  * One workload's exploration machinery: the PM arena, runtime and
  * injector, plus the result every operation's trials count into.
@@ -116,8 +129,12 @@ class OpExplorer
     void exploreOp(std::size_t op);
 
   private:
+    /** Count a violation at (op, k). `trial` and `mask` name the
+     *  reorder or torn state it was found in ("reorder"/"torn"); the
+     *  message is built only here, so passing trials format nothing. */
     void
-    fail(std::size_t op, std::size_t k, const char *what)
+    fail(std::size_t op, std::size_t k, const char *what,
+         const char *trial = nullptr, std::uint64_t mask = 0)
     {
         ++res.failures;
         // Cap the stored messages: a pathological workload can fail
@@ -128,9 +145,13 @@ class OpExplorer
             ++res.messagesSuppressed;
             return;
         }
-        res.messages.push_back(std::string(wl.name()) + ": op " +
-                               std::to_string(op) + ", crash prefix " +
-                               std::to_string(k) + ": " + what);
+        std::string msg = std::string(wl.name()) + ": op " +
+                          std::to_string(op) + ", crash prefix " +
+                          std::to_string(k) + ": " + what;
+        if (trial)
+            msg += std::string(" (") + trial + " mask=" + hexMask(mask) +
+                   ")";
+        res.messages.push_back(std::move(msg));
     }
 
     CrashWorkload &wl;
@@ -158,15 +179,17 @@ OpExplorer::exploreOp(std::size_t op)
     // the new state -- the "all" of all-or-nothing -- and the
     // oracle must recognise it. Run the op once uninterrupted to
     // learn what that state looks like (kept as the blocks where it
-    // differs from `pre`), then rewind. In reorder mode the same
-    // run also records the operation's dirty-block set: recovery
-    // only ever writes the logged data blocks and the log region,
-    // both of which this run touches, so every trial state of this
-    // op should agree with `pre` outside it.
+    // differs from `pre`), then rewind. In reorder and torn modes the
+    // same run also records the operation's persist stream and
+    // dirty-block set: recovery only ever writes the logged data
+    // blocks and the log region, both of which this run touches, so
+    // every trial state of this op should agree with `pre` outside
+    // it.
+    const bool recorded = opts.reorderings || opts.tornWrites;
     std::set<Addr> dirtySet;
     std::vector<runtime::PersistentMemory::Pending> refStream;
     inj.clearPlans();
-    if (opts.reorderings)
+    if (recorded)
         inj.addPlan(std::make_unique<RecordingPlan>(pm, refStream,
                                                     dirtySet));
     rt.runFase(0,
@@ -196,12 +219,31 @@ OpExplorer::exploreOp(std::size_t op)
         return pm.durableMatches(pre, post);
     };
 
-    // The reorder path trusts the dirty set to cover every block a
-    // trial touches; the journal says whether it did.
-    auto touchedOutsideDirty = [&] {
+    // Recovery of a crash state; false when it refused with an
+    // explicit corruption report (counted here, judged by the
+    // caller).
+    auto recovered = [&] {
+        try {
+            rt.recoverAll();
+            return true;
+        } catch (const runtime::UnrecoverableCorruption &) {
+            ++res.corruptionReported;
+            return false;
+        }
+    };
+
+    // Rewinding to the crash snapshot is exact only if every block a
+    // trial touched is in the dirty set; the journal says whether it
+    // was.
+    auto touchedOutsideDirty = [&](std::size_t k) {
         for (Addr b : pm.touchedBlocks()) {
-            if (!std::binary_search(dirty.begin(), dirty.end(), b))
+            if (!std::binary_search(dirty.begin(), dirty.end(), b)) {
+                fail(op, k,
+                     "trial touched a block outside the reference "
+                     "run's dirty set (rewinds to the crash image "
+                     "would be inexact)");
                 return true;
+            }
         }
         return false;
     };
@@ -235,12 +277,13 @@ OpExplorer::exploreOp(std::size_t op)
         // resynchronises the undo logs' volatile cursors with the
         // restored durable image; its writes drain before the
         // plan is armed so the plan's persist count matches the
-        // (empty) in-flight queue.
+        // (empty) in-flight queue. The plan captures the frontier
+        // persist it cuts, which the torn trials tear.
         pm.restore(pre);
         rt.recoverAll();
         pm.persistAll();
         inj.clearPlans();
-        inj.addPlan(std::make_unique<PowerCutPlan>(k));
+        inj.addPlan(std::make_unique<PowerCutPlan>(k, 1));
 
         bool crashed = false;
         std::size_t frontier_words = 0;
@@ -256,188 +299,164 @@ OpExplorer::exploreOp(std::size_t op)
         // Disarm before recovery: the plan must not count (or
         // crash on) recovery's own persist stream.
         inj.clearPlans();
+        if (!crashed)
+            continue;
 
-        if (crashed) {
-            ++res.crashPoints;
-            // Reorder mode: the speculation window a cut at
-            // prefix k interrupted -- reference-stream entries
-            // [k, k+depth) -- and the post-crash (pre-recovery)
-            // image, taken before the prefix trial's recovery
-            // mutates the state.
-            std::vector<runtime::PersistentMemory::Pending> window;
-            runtime::PersistentMemory::BlockSnapshot crashSnap;
-            if (opts.reorderings && k < refStream.size()) {
-                const std::size_t end = std::min<std::size_t>(
-                    k + windowDepth, refStream.size());
-                window.assign(refStream.begin() + k,
-                              refStream.begin() + end);
-                crashSnap = pm.snapshotBlocks(dirty);
-            }
-            try {
-                rt.recoverAll();
-            } catch (const runtime::UnrecoverableCorruption &) {
-                // A clean prefix contains no corruption by
-                // construction; refusing to recover it is a
-                // fail-safe false positive.
-                ++res.corruptionReported;
-                fail(op, k, "clean-prefix crash reported "
-                            "unrecoverable corruption");
-                continue;
-            }
-            if (!wl.checkInvariants())
-                fail(op, k,
-                     "invariants violated after recovery");
-            if (!wl.matchesModel() && !committedDurably())
-                fail(op, k,
-                     "recovered state is neither the pre- "
-                     "nor the post-operation state "
-                     "(atomicity)");
-            if (!converged())
-                fail(op, k,
-                     "volatile/persisted images diverge "
-                     "after recovery");
+        ++res.crashPoints;
+        // The post-crash (pre-recovery) image over the dirty blocks,
+        // taken before the prefix trial's recovery mutates the
+        // state: every reorder state and torn frontier of this crash
+        // point is built on top of it.
+        runtime::PersistentMemory::BlockSnapshot crashSnap;
+        if (recorded)
+            crashSnap = pm.snapshotBlocks(dirty);
+        // The frontier (persist k, the first one lost) must be the
+        // reference run's entry k, or neither the reorder window nor
+        // the torn frontier describes this crash.
+        const auto &captured = inj.capturedWindow();
+        const bool frontierMatches =
+            !captured.empty() && k < refStream.size() &&
+            samePersist(captured.front(), refStream[k]);
+        if (recorded && !frontierMatches)
+            fail(op, k,
+                 "crash frontier differs from the reference run's "
+                 "persist at the same prefix (non-deterministic "
+                 "operation?)");
 
-            if (!window.empty()) {
-                ReorderHooks hooks;
-                hooks.rewind = [&] { pm.restoreBlocks(crashSnap); };
-                hooks.isNoop =
-                    [&](const runtime::PersistentMemory::Pending &p) {
-                        return std::memcmp(pm.persistedImage() +
-                                               p.addr,
-                                           p.bytes.data(),
-                                           p.bytes.size()) == 0;
-                    };
-                hooks.apply =
-                    [&](const runtime::PersistentMemory::Pending &p) {
-                        pm.overlayDurable(p.addr, p.bytes.data(),
-                                          p.bytes.size());
-                    };
-                hooks.digest = digestDirty;
-                hooks.check = [&](std::uint64_t mask,
-                                  std::size_t applied) {
-                    (void)applied;
-                    const std::string ctx =
-                        " (reorder mask=" + hexMask(mask) + ")";
-                    try {
-                        rt.recoverAll();
-                    } catch (const runtime::
-                                 UnrecoverableCorruption &) {
-                        // The media is clean here: a reordered
-                        // window is exactly what the barrier
-                        // discipline must tolerate, so refusing
-                        // it means the structure published a
-                        // validity marker its persists did not
-                        // back -- the WAW-inversion bug class.
-                        ++res.corruptionReported;
-                        fail(op, k,
-                             ("in-window persist reordering "
-                              "reported unrecoverable corruption" +
-                              ctx)
-                                 .c_str());
-                        return;
-                    }
-                    if (!wl.checkInvariants())
-                        fail(op, k,
-                             ("invariants violated after "
-                              "reordered-crash recovery" + ctx)
-                                 .c_str());
-                    if (!wl.matchesModel() && !committedDurably())
-                        fail(op, k,
-                             ("recovered state is neither the "
-                              "pre- nor the post-operation state "
-                              "(atomicity under persist "
-                              "reordering)" + ctx)
-                                 .c_str());
-                    if (!converged())
-                        fail(op, k,
-                             ("volatile/persisted images diverge "
-                              "after reordered-crash recovery" +
-                              ctx)
-                                 .c_str());
+        if (!recovered()) {
+            // A clean prefix contains no corruption by
+            // construction; refusing to recover it is a
+            // fail-safe false positive.
+            fail(op, k, "clean-prefix crash reported "
+                        "unrecoverable corruption");
+            continue;
+        }
+        if (!wl.checkInvariants())
+            fail(op, k, "invariants violated after recovery");
+        if (!wl.matchesModel() && !committedDurably())
+            fail(op, k,
+                 "recovered state is neither the pre- "
+                 "nor the post-operation state "
+                 "(atomicity)");
+        if (!converged())
+            fail(op, k,
+                 "volatile/persisted images diverge "
+                 "after recovery");
+
+        // Reorder mode: the speculation window a cut at prefix k
+        // interrupted -- reference-stream entries [k, k+depth).
+        if (opts.reorderings && k < refStream.size()) {
+            const std::size_t end =
+                std::min<std::size_t>(k + windowDepth, refStream.size());
+            const std::vector<runtime::PersistentMemory::Pending> window(
+                refStream.begin() + k, refStream.begin() + end);
+            ReorderHooks hooks;
+            hooks.rewind = [&] { pm.restoreBlocks(crashSnap); };
+            hooks.isNoop =
+                [&](const runtime::PersistentMemory::Pending &p) {
+                    return std::memcmp(pm.persistedImage() + p.addr,
+                                       p.bytes.data(),
+                                       p.bytes.size()) == 0;
                 };
-                const ReorderCounts rc = exploreReorderWindow(
-                    window, rcfg, hooks, seenDigests);
-                res.reorderWindows += rc.windows;
-                res.naiveStates += rc.naiveStates;
-                res.reorderStatesExplored += rc.statesExplored;
-                res.reorderStatesDeduped += rc.statesDeduped;
-                res.elidedPersists += rc.elidedPersists;
-                res.orderingsCollapsed += rc.orderingsCollapsed;
-                // Leave a clean slate for the next k: the last
-                // explored state's recovery is still in the
-                // images.
-                pm.restoreBlocks(crashSnap);
-            }
-            if (opts.reorderings && touchedOutsideDirty())
-                fail(op, k,
-                     "trial touched a block outside the reference "
-                     "run's dirty set (reorder rewind and digest "
-                     "would be inexact)");
-
-            if (!opts.tornWrites || frontier_words < 2)
-                continue;
-
-            // Torn-frontier trials: same crash point k, but a
-            // word subset of persist k+1 lands too. The oracle
-            // is no-silent-corruption: either recovery restores
-            // the pre-operation state, or it refuses with an
-            // explicit report. Under this repo's checksummed
-            // undo log every torn frontier is detected and
-            // discarded, so recovery is expected to succeed.
-            for (std::uint64_t mask :
-                 subsetMasks(frontier_words, maxTornSubsets,
-                             opts.enumSeed, tornExhaustiveBits)) {
-                pm.restore(pre);
-                rt.recoverAll();
-                pm.persistAll();
-                inj.clearPlans();
-                inj.addPlan(
-                    std::make_unique<TornWritePlan>(k, mask));
-
-                bool cut = false;
-                try {
-                    rt.runFase(0, [&](runtime::Transaction &tx) {
-                        wl.runOp(tx, op);
-                    });
-                } catch (const PowerFailure &) {
-                    cut = true;
-                }
-                inj.clearPlans();
-                if (!cut) {
+            hooks.apply =
+                [&](const runtime::PersistentMemory::Pending &p) {
+                    pm.overlayDurable(p.addr, p.bytes.data(),
+                                      p.bytes.size());
+                };
+            hooks.digest = digestDirty;
+            hooks.check = [&](std::uint64_t mask, std::size_t applied) {
+                (void)applied;
+                if (!recovered()) {
+                    // The media is clean here: a reordered window is
+                    // exactly what the barrier discipline must
+                    // tolerate, so refusing it means the structure
+                    // published a validity marker its persists did
+                    // not back -- the WAW-inversion bug class.
                     fail(op, k,
-                         ("torn plan (mask=" + hexMask(mask) +
-                          ") did not fire on a re-run that "
-                          "crashed before")
-                             .c_str());
-                    continue;
+                         "in-window persist reordering reported "
+                         "unrecoverable corruption",
+                         "reorder", mask);
+                    return;
                 }
-                ++res.tornTrials;
-
-                try {
-                    rt.recoverAll();
-                } catch (const runtime::UnrecoverableCorruption &) {
-                    // Explicit refusal: the no-silent-corruption
-                    // oracle is satisfied; nothing was replayed.
-                    ++res.corruptionReported;
-                    continue;
-                }
-                const std::string ctx =
-                    " (torn mask=" + hexMask(mask) + ")";
                 if (!wl.checkInvariants())
                     fail(op, k,
-                         ("invariants violated after torn-write "
-                          "recovery" + ctx).c_str());
+                         "invariants violated after reordered-crash "
+                         "recovery",
+                         "reorder", mask);
                 if (!wl.matchesModel() && !committedDurably())
                     fail(op, k,
-                         ("silent corruption: torn-write recovery "
-                          "returned success but the state is "
-                          "neither the pre- nor the post-operation "
-                          "state" + ctx).c_str());
+                         "recovered state is neither the pre- nor the "
+                         "post-operation state (atomicity under "
+                         "persist reordering)",
+                         "reorder", mask);
                 if (!converged())
                     fail(op, k,
-                         ("volatile/persisted images diverge after "
-                          "torn-write recovery" + ctx).c_str());
+                         "volatile/persisted images diverge after "
+                         "reordered-crash recovery",
+                         "reorder", mask);
+            };
+            const ReorderCounts rc =
+                exploreReorderWindow(window, rcfg, hooks, seenDigests);
+            res.reorderWindows += rc.windows;
+            res.naiveStates += rc.naiveStates;
+            res.reorderStatesExplored += rc.statesExplored;
+            res.reorderStatesDeduped += rc.statesDeduped;
+            res.elidedPersists += rc.elidedPersists;
+            res.orderingsCollapsed += rc.orderingsCollapsed;
+            // Leave a clean slate for the next k: the last
+            // explored state's recovery is still in the images.
+            pm.restoreBlocks(crashSnap);
+        }
+        if (recorded && touchedOutsideDirty(k))
+            continue;
+
+        if (!opts.tornWrites || frontier_words < 2 || !frontierMatches)
+            continue;
+
+        // Torn-frontier trials: same crash point k, but a word
+        // subset of persist k+1 lands too. Re-executing the
+        // operation with a torn cut at k would stop at the same
+        // write and leave crashTorn(k, mask): the crash(k) image in
+        // crashSnap plus the masked words of the frontier just
+        // checked against the reference stream. So each mask is
+        // built from those two instead.
+        //
+        // The oracle is no-silent-corruption: either recovery
+        // restores the pre-operation state, or it refuses with an
+        // explicit report. Under this repo's checksummed undo log
+        // every torn frontier is detected and discarded, so
+        // recovery is expected to succeed.
+        const runtime::PersistentMemory::Pending &frontier =
+            captured.front();
+        for (std::uint64_t mask :
+             subsetMasks(frontier_words, maxTornSubsets, opts.enumSeed,
+                         tornExhaustiveBits)) {
+            pm.restoreBlocks(crashSnap);
+            pm.overlayTorn(frontier, mask);
+            ++res.tornTrials;
+
+            // An explicit refusal satisfies the
+            // no-silent-corruption oracle: nothing was replayed.
+            if (recovered()) {
+                if (!wl.checkInvariants())
+                    fail(op, k,
+                         "invariants violated after torn-write "
+                         "recovery",
+                         "torn", mask);
+                if (!wl.matchesModel() && !committedDurably())
+                    fail(op, k,
+                         "silent corruption: torn-write recovery "
+                         "returned success but the state is neither "
+                         "the pre- nor the post-operation state",
+                         "torn", mask);
+                if (!converged())
+                    fail(op, k,
+                         "volatile/persisted images diverge after "
+                         "torn-write recovery",
+                         "torn", mask);
             }
+            if (touchedOutsideDirty(k))
+                break;
         }
     }
 

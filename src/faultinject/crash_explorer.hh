@@ -28,7 +28,20 @@
  * tornWrites adds word-subset frontiers (media tearing), and
  * reorderings adds the speculation window's order-consistent persist
  * subsets (see reorder_explorer.hh) -- the crash states where
- * WAW-inversion bugs hide, which no prefix can produce.
+ * WAW-inversion bugs hide, which no prefix can produce. Neither
+ * re-runs the operation: an uninterrupted reference run records the
+ * persist stream and the blocks it dirties, and each crash point's
+ * prefix trial keeps a sparse snapshot of its post-crash image.
+ * Reorder states lay window persists over that image; torn states
+ * lay the chosen words of the frontier persist the power cut
+ * captured over it (PersistentMemory::overlayTorn). Because the
+ * operation is deterministic, that frontier is the reference run's
+ * persist k, and the image is crash(k); crashTorn(k, mask) is by
+ * definition crash(k) plus those words, so the built state is the
+ * one a re-executed torn cut would leave. The explorer checks both
+ * premises: the captured frontier against the reference stream, and
+ * the PM's block-touch journal against the dirty set after every
+ * crash point and torn trial.
  */
 
 #ifndef PMEMSPEC_FAULTINJECT_CRASH_EXPLORER_HH
@@ -158,9 +171,12 @@ struct ExploreOptions
 {
     /**
      * Torn-write mode: for every crash point whose frontier persist
-     * spans more than one 8-byte word, additionally re-run the
-     * operation with a TornWritePlan for a set of word subsets of
-     * that frontier made durable. The oracle weakens from
+     * spans more than one 8-byte word, additionally check a set of
+     * word subsets of that frontier made durable. Each state is the
+     * prefix trial's crash(k) image plus the subset's words of the
+     * captured frontier -- the state a TornWritePlan(k, mask) re-run
+     * leaves, built without re-executing the operation (see the file
+     * comment for why the two match). The oracle weakens from
      * "recovered state == pre-operation state" to *no silent
      * corruption*: recovery must either reproduce the pre-operation
      * state or refuse with an explicit UnrecoverableCorruption

@@ -259,7 +259,9 @@ class PowerCutPlan : public FaultPlan
  * arm on an empty persist queue); the crash itself goes through
  * PersistentMemory::crashTorn, so 8-byte atomicity is preserved but
  * multi-word entries land partially. The torn-write explorer mode
- * enumerates masks over the frontier of every crash point.
+ * builds the same states without re-running the operation (see
+ * crash_explorer.hh); this plan is the re-executed reference its
+ * equivalence test compares against.
  */
 class TornWritePlan : public FaultPlan
 {

@@ -450,37 +450,36 @@ void
 PersistentMemory::crashTorn(std::size_t keep_prefix,
                             std::uint64_t frontier_word_mask)
 {
-    std::size_t applied = 0;
-    for (const Pending &p : inFlight) {
-        if (applied >= keep_prefix)
+    if (keep_prefix >= inFlight.size()) {
+        crash(keep_prefix);
+        return;
+    }
+    // crash() applies entries before keep_prefix only, so the frontier
+    // can be taken off the queue first.
+    const Pending frontier = std::move(inFlight[keep_prefix]);
+    crash(keep_prefix);
+    overlayTorn(frontier, frontier_word_mask);
+}
+
+void
+PersistentMemory::overlayTorn(const Pending &p, std::uint64_t word_mask)
+{
+    // Word i is the i-th 8-byte-aligned word the persist overlaps; the
+    // copied span is the intersection of that word with the persist's
+    // byte range (the device never writes bytes the store did not
+    // supply).
+    const Addr end = p.addr + p.bytes.size();
+    const Addr first = wordAlign(p.addr);
+    for (std::size_t i = 0; i < 64; ++i) {
+        const Addr w = first + i * wordBytes;
+        if (w >= end)
             break;
-        applyPending(p);
-        ++applied;
+        if (!(word_mask & (std::uint64_t{1} << i)))
+            continue;
+        const Addr lo = w > p.addr ? w : p.addr;
+        const Addr hi = w + wordBytes < end ? w + wordBytes : end;
+        overlayDurable(lo, p.bytes.data() + (lo - p.addr), hi - lo);
     }
-    if (keep_prefix < inFlight.size()) {
-        // The frontier persist: only the selected machine words reach
-        // the media. Word i is the i-th 8-byte-aligned word the
-        // persist overlaps; the copied span is the intersection of
-        // that word with the persist's byte range (the device never
-        // writes bytes the store did not supply).
-        const Pending &p = inFlight[keep_prefix];
-        const Addr end = p.addr + p.bytes.size();
-        const Addr first = wordAlign(p.addr);
-        for (std::size_t i = 0; i < 64; ++i) {
-            const Addr w = first + i * wordBytes;
-            if (w >= end)
-                break;
-            if (!(frontier_word_mask & (std::uint64_t{1} << i)))
-                continue;
-            const Addr lo = w > p.addr ? w : p.addr;
-            const Addr hi = w + wordBytes < end ? w + wordBytes : end;
-            touch(lo, hi - lo);
-            std::memcpy(persistedImg.data() + lo,
-                        p.bytes.data() + (lo - p.addr), hi - lo);
-        }
-    }
-    inFlight.clear();
-    reboot();
 }
 
 void

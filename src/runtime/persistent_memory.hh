@@ -22,7 +22,8 @@
  *  - crashTorn(k, mask) keeps the first k persists and then makes an
  *    arbitrary *subset of the 8-byte words* of persist k+1 durable --
  *    the device guarantees 8-byte atomicity but nothing wider, so a
- *    multi-word store caught by the outage can tear;
+ *    multi-word store caught by the outage can tear (overlayTorn()
+ *    lays the same words over an existing crash(k) image);
  *  - corruptWord() flips bits directly in the durable image beneath
  *    the persist queue (media bit rot / a misdirected write);
  *  - poisonWord() marks a word uncorrectable: any read overlapping it
@@ -312,6 +313,16 @@ class PersistentMemory
     void overlayDurable(Addr a, const void *src, std::size_t n);
 
     /**
+     * overlayDurable() of only the 8-byte words of persist `p`
+     * selected by `word_mask`, with crashTorn()'s mask meaning (bit i
+     * = the i-th word the persist overlaps; words past bit 63 are
+     * lost). crashTorn(k, mask) is crash(k) followed by this on
+     * in-flight entry k, which is how the crash explorer builds a
+     * torn frontier on top of a crash(k) image it already has.
+     */
+    void overlayTorn(const Pending &p, std::uint64_t word_mask);
+
+    /**
      * The PM state apart from the two images: the in-flight queue,
      * the poison set, the arena cursor and the store-order counter.
      * The images need no copy because the block-touch journal keeps
@@ -342,7 +353,7 @@ class PersistentMemory
      * Take a snapshot and (re)start the block-touch journal at it.
      * From here on every path that changes either image --
      * write(), writeOrdered(), persist application (persistAll(),
-     * crash(), crashTorn()), the torn-word copy, overlayDurable(),
+     * crash(), crashTorn()), overlayTorn(), overlayDurable(),
      * corruptWord() and restoreBlocks() -- journals each 64-byte
      * block before its first change, with that block's pre-image
      * from both images, so outside the journal both images still

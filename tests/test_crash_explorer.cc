@@ -8,14 +8,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "faultinject/crash_explorer.hh"
+#include "faultinject/fault_injector.hh"
+#include "faultinject/fault_plan.hh"
 #include "faultinject/pmds_workloads.hh"
+#include "runtime/virtual_os.hh"
 
 using namespace pmemspec;
 using faultinject::CrashWorkload;
 using faultinject::ExploreOptions;
+using faultinject::FaultPlan;
+using faultinject::PowerFailure;
 using faultinject::exploreCrashPoints;
 using faultinject::makeStandardWorkloads;
 using faultinject::workloadFactory;
@@ -60,6 +71,103 @@ TEST(CrashExplorer, TornWriteModePassesNoSilentCorruptionOracle)
             << res.workload
             << ": a pure torn write is always detectable from the "
                "tombstoned frontier and must not trip the fail-safe";
+    }
+}
+
+// The explorer builds each torn-frontier state from the prefix
+// trial's crash image: the post-crash blocks plus overlayTorn() of the
+// frontier persist the PowerCutPlan captured. Through the public
+// PM/runtime/injector API only, check that this is the state a
+// re-executed TornWritePlan(k, mask) run leaves, for the first op of
+// every standard workload and every (k, mask) the explorer enumerates.
+TEST(CrashExplorer, TornStateFromCrashImageMatchesReexecution)
+{
+    const std::uint64_t seed = ExploreOptions{}.enumSeed;
+    for (const auto &wl : makeStandardWorkloads()) {
+        SCOPED_TRACE(wl->name());
+        runtime::PersistentMemory pm(wl->pmBytes());
+        runtime::VirtualOs os;
+        runtime::FaseRuntime rt(pm, os, 1, runtime::RecoveryPolicy::Lazy,
+                                wl->logBytes());
+        faultinject::FaultInjector inj(pm, os);
+        wl->setup(pm, rt);
+        pm.persistAll();
+        inj.attach();
+        const std::vector<std::uint8_t> preImage(
+            pm.persistedImage(), pm.persistedImage() + pm.size());
+        const auto pre = pm.snapshot();
+
+        // Rewind to the pre-operation state and run op 0 under `plan`.
+        auto runArmed = [&](std::unique_ptr<FaultPlan> plan) {
+            pm.restore(pre);
+            rt.recoverAll();
+            pm.persistAll();
+            inj.clearPlans();
+            inj.addPlan(std::move(plan));
+            std::optional<PowerFailure> cut;
+            try {
+                rt.runFase(0, [&](Transaction &tx) { wl->runOp(tx, 0); });
+            } catch (const PowerFailure &pf) {
+                cut = pf;
+            }
+            inj.clearPlans();
+            return cut;
+        };
+
+        std::size_t compared = 0;
+        for (std::size_t k = 0;; ++k) {
+            const auto cut =
+                runArmed(std::make_unique<faultinject::PowerCutPlan>(k, 1));
+            if (!cut)
+                break;
+            if (cut->frontierWords < 2)
+                continue;
+            ASSERT_EQ(inj.capturedWindow().size(), 1u);
+            const runtime::PersistentMemory::Pending frontier =
+                inj.capturedWindow().front();
+            // Every block the trial changed since `pre` is journaled.
+            const auto crashSnap = pm.snapshotBlocks(pm.touchedBlocks());
+
+            for (std::uint64_t mask :
+                 faultinject::subsetMasks(cut->frontierWords, 12, seed, 4)) {
+                SCOPED_TRACE("k " + std::to_string(k) + " mask " +
+                             std::to_string(mask));
+                const auto torn = runArmed(
+                    std::make_unique<faultinject::TornWritePlan>(k, mask));
+                ASSERT_TRUE(torn && torn->torn);
+                const std::vector<Addr> reexecBlocks = pm.touchedBlocks();
+                std::vector<std::uint8_t> reexec;
+                for (Addr b : reexecBlocks)
+                    reexec.insert(reexec.end(), pm.persistedImage() + b,
+                                  pm.persistedImage() + b + blockBytes);
+
+                pm.restore(pre);
+                pm.restoreBlocks(crashSnap);
+                pm.overlayTorn(frontier, mask);
+                EXPECT_EQ(pm.inFlightCount(), 0u);
+                EXPECT_TRUE(pm.imagesAgree());
+                // Outside both journals both states still hold pre's
+                // bytes, so these blocks cover the whole image.
+                for (std::size_t i = 0; i < reexecBlocks.size(); ++i)
+                    EXPECT_EQ(std::memcmp(pm.persistedImage() +
+                                              reexecBlocks[i],
+                                          reexec.data() + i * blockBytes,
+                                          blockBytes),
+                              0)
+                        << "block " << reexecBlocks[i];
+                for (Addr b : pm.touchedBlocks()) {
+                    if (std::find(reexecBlocks.begin(), reexecBlocks.end(),
+                                  b) != reexecBlocks.end())
+                        continue;
+                    EXPECT_EQ(std::memcmp(pm.persistedImage() + b,
+                                          preImage.data() + b, blockBytes),
+                              0)
+                        << "block " << b;
+                }
+                ++compared;
+            }
+        }
+        EXPECT_GT(compared, 0u);
     }
 }
 

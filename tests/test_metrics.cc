@@ -17,19 +17,30 @@
  *    its StatGroup key and never runs ahead of the end-of-run stat;
  *  - Json::parse round-trips the writer's output byte-identically
  *    (pm_top's input path);
- *  - quantileRank agrees between Histogram and the service quantile.
+ *  - quantileRank agrees between Histogram and the service quantile;
+ *  - pm_top, run as a process on seeded mutants of a --metrics
+ *    envelope, renders each one or exits 1, and never aborts.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/json.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
+#include "core/sweep.hh"
 #include "observe/metrics.hh"
 #include "observe/spec_profile.hh"
 #include "persistency/lowering.hh"
@@ -385,4 +396,166 @@ TEST(QuantileRankTest, HistogramAndServiceAgreeOnTheRank)
     EXPECT_EQ(rank, 99u);
     EXPECT_EQ(res.latencyQuantile(0.99), Tick{99});
     EXPECT_NEAR(h.quantile(0.99), 99.0, 1.0);
+}
+
+namespace
+{
+
+bool
+isContainer(const Json &j)
+{
+    return j.type() == Json::Type::Array || j.type() == Json::Type::Object;
+}
+
+/** Copy of `j` with its `target`-th array or object in pre-order (0 =
+ *  `j` itself) replaced by a value of another shape; `seen` counts
+ *  the containers passed. Leaves are left alone: pm_top reads every
+ *  scalar through number()/str(), which accept any type. */
+Json
+retype(const Json &j, std::uint64_t target, std::uint64_t &seen, Rng &rng)
+{
+    if (!isContainer(j))
+        return j;
+    if (seen++ == target) {
+        switch (rng.below(6)) {
+        case 0:
+            return Json();
+        case 1:
+            return Json("x");
+        case 2:
+            return Json(-1.5);
+        case 3:
+            return Json::array();
+        case 4: {
+            Json a = Json::array();
+            a.push(Json::array());
+            return a;
+        }
+        default:
+            return Json::object();
+        }
+    }
+    if (j.type() == Json::Type::Array) {
+        Json a = Json::array();
+        for (std::size_t i = 0; i < j.size(); ++i)
+            a.push(retype(j.at(i), target, seen, rng));
+        return a;
+    }
+    Json o = Json::object();
+    for (const auto &[k, v] : j.members())
+        o.set(k, retype(v, target, seen, rng));
+    return o;
+}
+
+/** Arrays and objects in `j`, itself included. */
+std::uint64_t
+countContainers(const Json &j)
+{
+    if (!isContainer(j))
+        return 0;
+    std::uint64_t n = 1;
+    for (std::size_t i = 0; j.type() == Json::Type::Array && i < j.size();
+         ++i)
+        n += countContainers(j.at(i));
+    for (const auto &[k, v] : j.members())
+        n += countContainers(v);
+    return n;
+}
+
+/** Run pm_top on `args` with its output discarded; the raw wait
+ *  status. */
+int
+runPmTop(const std::vector<std::string> &args)
+{
+    const pid_t pid = fork();
+    if (pid == 0) {
+        const int null = open("/dev/null", O_WRONLY);
+        dup2(null, STDOUT_FILENO);
+        dup2(null, STDERR_FILENO);
+        std::vector<char *> argv{const_cast<char *>(PMEMSPEC_PM_TOP)};
+        for (const auto &a : args)
+            argv.push_back(const_cast<char *>(a.c_str()));
+        argv.push_back(nullptr);
+        execv(PMEMSPEC_PM_TOP, argv.data());
+        _exit(127);
+    }
+    int status = 0;
+    waitpid(pid, &status, 0);
+    return status;
+}
+
+} // namespace
+
+// pm_top's hostile-input contract, end to end: seeded
+// truncations, bit flips, byte overwrites and node retypings of a
+// real ycsb_service --metrics envelope, each rendered alone and
+// diffed against the clean envelope, must exit 0 or 1 -- never die
+// on a signal (an uncaught exception aborts) or any other code.
+TEST(PmTopFuzz, EveryMutantRendersOrExitsOne)
+{
+    const ServiceConfig cfg = metricsConfig();
+    Service svc(cfg);
+    core::ResultSink sink("ycsb_service");
+    sink.addRow("service", svc.run().toJson(cfg.duration));
+    const Json envelope = sink.toJson();
+    const std::string clean = envelope.dump(2);
+    const std::uint64_t containers = countContainers(envelope);
+
+    const std::string stem =
+        ::testing::TempDir() + "pm_top_fuzz_" + std::to_string(getpid());
+    const std::string cleanPath = stem + "_clean.json";
+    const std::string mutantPath = stem + "_mutant.json";
+    std::ofstream(cleanPath) << clean;
+    ASSERT_EQ(runPmTop({cleanPath}), 0) << "the clean envelope must render";
+
+    constexpr std::uint64_t seed = 2026;
+    constexpr std::size_t rounds = 300;
+    Rng rng(seed);
+    std::size_t rendered = 0, refused = 0, kinds[4] = {};
+    for (std::size_t round = 0; round < rounds; ++round) {
+        std::string bytes = clean;
+        const auto kind = rng.below(4);
+        ++kinds[kind];
+        switch (kind) {
+        case 0:
+            bytes.resize(rng.below(clean.size()));
+            break;
+        case 1:
+            for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i)
+                bytes[rng.below(bytes.size())] ^=
+                    static_cast<char>(1u << rng.below(8));
+            break;
+        case 2:
+            for (std::uint64_t i = 0, n = 1 + rng.below(4); i < n; ++i)
+                bytes[rng.below(bytes.size())] =
+                    static_cast<char>(rng.below(256));
+            break;
+        default: {
+            std::uint64_t seen = 0;
+            bytes =
+                retype(envelope, 1 + rng.below(containers - 1), seen, rng)
+                    .dump(2);
+            break;
+        }
+        }
+        std::ofstream(mutantPath, std::ios::trunc) << bytes;
+        std::vector<std::string> args{mutantPath};
+        if (round % 2)
+            args.push_back(cleanPath);
+        const int status = runPmTop(args);
+        ASSERT_TRUE(WIFEXITED(status))
+            << "round " << round << " (seed " << seed << ", kind " << kind
+            << "): pm_top died on signal " << WTERMSIG(status);
+        const int code = WEXITSTATUS(status);
+        ASSERT_TRUE(code == 0 || code == 1)
+            << "round " << round << " (seed " << seed << ", kind " << kind
+            << "): pm_top exited " << code;
+        ++(code == 0 ? rendered : refused);
+    }
+    for (std::size_t k : kinds)
+        EXPECT_GE(k, 1u);
+    EXPECT_GE(rendered, 1u);
+    EXPECT_GE(refused, 1u);
+    std::remove(cleanPath.c_str());
+    std::remove(mutantPath.c_str());
 }

@@ -398,6 +398,19 @@ TEST(ReorderExplorer, FlagsTrialWritesOutsideTheRecordedDirtySet)
     EXPECT_TRUE(flagged)
         << (res.messages.empty() ? "no messages" : res.messages.front());
 
+    // Torn mode builds its states on the same crash snapshot, so it
+    // checks the dirty set (and the crash frontier) too.
+    ExploreOptions tornOnly;
+    tornOnly.tornWrites = true;
+    ShiftingWorkload torn;
+    const auto tornRes = exploreCrashPoints(torn, tornOnly);
+    EXPECT_FALSE(tornRes.passed());
+    bool tornFlagged = false;
+    for (const auto &m : tornRes.messages)
+        tornFlagged |= m.find("outside the reference run's dirty set") !=
+                       std::string::npos;
+    EXPECT_TRUE(tornFlagged);
+
     // Prefix-only exploration never consults the dirty set.
     ShiftingWorkload prefixOnly;
     EXPECT_TRUE(exploreCrashPoints(prefixOnly).passed());

@@ -151,11 +151,12 @@ main(int argc, char **argv)
                 .count();
 
         std::printf(
-            "%-16s %s  ops=%zu crash_points=%zu windows=%llu "
-            "naive=%llu explored=%llu deduped=%llu pruned=%llu "
-            "elided=%llu reduction=%.1fx  %.0f ms\n",
+            "%-16s %s  ops=%zu crash_points=%zu torn_trials=%zu "
+            "corruption_reported=%zu windows=%llu naive=%llu "
+            "explored=%llu deduped=%llu pruned=%llu elided=%llu "
+            "reduction=%.1fx  %.0f ms\n",
             name.c_str(), res.passed() ? "PASS" : "FAIL", res.ops,
-            res.crashPoints,
+            res.crashPoints, res.tornTrials, res.corruptionReported,
             static_cast<unsigned long long>(res.reorderWindows),
             static_cast<unsigned long long>(res.naiveStates),
             static_cast<unsigned long long>(res.reorderStatesExplored),
@@ -176,6 +177,9 @@ main(int argc, char **argv)
         row.set("failures", Json(std::uint64_t{res.failures}));
         row.set("ops", Json(std::uint64_t{res.ops}));
         row.set("crash_points", Json(std::uint64_t{res.crashPoints}));
+        row.set("torn_trials", Json(std::uint64_t{res.tornTrials}));
+        row.set("corruption_reported",
+                Json(std::uint64_t{res.corruptionReported}));
         row.set("reorder_windows", Json(res.reorderWindows));
         row.set("naive_states", Json(res.naiveStates));
         row.set("states_explored", Json(res.reorderStatesExplored));
