@@ -1,11 +1,7 @@
 /**
  * @file
- * Shared helpers for the figure-reproduction benchmark binaries.
- *
- * Every binary prints the rows/series of one table or figure of the
- * paper. Absolute numbers depend on the simulated substrate; the
- * *shape* (who wins, by roughly what factor) is the reproduction
- * target (see EXPERIMENTS.md).
+ * Shared options of the bench binaries: `figures` (every table and
+ * figure of Section 8), the ablations and ycsb_service.
  *
  * The common flags (--ops, --jobs, --json, --designs, --metrics,
  * --trace...; see --help or EXPERIMENTS.md) are declared to the
@@ -18,8 +14,8 @@
 #define PMEMSPEC_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
+#include <functional>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -110,19 +106,33 @@ struct CommonOptions
 struct BenchOptions : CommonOptions
 {
     std::uint64_t ops = defaultOps;
+    /** Whether --ops was given (else ops is the fallback). */
+    bool opsGiven = false;
     /** Event tracing / flight recorder (off unless requested). */
     trace::Config trace;
 
-    /** Parse argv, exiting on --help or a usage error. */
+    /** Parse argv, exiting on --help or a usage error; @p extra
+     *  declares the binary's own flags. */
     static BenchOptions
     parse(int argc, char **argv,
-          std::uint64_t fallback_ops = defaultOps)
+          std::uint64_t fallback_ops = defaultOps,
+          const std::function<void(cli::Parser &)> &extra = {})
     {
         BenchOptions opt;
         opt.ops = fallback_ops;
         cli::Parser cli(argv[0]);
-        cli.count("--ops", opt.ops, cli::Zero::Refused,
-                  "FASEs per thread");
+        if (extra)
+            extra(cli);
+        cli.callback("--ops", "N",
+                     [&opt](const std::string &v) {
+                         opt.opsGiven = true;
+                         return cli::readCount(
+                             "--ops", v, cli::Zero::Refused,
+                             std::numeric_limits<std::uint64_t>::max(),
+                             opt.ops);
+                     },
+                     "FASEs per thread (default " +
+                         std::to_string(fallback_ops) + ")");
         opt.declare(cli);
         cli.callback("--trace", "FLAGS",
                      [&opt](const std::string &list) {
@@ -160,96 +170,6 @@ params(unsigned threads, std::uint64_t ops)
     p.opsPerThread = ops;
     p.seed = 1;
     return p;
-}
-
-/** Header: benchmark column + one column per selected design. */
-inline void
-printHeader(const char *title,
-            const std::vector<persistency::Design> &designs =
-                persistency::allDesigns())
-{
-    std::printf("# %s\n", title);
-    std::printf("%-12s", "benchmark");
-    for (auto d : designs)
-        std::printf(" %10s", persistency::designName(d).c_str());
-    std::printf("\n");
-}
-
-inline void
-printRow(const std::string &name, const core::NormalizedRow &row)
-{
-    std::printf("%-12s", name.c_str());
-    for (auto d : row.designs)
-        std::printf(" %10.3f", row.normalized.at(d));
-    std::printf("\n");
-    std::fflush(stdout);
-}
-
-inline void
-printRow(const core::NormalizedRow &row)
-{
-    printRow(workloads::benchName(row.bench), row);
-}
-
-/** Mean over every snapshot stat whose qualified name ends with
- *  `suffix` (e.g. ".occupancyDist.p99" across all persist-path
- *  lanes); `fallback` when no stat matches. */
-inline double
-meanStatSuffix(const core::ExperimentResult &res,
-               const std::string &suffix, double fallback = 0)
-{
-    double sum = 0;
-    unsigned n = 0;
-    for (const auto &sv : res.stats) {
-        if (sv.name.size() >= suffix.size() &&
-            sv.name.compare(sv.name.size() - suffix.size(),
-                            suffix.size(), suffix) == 0) {
-            sum += sv.value;
-            ++n;
-        }
-    }
-    return n ? sum / n : fallback;
-}
-
-/** Fold per-design geomeans over the rows into one synthetic row. */
-inline core::NormalizedRow
-geomeanRow(const std::vector<core::NormalizedRow> &rows)
-{
-    core::NormalizedRow gm;
-    if (rows.empty())
-        return gm;
-    gm.baseline = rows.front().baseline;
-    gm.designs = rows.front().designs;
-    for (auto d : gm.designs) {
-        std::vector<double> norm_vals, raw_vals;
-        for (const auto &r : rows) {
-            norm_vals.push_back(r.normalized.at(d));
-            raw_vals.push_back(r.throughput.at(d));
-        }
-        gm.normalized[d] = geomean(norm_vals);
-        gm.throughput[d] = geomean(raw_vals);
-    }
-    return gm;
-}
-
-inline void
-printGeomeanRow(const std::vector<core::NormalizedRow> &rows)
-{
-    printRow("GEOMEAN", geomeanRow(rows));
-}
-
-/** Append the standard normalized table (+ GEOMEAN) to the sink. */
-inline void
-sinkNormalizedTable(core::ResultSink &sink,
-                    const std::vector<core::NormalizedRow> &rows,
-                    const std::string &table = "normalized")
-{
-    for (const auto &r : rows)
-        sink.addRow(table, core::ResultSink::rowJson(
-                               workloads::benchName(r.bench), r));
-    if (!rows.empty())
-        sink.addRow(table, core::ResultSink::rowJson(
-                               "GEOMEAN", geomeanRow(rows)));
 }
 
 /** Standard run metadata + the JSON file write (if requested). */

@@ -35,20 +35,31 @@ SweepRunner::run(const std::vector<SweepPoint> &points) const
     return results;
 }
 
-std::vector<NormalizedRow>
-runNormalizedSweep(const std::vector<workloads::BenchId> &benches,
-                   const cpu::MachineConfig &machine,
-                   const workloads::WorkloadParams &params,
-                   const SweepRunner &runner,
-                   const std::vector<Design> &designs, ResultSink *sink,
-                   const std::string &id_prefix)
+namespace
 {
-    const Design baseline = Design::IntelX86;
-    std::vector<Design> to_run = designs;
-    if (std::find(to_run.begin(), to_run.end(), baseline) ==
-        to_run.end())
-        to_run.insert(to_run.begin(), baseline);
 
+/** The designs a normalized sweep runs: @p designs, with the
+ *  baseline put first when it is missing. */
+std::vector<Design>
+withBaseline(const std::vector<Design> &designs)
+{
+    std::vector<Design> to_run = designs;
+    if (std::find(to_run.begin(), to_run.end(), Design::IntelX86) ==
+        to_run.end())
+        to_run.insert(to_run.begin(), Design::IntelX86);
+    return to_run;
+}
+
+} // namespace
+
+std::vector<SweepPoint>
+normalizedPoints(const std::vector<workloads::BenchId> &benches,
+                 const cpu::MachineConfig &machine,
+                 const workloads::WorkloadParams &params,
+                 const std::vector<Design> &designs,
+                 const std::string &id_prefix)
+{
+    const std::vector<Design> to_run = withBaseline(designs);
     std::vector<SweepPoint> points;
     points.reserve(benches.size() * to_run.size());
     for (auto b : benches) {
@@ -61,25 +72,44 @@ runNormalizedSweep(const std::vector<workloads::BenchId> &benches,
             points.push_back(std::move(p));
         }
     }
+    return points;
+}
 
-    const auto results = runner.run(points);
-    if (sink)
-        sink->addPoints(results);
-
+std::vector<NormalizedRow>
+foldNormalized(const std::vector<workloads::BenchId> &benches,
+               const std::vector<Design> &designs,
+               const std::vector<SweepResult> &results, std::size_t first)
+{
+    const std::vector<Design> to_run = withBaseline(designs);
     std::vector<NormalizedRow> rows;
     rows.reserve(benches.size());
-    std::size_t idx = 0;
+    std::size_t idx = first;
     for (auto b : benches) {
         persistency::DesignTable<double> raw;
         for (Design d : to_run) {
-            const auto &r = results[idx++];
+            const auto &r = results.at(idx++);
             fatal_if(!r.ok(), "sweep point %s failed: %s",
                      r.id.c_str(), r.error.c_str());
             raw[d] = r.result.throughput;
         }
-        rows.push_back(makeNormalizedRow(b, designs, raw, baseline));
+        rows.push_back(makeNormalizedRow(b, designs, raw));
     }
     return rows;
+}
+
+std::vector<NormalizedRow>
+runNormalizedSweep(const std::vector<workloads::BenchId> &benches,
+                   const cpu::MachineConfig &machine,
+                   const workloads::WorkloadParams &params,
+                   const SweepRunner &runner,
+                   const std::vector<Design> &designs, ResultSink *sink,
+                   const std::string &id_prefix)
+{
+    const auto results = runner.run(
+        normalizedPoints(benches, machine, params, designs, id_prefix));
+    if (sink)
+        sink->addPoints(results);
+    return foldNormalized(benches, designs, results);
 }
 
 ResultSink::ResultSink(std::string figure_) : figure(std::move(figure_))

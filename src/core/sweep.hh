@@ -81,6 +81,29 @@ class SweepRunner
 };
 
 /**
+ * The points of a normalized sweep: every benchmark x design (the
+ * IntelX86 baseline first when @p designs lacks it) on @p machine,
+ * with ids "<id_prefix><bench>/<design>".
+ */
+std::vector<SweepPoint>
+normalizedPoints(const std::vector<workloads::BenchId> &benches,
+                 const cpu::MachineConfig &machine,
+                 const workloads::WorkloadParams &params,
+                 const std::vector<persistency::Design> &designs,
+                 const std::string &id_prefix = "");
+
+/**
+ * Fold the results of normalizedPoints(benches, ..., designs), which
+ * start at results[first], into one NormalizedRow per benchmark.
+ * A failed point is fatal.
+ */
+std::vector<NormalizedRow>
+foldNormalized(const std::vector<workloads::BenchId> &benches,
+               const std::vector<persistency::Design> &designs,
+               const std::vector<SweepResult> &results,
+               std::size_t first = 0);
+
+/**
  * Run benchmarks x designs through the runner and fold the raw
  * throughputs into per-benchmark NormalizedRows (the shape of every
  * figure). The baseline design is always measured; `sink`, when

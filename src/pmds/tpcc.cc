@@ -27,22 +27,45 @@ constexpr Addr offSOrderCnt = 16;
 // order line: [ol_o_id:8][ol_number:8][ol_i_id:8][ol_qty:8][ol_amt:8]
 } // namespace
 
+std::array<std::size_t, 8>
+TpccDb::tableBytes(const TpccConfig &cfg)
+{
+    const std::size_t orders = cfg.maxOrders;
+    return {rowBytes,
+            std::size_t{cfg.districts} * rowBytes,
+            std::size_t{cfg.districts} * cfg.customersPerDistrict *
+                rowBytes,
+            std::size_t{cfg.items} * rowBytes,
+            std::size_t{cfg.items} * rowBytes,
+            orders * rowBytes,
+            orders * 16 * rowBytes,
+            orders * 8};
+}
+
+std::size_t
+TpccDb::footprint(const TpccConfig &cfg)
+{
+    std::size_t bytes = 0;
+    for (std::size_t n : tableBytes(cfg))
+        bytes += n + rowBytes;
+    return bytes;
+}
+
 TpccDb::TpccDb(runtime::PersistentMemory &pm_, const TpccConfig &cfg_)
     : pm(pm_), cfg(cfg_)
 {
     fatal_if(cfg.districts == 0 || cfg.items == 0 ||
                  cfg.customersPerDistrict == 0,
              "bad TPCC config");
-    warehouse = pm.alloc(rowBytes, 64);
-    districts = pm.alloc(cfg.districts * rowBytes, 64);
-    customers =
-        pm.alloc(cfg.districts * cfg.customersPerDistrict * rowBytes, 64);
-    items = pm.alloc(cfg.items * rowBytes, 64);
-    stock = pm.alloc(cfg.items * rowBytes, 64);
-    orders = pm.alloc(std::size_t{cfg.maxOrders} * rowBytes, 64);
-    orderLines =
-        pm.alloc(std::size_t{cfg.maxOrders} * 16 * rowBytes, 64);
-    newOrders = pm.alloc(std::size_t{cfg.maxOrders} * 8, 64);
+    const auto bytes = tableBytes(cfg);
+    warehouse = pm.alloc(bytes[0], rowBytes);
+    districts = pm.alloc(bytes[1], rowBytes);
+    customers = pm.alloc(bytes[2], rowBytes);
+    items = pm.alloc(bytes[3], rowBytes);
+    stock = pm.alloc(bytes[4], rowBytes);
+    orders = pm.alloc(bytes[5], rowBytes);
+    orderLines = pm.alloc(bytes[6], rowBytes);
+    newOrders = pm.alloc(bytes[7], rowBytes);
 
     // Populate (setup phase).
     pm.writeU64(warehouse + offWTax, 7);

@@ -14,6 +14,7 @@
 #ifndef PMEMSPEC_PMDS_TPCC_HH
 #define PMEMSPEC_PMDS_TPCC_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -47,6 +48,10 @@ class TpccDb
   public:
     TpccDb(runtime::PersistentMemory &pm, const TpccConfig &cfg);
 
+    /** PM bytes the constructor allocates for @p cfg, with each
+     *  allocation's worst-case 64 B alignment padding. */
+    static std::size_t footprint(const TpccConfig &cfg);
+
     /**
      * The NEW_ORDER transaction.
      * @return the order id assigned.
@@ -74,6 +79,11 @@ class TpccDb
 
   private:
     static constexpr std::size_t rowBytes = 64;
+
+    /** Bytes of each table the constructor allocates, in its order:
+     *  warehouse, districts, customers, items, stock, orders, order
+     *  lines (16 per order) and new-order entries (8 B each). */
+    static std::array<std::size_t, 8> tableBytes(const TpccConfig &cfg);
 
     Addr districtAddr(unsigned d) const;
     Addr customerAddr(unsigned d, unsigned c) const;

@@ -71,12 +71,23 @@ namespace
 /** Shared scaffolding: PM + OS + runtime + recorder. */
 struct GenContext
 {
+    /** Undo-log bytes per thread; the logs come first in the arena,
+     *  after its 64 B null guard. */
+    static constexpr std::size_t logBytes = 1 << 16;
+
+    /** Arena bytes for the guard, the logs and @p data_bytes. */
+    static std::size_t
+    arenaBytes(unsigned num_threads, std::size_t data_bytes)
+    {
+        return 64 + num_threads * logBytes + data_bytes;
+    }
+
     GenContext(std::size_t pm_bytes, unsigned num_threads,
                std::uint64_t seed,
                runtime::LogGranularity granularity =
                    runtime::LogGranularity::Block)
         : pm(pm_bytes),
-          rt(pm, os, num_threads, RecoveryPolicy::Lazy, 1 << 16,
+          rt(pm, os, num_threads, RecoveryPolicy::Lazy, logBytes,
              granularity),
           rng(seed)
     {
@@ -325,9 +336,9 @@ genTpcc(const WorkloadParams &p)
     tc.districts = std::max(10u, p.numThreads);
     tc.maxOrders = static_cast<unsigned>(
         tc.districts * (p.opsPerThread + 64));
-    const std::size_t pm_bytes =
-        std::size_t{tc.maxOrders} * 64 * 6 + (48u << 20);
-    GenContext ctx(pm_bytes, p.numThreads, p.seed);
+    GenContext ctx(GenContext::arenaBytes(p.numThreads,
+                                          pmds::TpccDb::footprint(tc)),
+                   p.numThreads, p.seed);
     pmds::TpccDb db(ctx.pm, tc);
     ctx.startRecording(p.numThreads);
 

@@ -176,6 +176,20 @@ TEST(Workloads, MicrobenchmarksAreLockFree)
     }
 }
 
+TEST(Workloads, TpccArenaHoldsLongRuns)
+{
+    // Each new order allocates a 64 B order row, 16 order lines of
+    // 64 B and an 8 B new-order entry: 1096 B, where the arena was
+    // once sized for 384 B and ran out near 7000 orders per thread.
+    WorkloadParams p;
+    p.numThreads = 1;
+    p.opsPerThread = 8000;
+    p.seed = 1;
+    const auto traces = generateTraces(BenchId::Tpcc, p);
+    ASSERT_EQ(traces.size(), 1u);
+    EXPECT_EQ(shapeOf(traces[0]).ends, 8000u);
+}
+
 TEST(Workloads, ApplicationsUseCriticalSections)
 {
     for (BenchId b : {BenchId::Vacation, BenchId::Memcached}) {
