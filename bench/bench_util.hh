@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared options of the bench binaries: `figures` (every table and
- * figure of Section 8), the ablations and ycsb_service.
+ * figure of Section 8 and every ablation) and ycsb_service.
  *
  * The common flags (--ops, --jobs, --json, --designs, --metrics,
  * --trace...; see --help or EXPERIMENTS.md) are declared to the
@@ -102,11 +102,11 @@ struct CommonOptions
     }
 };
 
-/** Parsed common command line of every figure binary. */
+/** Parsed command line of `figures`. */
 struct BenchOptions : CommonOptions
 {
     std::uint64_t ops = defaultOps;
-    /** Whether --ops was given (else ops is the fallback). */
+    /** Whether --ops was given (else ops is defaultOps). */
     bool opsGiven = false;
     /** Event tracing / flight recorder (off unless requested). */
     trace::Config trace;
@@ -115,11 +115,9 @@ struct BenchOptions : CommonOptions
      *  declares the binary's own flags. */
     static BenchOptions
     parse(int argc, char **argv,
-          std::uint64_t fallback_ops = defaultOps,
           const std::function<void(cli::Parser &)> &extra = {})
     {
         BenchOptions opt;
-        opt.ops = fallback_ops;
         cli::Parser cli(argv[0]);
         if (extra)
             extra(cli);
@@ -132,7 +130,7 @@ struct BenchOptions : CommonOptions
                              opt.ops);
                      },
                      "FASEs per thread (default " +
-                         std::to_string(fallback_ops) + ")");
+                         std::to_string(defaultOps) + ")");
         opt.declare(cli);
         cli.callback("--trace", "FLAGS",
                      [&opt](const std::string &list) {

@@ -142,8 +142,10 @@ Manager::Manager(Config config, unsigned num_cores)
         // The uncored ring absorbs every PMC and runtime event.
         const std::size_t cap =
             (i + 1 == rings.size() && !overwrite) ? per_core * 4 : per_core;
-        rings[i].buf.resize(std::max<std::size_t>(cap, 1));
+        rings[i].cap = std::max<std::size_t>(cap, 1);
         rings[i].overwrite = overwrite;
+        if (overwrite)
+            rings[i].buf.reserve(rings[i].cap);
     }
 }
 
@@ -167,11 +169,21 @@ Manager::record(std::uint32_t flag, EventKind kind, Tick tick,
                 CoreId core, Addr addr, const Detail &d)
 {
     Ring &r = ringFor(core);
-    if (!r.overwrite && r.count == r.buf.size()) {
+    Event *slot;
+    if (r.buf.size() < r.cap) {
+        // Double as push_back would, but never past the cap.
+        if (r.buf.size() == r.buf.capacity())
+            r.buf.reserve(std::min(
+                r.cap, std::max<std::size_t>(2 * r.buf.size(), 64)));
+        slot = &r.buf.emplace_back();
+    } else if (r.overwrite) {
+        slot = &r.buf[r.head];
+        r.head = (r.head + 1) % r.cap;
+    } else {
         ++numDropped;
         return;
     }
-    Event &e = r.buf[r.head];
+    Event &e = *slot;
     e.tick = tick;
     e.seq = nextSeq++;
     e.addr = addr;
@@ -184,9 +196,6 @@ Manager::record(std::uint32_t flag, EventKind kind, Tick tick,
     e.kind = kind;
     e.stateBefore = d.stateBefore;
     e.stateAfter = d.stateAfter;
-    r.head = (r.head + 1) % r.buf.size();
-    if (r.count < r.buf.size())
-        ++r.count;
     ++numRecorded;
 }
 
@@ -196,14 +205,13 @@ Manager::snapshot() const
     std::vector<Event> out;
     std::size_t total = 0;
     for (const auto &r : rings)
-        total += r.count;
+        total += r.buf.size();
     out.reserve(total);
     for (const auto &r : rings) {
         // Oldest retained event first within each ring.
-        const std::size_t cap = r.buf.size();
-        const std::size_t first = (r.head + cap - r.count) % cap;
-        for (std::size_t i = 0; i < r.count; ++i)
-            out.push_back(r.buf[(first + i) % cap]);
+        const std::size_t n = r.buf.size();
+        for (std::size_t i = 0; i < n; ++i)
+            out.push_back(r.buf[(r.head + i) % n]);
     }
     std::sort(out.begin(), out.end(),
               [](const Event &a, const Event &b) { return a.seq < b.seq; });

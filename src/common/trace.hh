@@ -175,7 +175,9 @@ struct Config
     /** Inserted before the outPath extension (sweep point id). */
     std::string label;
     /** Per-core ring capacity in trace mode (drop-on-full). The
-     *  uncored ring gets 4x (it collects every PMC's activity). */
+     *  uncored ring gets 4x (it collects every PMC's activity). The
+     *  rings grow as events arrive, so a large cap costs nothing
+     *  until it is used. */
     std::size_t ringEntries = std::size_t{1} << 16;
     /** Per-ring capacity in flight-recorder mode (overwrite). */
     std::size_t flightEntries = 512;
@@ -246,9 +248,14 @@ class Manager
   private:
     struct Ring
     {
+        /** Retained events, grown on demand up to cap: a trace-mode
+         *  ring costs only what it records, while the small flight
+         *  rings are reserved up front. */
         std::vector<Event> buf;
-        std::size_t head = 0;  ///< next write slot
-        std::size_t count = 0; ///< valid events (<= buf.size())
+        std::size_t cap = 1;
+        /** Oldest retained event of a full ring that overwrites (0
+         *  until it wraps). */
+        std::size_t head = 0;
         bool overwrite = false;
     };
 

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the event-tracing layer: flag parsing, ring buffer
- * policies (drop-and-count in trace mode, overwrite in flight-recorder
- * mode), event formatting, the flight dump, the machine-level flight
- * recorder on a forced misspeculation trap, both exporters (Chrome
- * trace-event JSON schema keys, binary log round trip) and a seeded
- * mutation fuzz of the binary log reader.
+ * policies (drop-and-count in trace mode with rings grown on demand,
+ * overwrite in flight-recorder mode), event formatting, the flight
+ * dump, the machine-level flight recorder on a forced misspeculation
+ * trap, both exporters (Chrome trace-event JSON schema keys, binary
+ * log round trip) and a seeded mutation fuzz of the binary log reader.
  */
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdio>
 #include <fstream>
@@ -117,6 +118,28 @@ TEST(TraceRing, UncoredRingIsLargerInTraceMode)
                  i, trace::kNoCore, 0x2000, {});
     EXPECT_EQ(m.recorded(), 16u);
     EXPECT_EQ(m.dropped(), 0u);
+}
+
+TEST(TraceRing, TraceModeRingsGrowOnDemandUpToTheirCap)
+{
+    // A lossless capture asks for huge rings. Allocated up front they
+    // cost (cores + 4) x ringEntries x 48 B before a single event is
+    // recorded: about 604 MB here.
+    Config cfg;
+    cfg.flags = trace::FlagSpecBuffer;
+    cfg.ringEntries = std::size_t{1} << 20;
+    const auto heap_bytes = [] {
+        const struct mallinfo2 mi = mallinfo2();
+        return static_cast<long long>(mi.uordblks + mi.hblkhd);
+    };
+    const long long before = heap_bytes();
+    Manager m(cfg, 8);
+    EXPECT_LT(heap_bytes() - before, 1ll << 20);
+
+    // The cap still holds: the event past it is dropped and counted.
+    recordN(m, (1u << 20) + 1);
+    EXPECT_EQ(m.recorded(), 1u << 20);
+    EXPECT_EQ(m.dropped(), 1u);
 }
 
 TEST(TraceRing, FlightModeOverwritesKeepingLastN)
