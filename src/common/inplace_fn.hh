@@ -1,23 +1,21 @@
 /**
  * @file
- * A move-only callable wrapper with a large inline buffer.
+ * A move-only callable wrapper with a fixed 24-byte inline buffer,
+ * the one callable type of the timing path (src/mem, src/cpu).
  *
- * The timing layer chains latencies by passing continuations down
- * the memory hierarchy; with std::function each hand-off whose
- * captures exceed the 16-byte libstdc++ SBO costs a heap allocation,
- * and the malloc/free pair shows up directly in the simulator's host
- * profile. InplaceFn stores callables up to Cap bytes inline (the
- * hot continuations capture `this` + address + a nested continuation
- * and fit comfortably), boxing only oversized ones. Move-only on
- * purpose: continuations are consumed exactly once, and copyability
- * is what forces std::function to reject move-only captures.
+ * No continuation there captures another callback: each waits in one
+ * owner (an MSHR entry, a stalled-store slot, a waiter list or one
+ * event) and captures `this` plus at most two words. So it fits
+ * inline, and an event carrying one InplaceFn plus `this` and two
+ * words fits the event queue's 56-byte slot. A larger or over-aligned
+ * callable is boxed once. Move-only on purpose: continuations are
+ * consumed exactly once.
  */
 
 #ifndef PMEMSPEC_COMMON_INPLACE_FN_HH
 #define PMEMSPEC_COMMON_INPLACE_FN_HH
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -25,13 +23,15 @@
 namespace pmemspec
 {
 
-template <typename Sig, std::size_t Cap = 64>
+template <typename Sig>
 class InplaceFn;
 
-template <typename R, typename... Args, std::size_t Cap>
-class InplaceFn<R(Args...), Cap>
+template <typename R, typename... Args>
+class InplaceFn<R(Args...)>
 {
   public:
+    static constexpr std::size_t kInlineBytes = 24;
+
     InplaceFn() = default;
     InplaceFn(std::nullptr_t) {}
 
@@ -42,8 +42,8 @@ class InplaceFn<R(Args...), Cap>
     InplaceFn(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= Cap &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
+        if constexpr (sizeof(Fn) <= kInlineBytes &&
+                      alignof(Fn) <= alignof(void *) &&
                       std::is_nothrow_move_constructible_v<Fn>) {
             ::new (buf) Fn(std::forward<F>(f));
             ops = &inlineOps<Fn>;
@@ -135,7 +135,7 @@ class InplaceFn<R(Args...), Cap>
         [](void *p) { delete *static_cast<Fn **>(p); },
     };
 
-    alignas(std::max_align_t) unsigned char buf[Cap];
+    alignas(void *) unsigned char buf[kInlineBytes];
     const Ops *ops = nullptr;
 };
 

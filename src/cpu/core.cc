@@ -38,15 +38,9 @@ Core::setTrace(Trace t)
 }
 
 void
-Core::setSpecIdSource(std::function<SpecId()> src)
+Core::setSpecIdSource(InplaceFn<SpecId()> src)
 {
     specIdSource = std::move(src);
-}
-
-void
-Core::setDoneCallback(std::function<void(CoreId)> cb)
-{
-    doneCallback = std::move(cb);
 }
 
 void
@@ -67,18 +61,32 @@ Core::pauseUntil(Tick t)
     }
 }
 
-std::function<void()>
+auto
 Core::guardedWake()
 {
-    const std::uint64_t gen = generation;
-    return [this, gen] {
-        if (gen != generation)
-            return; // the FASE this wake belonged to was aborted
-        if (state == State::Waiting) {
-            state = State::Running;
-            requestAdvance();
-        }
+    // A wake from an aborted FASE's epoch is ignored.
+    return [this, gen = generation] {
+        if (gen == generation)
+            resume();
     };
+}
+
+void
+Core::resume()
+{
+    if (state == State::Waiting) {
+        state = State::Running;
+        requestAdvance();
+    }
+}
+
+void
+Core::finishIfQuiesced()
+{
+    if (waitingFinish && quiesced()) {
+        waitingFinish = false;
+        requestAdvance();
+    }
 }
 
 void
@@ -129,8 +137,6 @@ Core::advance()
             state = State::Idle;
             pcDone = true;
             doneTick = curTick();
-            if (doneCallback)
-                doneCallback(id);
             return;
         }
         const TraceInstr &instr = trace[pc];
@@ -219,35 +225,19 @@ Core::execute(const TraceInstr &instr)
       }
 
       case TraceOp::Dfence:
-      case TraceOp::DrainBuffer: {
+      case TraceOp::DrainBuffer:
+      case TraceOp::SpecBarrier: {
         if (barriersOutstanding > 0) {
             waitingBarrier = true;
             return false; // barriers are ordered among themselves
         }
         ++instructions;
         ++pc;
-        ++dfenceStalls;
+        ++(instr.op == TraceOp::SpecBarrier ? specBarrierStalls
+                                            : dfenceStalls);
         ++barriersOutstanding;
-        const std::uint64_t gen = generation;
-        waitDrained([this, gen] {
-            memsys.dfence(id, [this, gen] { onBarrierDone(gen); });
-        });
-        return true; // volatile work continues past the dfence
-      }
-
-      case TraceOp::SpecBarrier: {
-        if (barriersOutstanding > 0) {
-            waitingBarrier = true;
-            return false;
-        }
-        ++instructions;
-        ++pc;
-        ++specBarrierStalls;
-        ++barriersOutstanding;
-        const std::uint64_t gen = generation;
-        waitDrained([this, gen] {
-            memsys.specBarrier(id,
-                               [this, gen] { onBarrierDone(gen); });
+        waitDrained([this, gen = generation] {
+            memsys.persistBarrier(id, [this, gen] { onBarrierDone(gen); });
         });
         return true; // volatile work continues past the barrier
       }
@@ -283,10 +273,7 @@ Core::execute(const TraceInstr &instr)
             waitingLockId.reset();
             fasesLocks.push_back(lock_id);
             memsys.onLockAcquire(id, lock_id);
-            if (state == State::Waiting) {
-                state = State::Running;
-                requestAdvance();
-            }
+            resume();
         });
         return false;
       }
@@ -370,10 +357,8 @@ Core::onBarrierDone(std::uint64_t gen)
 {
     panic_if(barriersOutstanding == 0, "barrier ack underflow");
     --barriersOutstanding;
-    if (state == State::Aborting) {
-        maybeFinishAbort();
+    if (maybeFinishAbort())
         return;
-    }
     if (gen != generation)
         return;
     if (faseClosePending && barriersOutstanding == 0)
@@ -383,10 +368,7 @@ Core::onBarrierDone(std::uint64_t gen)
         if (state == State::Running)
             requestAdvance();
     }
-    if (waitingFinish && quiesced()) {
-        waitingFinish = false;
-        requestAdvance();
-    }
+    finishIfQuiesced();
 }
 
 void
@@ -394,15 +376,12 @@ Core::onLoadDone(bool dependent, std::uint64_t gen)
 {
     panic_if(outstandingLoads == 0, "load completion underflow");
     --outstandingLoads;
-    if (state == State::Aborting) {
-        maybeFinishAbort();
+    if (maybeFinishAbort())
         return;
-    }
     if (gen != generation)
         return;
     if (dependent && state == State::Waiting) {
-        state = State::Running;
-        requestAdvance();
+        resume();
         return;
     }
     if (waitingLoadSlot) {
@@ -410,10 +389,7 @@ Core::onLoadDone(bool dependent, std::uint64_t gen)
         if (state == State::Running)
             requestAdvance();
     }
-    if (waitingFinish && quiesced()) {
-        waitingFinish = false;
-        requestAdvance();
-    }
+    finishIfQuiesced();
 }
 
 void
@@ -437,15 +413,10 @@ Core::pumpSq()
         memsys.clwb(id, head.addr, [this] {
             panic_if(clwbOutstanding == 0, "clwb ack underflow");
             --clwbOutstanding;
-            if (state == State::Aborting) {
-                maybeFinishAbort();
+            if (maybeFinishAbort())
                 return;
-            }
             wakeDrainWaiters();
-            if (waitingFinish && quiesced()) {
-                waitingFinish = false;
-                requestAdvance();
-            }
+            finishIfQuiesced();
         });
         schedule(After{clock.period()}, [this] { onSqHeadDone(); });
     } else {
@@ -475,32 +446,15 @@ Core::onSqHeadDone()
             requestAdvance();
     }
     wakeDrainWaiters();
-    if (waitingFinish && quiesced()) {
-        waitingFinish = false;
-        requestAdvance();
-    }
+    finishIfQuiesced();
     pumpSq();
 }
 
 void
 Core::wakeDrainWaiters()
 {
-    if (drained() && !drainWaiters.empty()) {
-        auto w = std::move(drainWaiters);
-        drainWaiters.clear();
-        for (auto &cb : w)
-            cb();
-    }
-}
-
-void
-Core::waitDrained(InplaceFn<void()> then)
-{
-    if (drained()) {
-        then();
-        return;
-    }
-    drainWaiters.push_back(std::move(then));
+    if (drained())
+        drainWaiters.wake();
 }
 
 void
@@ -523,15 +477,14 @@ Core::abortCurrentFase(Tick penalty)
     maybeFinishAbort();
 }
 
-void
+bool
 Core::maybeFinishAbort()
 {
     if (state != State::Aborting)
-        return;
-    if (!sq.empty() || outstandingLoads != 0 || clwbOutstanding != 0 ||
-        barriersOutstanding != 0)
-        return; // still draining in-flight work
-    finishAbort();
+        return false;
+    if (quiesced())
+        finishAbort(); // else still draining in-flight work
+    return true;
 }
 
 void
@@ -553,12 +506,7 @@ Core::finishAbort()
     insideFase = false;
     faseClosePending = false;
     state = State::Waiting;
-    schedule(After{abortPenalty}, [this] {
-        if (state == State::Waiting) {
-            state = State::Running;
-            requestAdvance();
-        }
-    });
+    schedule(After{abortPenalty}, [this] { resume(); });
 }
 
 } // namespace pmemspec::cpu

@@ -28,7 +28,6 @@
 #define PMEMSPEC_CPU_CORE_HH
 
 #include <deque>
-#include <functional>
 #include <optional>
 #include <set>
 
@@ -36,6 +35,7 @@
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
+#include "common/waiter_list.hh"
 #include "cpu/lock_table.hh"
 #include "cpu/trace.hh"
 #include "mem/memory_system.hh"
@@ -72,10 +72,7 @@ class Core : public sim::SimObject
 
     /** Provide the spec-assign source (the machine's global
      *  monotonically increasing counter). */
-    void setSpecIdSource(std::function<SpecId()> src);
-
-    /** Called when the core retires its last instruction. */
-    void setDoneCallback(std::function<void(CoreId)> cb);
+    void setSpecIdSource(InplaceFn<SpecId()> src);
 
     /** Begin execution at the current tick. */
     void start();
@@ -152,7 +149,11 @@ class Core : public sim::SimObject
 
     /** Block until the SQ is empty and every issued CLWB has been
      *  acknowledged, then run `then`. */
-    void waitDrained(InplaceFn<void()> then);
+    void
+    waitDrained(Waiter then)
+    {
+        drainWaiters.runOrAdd(drained(), std::move(then));
+    }
 
     bool drained() const { return sq.empty() && clwbOutstanding == 0; }
     /** No instruction in flight anywhere. */
@@ -164,13 +165,19 @@ class Core : public sim::SimObject
     }
     void wakeDrainWaiters();
 
-    void maybeFinishAbort();
+    /** While aborting, roll back once quiesced.
+     *  @return false if the core is not aborting. */
+    bool maybeFinishAbort();
     void finishAbort();
     /** Commit the open FASE (throughput + latency accounting). */
     void closeFase();
 
-    /** A guarded wake: ignores callbacks from a pre-abort epoch. */
-    std::function<void()> guardedWake();
+    /** A wake that ignores completions from a pre-abort epoch. */
+    auto guardedWake();
+    /** Leave the Waiting state and advance. */
+    void resume();
+    /** Retire the finished trace once nothing is in flight. */
+    void finishIfQuiesced();
 
     CoreId id;
     CoreConfig cfg;
@@ -200,11 +207,10 @@ class Core : public sim::SimObject
     bool waitingBarrier = false;
     /** Trace exhausted; waiting for in-flight work before done. */
     bool waitingFinish = false;
-    std::vector<InplaceFn<void()>> drainWaiters;
+    WaiterList<> drainWaiters;
 
     std::optional<SpecId> specIdReg;
-    std::function<SpecId()> specIdSource;
-    std::function<void(CoreId)> doneCallback;
+    InplaceFn<SpecId()> specIdSource;
 
     bool insideFase = false;
     /** FaseEnd retired while the durability barrier was pending; the

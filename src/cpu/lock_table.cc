@@ -17,27 +17,19 @@ LockTable::LockTable(sim::EventQueue &eq, StatGroup *parent,
 }
 
 void
-LockTable::grant(unsigned lock_id, LockState &ls, CoreId core,
-                 std::function<void()> cb)
+LockTable::acquire(unsigned lock_id, CoreId core,
+                   InplaceFn<void()> on_acquired)
 {
-    (void)lock_id;
+    LockState &ls = locks[lock_id];
+    if (ls.locked) {
+        ++contendedAcquires;
+        ls.waiters.push_back(Waiter{core, std::move(on_acquired)});
+        return;
+    }
     ls.locked = true;
     ls.owner = core;
     ++acquires;
-    schedule(After{acquireLatency}, std::move(cb));
-}
-
-void
-LockTable::acquire(unsigned lock_id, CoreId core,
-                   std::function<void()> on_acquired)
-{
-    LockState &ls = locks[lock_id];
-    if (!ls.locked) {
-        grant(lock_id, ls, core, std::move(on_acquired));
-        return;
-    }
-    ++contendedAcquires;
-    ls.waiters.push_back(Waiter{core, std::move(on_acquired)});
+    schedule(After{acquireLatency}, std::move(on_acquired));
 }
 
 void

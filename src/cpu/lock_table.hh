@@ -15,9 +15,9 @@
 #define PMEMSPEC_CPU_LOCK_TABLE_HH
 
 #include <deque>
-#include <functional>
 #include <map>
 
+#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
@@ -39,7 +39,7 @@ class LockTable : public sim::SimObject
      * if free, or after the current holder and queued waiters.
      */
     void acquire(unsigned lock_id, CoreId core,
-                 std::function<void()> on_acquired);
+                 InplaceFn<void()> on_acquired);
 
     /** Release a held lock; the next waiter (if any) is granted. */
     void release(unsigned lock_id, CoreId core);
@@ -61,7 +61,7 @@ class LockTable : public sim::SimObject
     struct Waiter
     {
         CoreId core;
-        std::function<void()> cb;
+        InplaceFn<void()> cb;
     };
 
     struct LockState
@@ -70,9 +70,6 @@ class LockTable : public sim::SimObject
         CoreId owner = 0;
         std::deque<Waiter> waiters;
     };
-
-    void grant(unsigned lock_id, LockState &ls, CoreId core,
-               std::function<void()> cb);
 
     Tick acquireLatency;
     Tick releaseLatency;

@@ -1,5 +1,7 @@
 #include "machine.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace pmemspec::cpu
@@ -37,7 +39,6 @@ Machine::Machine(const MachineConfig &cfg_)
             // atomicity is provided by the lock the thread holds.
             return specCounter++;
         });
-        cores.back()->setDoneCallback([this](CoreId) { ++coresDone; });
     }
 
     if (cfg.design == Design::PmemSpec) {
@@ -175,9 +176,11 @@ Machine::run()
     panic_if(!drained, "event budget exhausted: deadlock or runaway "
                        "(executed %llu events)",
              static_cast<unsigned long long>(eq.executed()));
-    panic_if(coresDone != cores.size(),
-             "event queue drained but only %u/%zu cores finished "
-             "(deadlock)", coresDone, cores.size());
+    const auto finished = std::count_if(
+        cores.begin(), cores.end(), [](auto &c) { return c->done(); });
+    panic_if(std::size_t(finished) != cores.size(),
+             "event queue drained but only %zu/%zu cores finished "
+             "(deadlock)", std::size_t(finished), cores.size());
 
     RunResult r;
     r.events = eq.executed();

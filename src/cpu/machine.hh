@@ -139,7 +139,6 @@ class Machine
     runtime::VirtualOs vos;
     runtime::Pid vosPid = 0;
     SpecId specCounter = 1;
-    unsigned coresDone = 0;
     Counter misspecInterrupts;
 };
 

@@ -4,10 +4,10 @@
  *
  * The PMC tracks several small automata per cache block: write-queue
  * coalescability, media poison (with a transient-heal countdown), the
- * HOPS pending-persist count plus its read-waiter list, and the
- * Section 5.2.2 speculation-ID order check. These used to live in
- * five separate std::map<Addr, ...> instances -- five red-black trees
- * allocating a node per block and chasing pointers on every persist.
+ * HOPS pending-persist count, and the Section 5.2.2 speculation-ID
+ * order check. These used to live in separate std::map<Addr, ...>
+ * instances -- red-black trees allocating a node per block and
+ * chasing pointers on every persist.
  *
  * BlockTable replaces all of them with one open-addressing hash table
  * (linear probing, power-of-two capacity) whose per-block fields are
@@ -23,7 +23,6 @@
 #define PMEMSPEC_MEM_BLOCK_TABLE_HH
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -129,7 +128,7 @@ class BlockTable
         return PoisonRead::Faulted;
     }
 
-    // ---- HOPS pending-persist counter + read waiters ---------------
+    // ---- HOPS pending-persist counter ------------------------------
 
     unsigned
     pendingPersists(Addr a) const
@@ -147,7 +146,8 @@ class BlockTable
 
     /**
      * A persist to the block drained from its buffer.
-     * @return true when the block's count hit zero (waiters runnable).
+     * @return true when the block's count hit zero (held reads may
+     *         proceed).
      */
     bool
     persistDrained(Addr a)
@@ -156,40 +156,6 @@ class BlockTable
         panic_if(i == kNil || persistCnt_[i] == 0,
                  "persist drained without matching buffered persist");
         return --persistCnt_[i] == 0;
-    }
-
-    /** Queue a callback until the block's pending persists drain. */
-    void
-    addPersistWaiter(Addr a, std::function<void()> f)
-    {
-        const std::uint32_t i = findOrInsert(a);
-        const std::uint32_t w = allocWaiter();
-        waiters_[w].fn = std::move(f);
-        waiters_[w].next = kNil;
-        if (waiterHead_[i] == kNil)
-            waiterHead_[i] = w;
-        else
-            waiters_[waiterTail_[i]].next = w;
-        waiterTail_[i] = w;
-    }
-
-    /** Detach the block's waiters in FIFO order. */
-    std::vector<std::function<void()>>
-    takePersistWaiters(Addr a)
-    {
-        std::vector<std::function<void()>> out;
-        const std::uint32_t i = find(a);
-        if (i == kNil)
-            return out;
-        std::uint32_t w = waiterHead_[i];
-        waiterHead_[i] = waiterTail_[i] = kNil;
-        while (w != kNil) {
-            out.push_back(std::move(waiters_[w].fn));
-            const std::uint32_t next = waiters_[w].next;
-            freeWaiter(w);
-            w = next;
-        }
-        return out;
     }
 
     // ---- speculation-ID order automaton (Section 5.2.2) ------------
@@ -284,8 +250,7 @@ class BlockTable
     bool
     dead(std::uint32_t i) const
     {
-        return flags_[i] == kOccupied && persistCnt_[i] == 0 &&
-               waiterHead_[i] == kNil;
+        return flags_[i] == kOccupied && persistCnt_[i] == 0;
     }
 
     static std::uint64_t
@@ -330,8 +295,6 @@ class BlockTable
         persistCnt_[i] = 0;
         specId_[i] = 0;
         specAt_[i] = 0;
-        waiterHead_[i] = kNil;
-        waiterTail_[i] = kNil;
         return i;
     }
 
@@ -349,8 +312,6 @@ class BlockTable
         persistCnt_.assign(cap, 0);
         specId_.assign(cap, 0);
         specAt_.assign(cap, 0);
-        waiterHead_.assign(cap, kNil);
-        waiterTail_.assign(cap, kNil);
     }
 
     void
@@ -369,8 +330,6 @@ class BlockTable
             bigger.persistCnt_[j] = persistCnt_[i];
             bigger.specId_[j] = specId_[i];
             bigger.specAt_[j] = specAt_[i];
-            bigger.waiterHead_[j] = waiterHead_[i];
-            bigger.waiterTail_[j] = waiterTail_[i];
         }
         cap_ = bigger.cap_;
         shift_ = bigger.shift_;
@@ -381,37 +340,7 @@ class BlockTable
         persistCnt_ = std::move(bigger.persistCnt_);
         specId_ = std::move(bigger.specId_);
         specAt_ = std::move(bigger.specAt_);
-        waiterHead_ = std::move(bigger.waiterHead_);
-        waiterTail_ = std::move(bigger.waiterTail_);
-        // The waiter pool is indexed independently of the key table
-        // and moves untouched.
     }
-
-    std::uint32_t
-    allocWaiter()
-    {
-        if (waiterFree_ != kNil) {
-            const std::uint32_t w = waiterFree_;
-            waiterFree_ = waiters_[w].next;
-            return w;
-        }
-        waiters_.push_back({});
-        return static_cast<std::uint32_t>(waiters_.size() - 1);
-    }
-
-    void
-    freeWaiter(std::uint32_t w)
-    {
-        waiters_[w].fn = nullptr;
-        waiters_[w].next = waiterFree_;
-        waiterFree_ = w;
-    }
-
-    struct WaiterNode
-    {
-        std::function<void()> fn;
-        std::uint32_t next = kNil;
-    };
 
     std::uint32_t cap_ = 0;
     unsigned shift_ = 64; ///< hash >> shift_ lands in [0, cap_)
@@ -422,11 +351,6 @@ class BlockTable
     std::vector<std::uint32_t> persistCnt_;
     std::vector<SpecId> specId_;
     std::vector<Tick> specAt_;
-    std::vector<std::uint32_t> waiterHead_;
-    std::vector<std::uint32_t> waiterTail_;
-
-    std::vector<WaiterNode> waiters_;
-    std::uint32_t waiterFree_ = kNil;
 };
 
 } // namespace pmemspec::mem

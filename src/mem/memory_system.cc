@@ -14,7 +14,9 @@ MemorySystem::MemorySystem(sim::EventQueue &eq, StatGroup *parent,
     : sim::SimObject("memsys", eq, parent),
       cfg(cfg_),
       dsgn(design_),
-      l1Mshrs(cfg_.numCores)
+      l1Mshrs(cfg_.numCores),
+      stalledStores(cfg_.numCores),
+      barriers(cfg_.numCores)
 {
     fatal_if(cfg.numPmcs == 0, "need at least one PM controller");
     stats().addCounter("coherenceInvalidations", &coherenceInvalidations,
@@ -161,7 +163,7 @@ MemorySystem::handleLlcEviction(const Eviction &ev)
         return;
     // Design-specific: IntelX86 writes back; the buffered designs and
     // PMEM-Spec drop the data (PMEM-Spec notifies its spec buffer).
-    pmcFor(ev.blockAddr).writeBack(ev.blockAddr, [] {});
+    writeBack(ev.blockAddr, nullptr);
 }
 
 void
@@ -186,89 +188,90 @@ MemorySystem::fillL1(CoreId c, Addr block, bool dirty)
 }
 
 void
-MemorySystem::fillFromPm(CoreId c, Addr block, bool for_store,
-                         Done on_done)
+MemorySystem::joinL1Miss(CoreId c, Addr block, bool for_store, Done done)
 {
-    auto it = llcMshrs.find(block);
-    if (it != llcMshrs.end()) {
-        it->second.push_back(std::move(on_done));
-        return;
-    }
-    llcMshrs[block].push_back(std::move(on_done));
-    (void)for_store;
-    pmcFor(block).readChecked(block, [this, c, block](ReadStatus st) {
-        if (st == ReadStatus::Poisoned)
-            ++poisonedFills;
-        fillL1(c, block, false);
-        auto node = llcMshrs.extract(block);
-        panic_if(node.empty(), "LLC MSHR vanished for block");
-        for (auto &cb : node.mapped())
-            cb();
+    if (l1Mshrs[c].add(block, L1Waiter{std::move(done), for_store}))
+        missToLlc(c, block);
+}
+
+void
+MemorySystem::missToLlc(CoreId c, Addr block)
+{
+    Tick llc_lat = cfg.llcHitLatency + cfg.l1ToLlcExtra;
+    schedule(After{llc_lat}, [this, c, block] {
+        if (sharedLlc->access(block)) {
+            fillL1(c, block, false);
+            finishL1Miss(c, block);
+        } else {
+            fillFromPm(c, block);
+        }
     });
 }
 
 void
-MemorySystem::missToLlc(CoreId c, Addr block, bool for_store,
-                        Done on_done)
+MemorySystem::fillFromPm(CoreId c, Addr block)
 {
-    Tick llc_lat = cfg.llcHitLatency + cfg.l1ToLlcExtra;
-    schedule(After{llc_lat}, [this, c, block, for_store,
-                         cb = std::move(on_done)]() mutable {
-        if (sharedLlc->access(block)) {
-            fillL1(c, block, false);
-            cb();
-        } else {
-            fillFromPm(c, block, for_store, std::move(cb));
-        }
+    if (!llcMshrs.add(block, c))
+        return;
+    pmcFor(block).read(block, [this, c, block](ReadStatus st) {
+        if (st == ReadStatus::Poisoned)
+            ++poisonedFills;
+        fillL1(c, block, false);
+        const bool any = llcMshrs.wake(
+            block, [&](CoreId waiter) { finishL1Miss(waiter, block); });
+        panic_if(!any, "LLC MSHR vanished for block");
     });
+}
+
+void
+MemorySystem::finishL1Miss(CoreId c, Addr block)
+{
+    const bool any = l1Mshrs[c].wake(block, [&](L1Waiter &w) {
+        if (w.forStore) {
+            if (l1s[c]->contains(block))
+                l1s[c]->markDirty(block);
+            else
+                fillL1(c, block, true);
+        }
+        w.done();
+    });
+    panic_if(!any, "L1 MSHR vanished for block");
 }
 
 void
 MemorySystem::load(CoreId c, Addr addr, Done on_done)
 {
     const Addr block = blockAlign(addr);
-    schedule(After{cfg.l1HitLatency}, [this, c, block,
-                                  cb = std::move(on_done)]() mutable {
-        if (l1s[c]->access(block)) {
-            cb();
-            return;
-        }
-        // Merge with an outstanding miss to the same block (MSHR).
-        auto &mshr = l1Mshrs[c];
-        auto it = mshr.find(block);
-        if (it != mshr.end()) {
-            it->second.push_back(std::move(cb));
-            return;
-        }
-        mshr[block].push_back(std::move(cb));
-        missToLlc(c, block, false, [this, c, block] {
-            auto node = l1Mshrs[c].extract(block);
-            panic_if(node.empty(), "L1 MSHR vanished for block");
-            for (auto &waiter : node.mapped())
-                waiter();
-        });
-    });
+    schedule(After{cfg.l1HitLatency},
+             [this, c, block, cb = std::move(on_done)]() mutable {
+                 if (l1s[c]->access(block))
+                     cb();
+                 else
+                     joinL1Miss(c, block, false, std::move(cb));
+             });
 }
 
-void
+bool
 MemorySystem::captureStore(CoreId c, Addr block,
-                           std::optional<SpecId> spec_id,
-                           Done on_captured)
+                           std::optional<SpecId> spec_id)
 {
+    // Backpressure: the store waits in its core's stalled-store slot
+    // and retries once the path or buffer has room.
+    auto retry = [this, c] {
+        StalledStore &s = stalledStores[c];
+        if (captureStore(c, s.block, s.specId))
+            writeL1(c, s.block, std::move(s.done));
+    };
     switch (dsgn) {
       case Design::IntelX86:
-        on_captured();
-        return;
+        return true;
       case Design::PmemSpec: {
         const unsigned lane =
             (pathLanes > 1) ? pmcIndexFor(block) : 0;
         PersistPath &p = path(c, lane);
         if (p.full()) {
-            p.notifyWhenNotFull([this, c, block, spec_id,
-                                 cb = std::move(on_captured)]() mutable {
-                captureStore(c, block, spec_id, std::move(cb));
-            });
-            return;
+            p.notifyWhenNotFull(retry);
+            return false;
         }
         if (pathLanes > 1) {
             const std::uint64_t seq = persistSeqCounter[c]++;
@@ -276,24 +279,20 @@ MemorySystem::captureStore(CoreId c, Addr block,
             outstandingSeqs[c].emplace(seq, true);
         }
         p.send(block, spec_id);
-        on_captured();
-        return;
+        return true;
       }
       case Design::DPO:
       case Design::HOPS: {
         PersistBuffer &pb = *pbufs[c];
         if (pb.full()) {
-            pb.notifyWhenNotFull([this, c, block, spec_id,
-                                  cb = std::move(on_captured)]() mutable {
-                captureStore(c, block, spec_id, std::move(cb));
-            });
-            return;
+            pb.notifyWhenNotFull(retry);
+            return false;
         }
         pb.append(block);
-        on_captured();
-        return;
+        return true;
       }
     }
+    panic("unhandled design");
 }
 
 void
@@ -304,41 +303,31 @@ MemorySystem::store(CoreId c, Addr addr, std::optional<SpecId> spec_id,
     // "PMEM-Spec sends PM data being stored to both the CPU caches and
     // the persist-path simultaneously when they leave the store queue"
     // (Section 4.2); the buffered designs capture at the same point.
-    captureStore(c, block, spec_id,
-                 [this, c, block, cb = std::move(on_done)]() mutable {
-        schedule(After{cfg.l1HitLatency}, [this, c, block,
-                                      cb = std::move(cb)]() mutable {
-            invalidateOtherL1s(c, block);
-            if (l1s[c]->access(block)) {
-                l1s[c]->markDirty(block);
-                cb();
-                return;
-            }
-            // Write-allocate: fetch the block, then dirty it.
-            ++storeAllocFetches;
-            auto &mshr = l1Mshrs[c];
-            auto dirty_then = [this, c, block,
-                               cb2 = std::move(cb)]() mutable {
-                if (l1s[c]->contains(block))
-                    l1s[c]->markDirty(block);
-                else
-                    fillL1(c, block, true);
-                cb2();
-            };
-            auto it = mshr.find(block);
-            if (it != mshr.end()) {
-                it->second.push_back(std::move(dirty_then));
-                return;
-            }
-            mshr[block].push_back(std::move(dirty_then));
-            missToLlc(c, block, true, [this, c, block] {
-                auto node = l1Mshrs[c].extract(block);
-                panic_if(node.empty(), "L1 MSHR vanished for block");
-                for (auto &waiter : node.mapped())
-                    waiter();
-            });
-        });
-    });
+    if (captureStore(c, block, spec_id)) {
+        writeL1(c, block, std::move(on_done));
+        return;
+    }
+    StalledStore &s = stalledStores[c];
+    panic_if(s.done, "core %u drained a second store while one "
+                           "was stalled", c);
+    s = StalledStore{block, spec_id, std::move(on_done)};
+}
+
+void
+MemorySystem::writeL1(CoreId c, Addr block, Done on_done)
+{
+    schedule(After{cfg.l1HitLatency},
+             [this, c, block, cb = std::move(on_done)]() mutable {
+                 invalidateOtherL1s(c, block);
+                 if (l1s[c]->access(block)) {
+                     l1s[c]->markDirty(block);
+                     cb();
+                     return;
+                 }
+                 // Write-allocate: fetch the block; the fill dirties it.
+                 ++storeAllocFetches;
+                 joinL1Miss(c, block, true, std::move(cb));
+             });
 }
 
 void
@@ -346,7 +335,7 @@ MemorySystem::clwb(CoreId c, Addr addr, Done on_done)
 {
     const Addr block = blockAlign(addr);
     schedule(After{cfg.l1HitLatency}, [this, c, block,
-                                  cb = std::move(on_done)]() mutable {
+                                       cb = std::move(on_done)]() mutable {
         if (dsgn == Design::DPO) {
             // DPO's persist buffers already captured the stores; the
             // CLWB microcode completes without touching PM.
@@ -367,46 +356,55 @@ MemorySystem::clwb(CoreId c, Addr addr, Done on_done)
         // the completion acknowledgment travelling back to the core
         // (what a following SFENCE actually waits for).
         schedule(After{cfg.l1ToPmcLatency},
-                   [this, block, cb = std::move(cb)]() mutable {
-                       pmcFor(block).writeBack(
-                           block, [this, cb = std::move(cb)]() mutable {
-                               schedule(After{cfg.l1ToPmcLatency},
-                                          std::move(cb));
-                           });
-                   });
+                 [this, block, cb = std::move(cb)]() mutable {
+                     writeBack(block, std::move(cb));
+                 });
     });
 }
 
 void
-MemorySystem::specBarrier(CoreId c, Done on_done)
+MemorySystem::writeBack(Addr block, Done acked)
 {
-    panic_if(dsgn != Design::PmemSpec,
-             "spec-barrier only exists under PMEM-Spec");
-    // The core learns that its persists reached the PM controller(s)
-    // through small acks on the regular on-chip network (the persist
-    // path itself is write-only), one transport delay after the last
-    // arrival, across every lane.
-    auto remaining = std::make_shared<unsigned>(pathLanes);
-    auto cb = std::make_shared<Done>(std::move(on_done));
-    for (unsigned lane = 0; lane < pathLanes; ++lane) {
-        path(c, lane).notifyWhenEmpty([this, remaining, cb] {
-            if (--*remaining == 0) {
-                schedule(After{cfg.l1ToPmcLatency}, [cb] { (*cb)(); });
-            }
-        });
+    if (!pmcFor(block).writeBack(block)) {
+        // Write queue full: offer it again shortly.
+        schedule(After{4 * ticksPerNs},
+                 [this, block, acked = std::move(acked)]() mutable {
+                     writeBack(block, std::move(acked));
+                 });
+        return;
+    }
+    if (acked)
+        schedule(After{cfg.l1ToPmcLatency}, std::move(acked));
+}
+
+void
+MemorySystem::persistBarrier(CoreId c, Done on_done)
+{
+    panic_if(dsgn == Design::IntelX86, "IntelX86 has no persist barrier");
+    Barrier &b = barriers[c];
+    panic_if(b.done, "core %u has a barrier in flight", c);
+    b.done = std::move(on_done);
+    auto part_done = [this, c] { barrierPartDone(c); };
+    if (dsgn == Design::PmemSpec) {
+        b.partsLeft = pathLanes;
+        for (unsigned lane = 0; lane < pathLanes; ++lane)
+            path(c, lane).notifyWhenEmpty(part_done);
+    } else {
+        b.partsLeft = 1;
+        pbufs[c]->notifyWhenEmpty(part_done);
     }
 }
 
 void
-MemorySystem::dfence(CoreId c, Done on_done)
+MemorySystem::barrierPartDone(CoreId c)
 {
-    panic_if(!usesPersistBuffers(dsgn),
-             "dfence requires persist buffers");
-    // The durability ack for the last drained entry returns over the
-    // regular on-chip network.
-    pbufs[c]->notifyWhenEmpty([this, cb = std::move(on_done)]() mutable {
-        schedule(After{cfg.l1ToPmcLatency}, std::move(cb));
-    });
+    // The core learns that its persists reached the PM controller(s)
+    // through small acks on the regular on-chip network (the persist
+    // path itself is write-only), one transport delay after the last
+    // arrival, across every lane.
+    Barrier &b = barriers[c];
+    if (--b.partsLeft == 0)
+        schedule(After{cfg.l1ToPmcLatency}, std::move(b.done));
 }
 
 void

@@ -9,20 +9,25 @@
  * the block in every other L1. Requests are latency-chained through
  * the event queue; MSHRs merge concurrent misses to the same block at
  * both levels.
+ *
+ * A request's continuation is never wrapped in another callback: it
+ * waits in one place at a time -- the event carrying it, an L1 MSHR
+ * entry, or its core's stalled-store or barrier slot.
  */
 
 #ifndef PMEMSPEC_MEM_MEMORY_SYSTEM_HH
 #define PMEMSPEC_MEM_MEMORY_SYSTEM_HH
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/waiter_list.hh"
 #include "mem/cache.hh"
 #include "mem/mem_config.hh"
 #include "mem/persist_buffer.hh"
@@ -39,7 +44,8 @@ namespace pmemspec::mem
 class MemorySystem : public sim::SimObject
 {
   public:
-    using Done = std::function<void()>;
+    /** A request's completion continuation. */
+    using Done = InplaceFn<void()>;
 
     MemorySystem(sim::EventQueue &eq, StatGroup *parent,
                  const MemConfig &cfg, persistency::Design design);
@@ -52,7 +58,8 @@ class MemorySystem : public sim::SimObject
      * hierarchy and, per design, capture it for persistence
      * (persist-path send or persist-buffer append). on_done fires when
      * the store has fully left the store queue; persistence capture
-     * applies backpressure through it.
+     * applies backpressure through it. A core drains one store at a
+     * time.
      */
     void store(CoreId c, Addr addr, std::optional<SpecId> spec_id,
                Done on_done);
@@ -61,11 +68,11 @@ class MemorySystem : public sim::SimObject
      *  flush is accepted into the persistent domain. */
     void clwb(CoreId c, Addr addr, Done on_done);
 
-    /** spec-barrier: on_done once core c's persist-path is empty. */
-    void specBarrier(CoreId c, Done on_done);
-
-    /** dfence: on_done once core c's persist buffer is empty. */
-    void dfence(CoreId c, Done on_done);
+    /** The design's durability barrier: on_done once core c's
+     *  persist-path lanes (PMEM-Spec spec-barrier) or persist buffer
+     *  (HOPS/DPO dfence) are empty and acked. A core has one barrier
+     *  in flight. */
+    void persistBarrier(CoreId c, Done on_done);
 
     /** ofence: close core c's current persist-buffer epoch. */
     void ofence(CoreId c);
@@ -129,17 +136,46 @@ class MemorySystem : public sim::SimObject
     Counter poisonedFills;
 
   private:
-    void missToLlc(CoreId c, Addr block, bool for_store, Done on_done);
-    void fillFromPm(CoreId c, Addr block, bool for_store, Done on_done);
+    /** A request on an L1 miss; a store's fill dirties the block. */
+    struct L1Waiter
+    {
+        Done done;
+        bool forStore;
+    };
+    /** A store held back by persistence backpressure. */
+    struct StalledStore
+    {
+        Addr block = 0;
+        std::optional<SpecId> specId;
+        Done done;
+    };
+    /** A persist barrier: lanes / buffers not yet seen empty. */
+    struct Barrier
+    {
+        unsigned partsLeft = 0;
+        Done done;
+    };
+
+    void joinL1Miss(CoreId c, Addr block, bool for_store, Done done);
+    void missToLlc(CoreId c, Addr block);
+    void fillFromPm(CoreId c, Addr block);
+    void finishL1Miss(CoreId c, Addr block);
     /** Install a block into core c's L1 (and the LLC), handling
      *  evictions at both levels. */
     void fillL1(CoreId c, Addr block, bool dirty);
     void handleLlcEviction(const Eviction &ev);
     void invalidateOtherL1s(CoreId c, Addr block);
 
-    /** Per-design persistence capture of a committed store. */
-    void captureStore(CoreId c, Addr block,
-                      std::optional<SpecId> spec_id, Done on_captured);
+    /** Per-design persistence capture of a committed store; false on
+     *  backpressure. */
+    bool captureStore(CoreId c, Addr block,
+                      std::optional<SpecId> spec_id);
+    /** A captured store's L1 write (write-allocate on a miss). */
+    void writeL1(CoreId c, Addr block, Done on_done);
+    /** Offer a writeback to its PMC until accepted, then schedule
+     *  `acked` (if set) one transport delay later. */
+    void writeBack(Addr block, Done acked);
+    void barrierPartDone(CoreId c);
 
     /** Oracle bookkeeping for the multi-PMC hazard counter. */
     void recordPersistArrival(CoreId c, std::uint64_t seq);
@@ -169,10 +205,13 @@ class MemorySystem : public sim::SimObject
     /** Per core: smallest not-yet-arrived sequence heap substitute. */
     std::vector<std::map<std::uint64_t, bool>> outstandingSeqs;
 
-    /** L1-level MSHRs: block -> waiters (per core). */
-    std::vector<std::map<Addr, std::vector<Done>>> l1Mshrs;
-    /** LLC-level MSHRs: block -> fill callbacks. */
-    std::map<Addr, std::vector<Done>> llcMshrs;
+    /** Per-core L1 MSHRs; the LLC's hold the cores whose L1 misses
+     *  wait on a PM fill, the first of which receives the block. */
+    std::vector<BlockWaiters<L1Waiter>> l1Mshrs;
+    BlockWaiters<CoreId> llcMshrs;
+    /** Per core: its stalled store and its barrier in flight. */
+    std::vector<StalledStore> stalledStores;
+    std::vector<Barrier> barriers;
 
     /** Lock watermarks for persist-buffer dependencies. */
     struct LockWatermark

@@ -7,6 +7,13 @@
 namespace pmemspec::mem
 {
 
+void
+GlobalDrainToken::release()
+{
+    busy = false;
+    waiters.wake([](PersistBuffer *b) { b->pump(); });
+}
+
 PersistBuffer::PersistBuffer(sim::EventQueue &eq, StatGroup *parent,
                              CoreId core, Tick drain_latency,
                              unsigned capacity, unsigned drain_width,
@@ -45,7 +52,7 @@ PersistBuffer::setFilterHooks(FilterHook on_insert, FilterHook on_remove)
 }
 
 void
-PersistBuffer::setProgressHook(std::function<void()> cb)
+PersistBuffer::setProgressHook(InplaceFn<void()> cb)
 {
     progressHook = std::move(cb);
 }
@@ -136,7 +143,7 @@ PersistBuffer::pump()
                 return; // wait for the previous epoch to land
         }
         if (globalToken && !globalToken->tryAcquire()) {
-            globalToken->waiters.push_back([this] { pump(); });
+            globalToken->waiters.add(this);
             return;
         }
         Entry e = head;
@@ -179,41 +186,13 @@ PersistBuffer::finishOne(Entry e)
     if (filterRemove)
         filterRemove(e.addr);
 
-    if (empty() && !emptyWaiters.empty()) {
-        auto w = std::move(emptyWaiters);
-        emptyWaiters.clear();
-        for (auto &cb : w)
-            cb();
-    }
-    if (!full() && !spaceWaiters.empty()) {
-        auto w = std::move(spaceWaiters);
-        spaceWaiters.clear();
-        for (auto &cb : w)
-            cb();
-    }
+    if (empty())
+        emptyWaiters.wake();
+    if (!full())
+        spaceWaiters.wake();
     if (progressHook)
         progressHook();
     pump();
-}
-
-void
-PersistBuffer::notifyWhenEmpty(std::function<void()> cb)
-{
-    if (empty()) {
-        cb();
-        return;
-    }
-    emptyWaiters.push_back(std::move(cb));
-}
-
-void
-PersistBuffer::notifyWhenNotFull(std::function<void()> cb)
-{
-    if (!full()) {
-        cb();
-        return;
-    }
-    spaceWaiters.push_back(std::move(cb));
 }
 
 } // namespace pmemspec::mem

@@ -32,24 +32,28 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <vector>
 
 #include "common/backoff.hh"
+#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/waiter_list.hh"
 #include "mem/pmc_retry.hh"
 #include "sim/sim_object.hh"
 
 namespace pmemspec::mem
 {
 
+class PersistBuffer;
+
 /** Machine-wide single-flush serialisation used by DPO. */
 struct GlobalDrainToken
 {
     bool busy = false;
-    std::vector<std::function<void()>> waiters;
+    /** Buffers that found the token busy, in arrival order. */
+    WaiterList<PersistBuffer *> waiters;
 
     bool
     tryAcquire()
@@ -60,21 +64,14 @@ struct GlobalDrainToken
         return true;
     }
 
-    void
-    release()
-    {
-        busy = false;
-        auto w = std::move(waiters);
-        waiters.clear();
-        for (auto &cb : w)
-            cb();
-    }
+    /** Free the token; every waiting buffer retries its drain. */
+    void release();
 };
 
 /** A persist dependency on another buffer's progress. */
 struct PersistDep
 {
-    const class PersistBuffer *other;
+    const PersistBuffer *other;
     std::uint64_t seq; ///< satisfied once other persisted past seq
 };
 
@@ -83,10 +80,10 @@ class PersistBuffer : public sim::SimObject
 {
   public:
     /** Hands one persist to the PMC; false on backpressure. */
-    using DeliverFn = std::function<bool(CoreId, Addr)>;
+    using DeliverFn = InplaceFn<bool(CoreId, Addr)>;
     /** Bloom-filter maintenance hooks (HOPS keeps the PMC filter in
      *  sync with buffer contents). */
-    using FilterHook = std::function<void(Addr)>;
+    using FilterHook = InplaceFn<void(Addr)>;
 
     PersistBuffer(sim::EventQueue &eq, StatGroup *parent, CoreId core,
                   Tick drain_latency, unsigned capacity,
@@ -97,7 +94,7 @@ class PersistBuffer : public sim::SimObject
 
     /** Hook invoked on every persist completion; the machine uses it
      *  to re-evaluate cross-buffer dependencies. */
-    void setProgressHook(std::function<void()> cb);
+    void setProgressHook(InplaceFn<void()> cb);
 
     /** @return true if the buffer cannot take another store. */
     bool full() const;
@@ -116,10 +113,18 @@ class PersistBuffer : public sim::SimObject
     bool empty() const { return pending.empty() && inFlight.empty(); }
 
     /** Invoke cb when the buffer next drains empty (dfence). */
-    void notifyWhenEmpty(std::function<void()> cb);
+    void
+    notifyWhenEmpty(Waiter cb)
+    {
+        emptyWaiters.runOrAdd(empty(), std::move(cb));
+    }
 
     /** Invoke cb when space is available (store-queue backpressure). */
-    void notifyWhenNotFull(std::function<void()> cb);
+    void
+    notifyWhenNotFull(Waiter cb)
+    {
+        spaceWaiters.runOrAdd(!full(), std::move(cb));
+    }
 
     /** Sequence number that the next appended entry will get. */
     std::uint64_t nextSeq() const { return seqCounter; }
@@ -167,15 +172,15 @@ class PersistBuffer : public sim::SimObject
     DeliverFn deliver;
     FilterHook filterInsert;
     FilterHook filterRemove;
-    std::function<void()> progressHook;
+    InplaceFn<void()> progressHook;
 
     std::deque<Entry> pending;
     std::vector<Entry> inFlight;
     std::uint64_t curEpoch = 0;
     std::uint64_t seqCounter = 0;
     std::vector<PersistDep> deps;
-    std::vector<std::function<void()>> emptyWaiters;
-    std::vector<std::function<void()>> spaceWaiters;
+    WaiterList<> emptyWaiters;
+    WaiterList<> spaceWaiters;
 };
 
 } // namespace pmemspec::mem

@@ -80,7 +80,7 @@ PersistPath::pump()
                                               : trace::kNoSpecId,
                         .arg = fifo.size() - 1, .unit = traceUnit});
         fifo.pop_front();
-        drainWaiters();
+        wakeWaiters();
         if (!fifo.empty()) {
             pumpScheduled = true;
             Tick delay = fifo.front().readyAt > curTick()
@@ -101,40 +101,12 @@ PersistPath::pump()
 }
 
 void
-PersistPath::drainWaiters()
+PersistPath::wakeWaiters()
 {
-    if (fifo.empty() && !emptyWaiters.empty()) {
-        auto waiters = std::move(emptyWaiters);
-        emptyWaiters.clear();
-        for (auto &cb : waiters)
-            cb();
-    }
-    if (!full() && !spaceWaiters.empty()) {
-        auto waiters = std::move(spaceWaiters);
-        spaceWaiters.clear();
-        for (auto &cb : waiters)
-            cb();
-    }
-}
-
-void
-PersistPath::notifyWhenEmpty(Waiter cb)
-{
-    if (fifo.empty()) {
-        cb();
-        return;
-    }
-    emptyWaiters.push_back(std::move(cb));
-}
-
-void
-PersistPath::notifyWhenNotFull(Waiter cb)
-{
-    if (!full()) {
-        cb();
-        return;
-    }
-    spaceWaiters.push_back(std::move(cb));
+    if (fifo.empty())
+        emptyWaiters.wake();
+    if (!full())
+        spaceWaiters.wake();
 }
 
 } // namespace pmemspec::mem

@@ -16,16 +16,15 @@
 #define PMEMSPEC_MEM_PERSIST_PATH_HH
 
 #include <deque>
-#include <functional>
 #include <optional>
-#include <vector>
 
 #include "common/backoff.hh"
 #include "common/inplace_fn.hh"
 #include "common/stats.hh"
-#include "mem/pmc_retry.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
+#include "common/waiter_list.hh"
+#include "mem/pmc_retry.hh"
 #include "sim/sim_object.hh"
 
 namespace pmemspec::mem
@@ -58,7 +57,7 @@ class PersistPath : public sim::SimObject
      * the path then retries, preserving FIFO order.
      */
     using DeliverFn =
-        std::function<bool(CoreId, Addr, std::optional<SpecId>)>;
+        InplaceFn<bool(CoreId, Addr, std::optional<SpecId>)>;
 
     /**
      * Fault-injection hook: extra in-flight latency for a given block
@@ -66,7 +65,7 @@ class PersistPath : public sim::SimObject
      * fault campaign hold back (and thereby reorder relative to the
      * regular read path) chosen persist arrivals deterministically.
      */
-    using DelayHook = std::function<Tick(Addr)>;
+    using DelayHook = InplaceFn<Tick(Addr)>;
 
     PersistPath(sim::EventQueue &eq, StatGroup *parent, CoreId core,
                 Tick latency, unsigned capacity, DeliverFn deliver);
@@ -89,16 +88,21 @@ class PersistPath : public sim::SimObject
     /** In-flight persists currently buffered in the path (metrics). */
     std::size_t occupancy() const { return fifo.size(); }
 
-    /** One-shot completion waiter (moved in, invoked once). */
-    using Waiter = InplaceFn<void()>;
-
     /** Invoke cb once the path next becomes empty (immediately if it
      *  already is). Used by spec-barrier. */
-    void notifyWhenEmpty(Waiter cb);
+    void
+    notifyWhenEmpty(Waiter cb)
+    {
+        emptyWaiters.runOrAdd(empty(), std::move(cb));
+    }
 
     /** Invoke cb once the path next has a free slot. Used by the
      *  store queue when it hit backpressure. */
-    void notifyWhenNotFull(Waiter cb);
+    void
+    notifyWhenNotFull(Waiter cb)
+    {
+        spaceWaiters.runOrAdd(!full(), std::move(cb));
+    }
 
     Tick latency() const { return pathLatency; }
 
@@ -129,20 +133,20 @@ class PersistPath : public sim::SimObject
     /** Try to deliver the FIFO head; reschedules itself as needed. */
     void pump();
 
-    void drainWaiters();
+    void wakeWaiters();
 
     CoreId coreId;
     Tick pathLatency;
     unsigned fifoCapacity;
-    /** PMC-backpressure retry schedule (shared policy, backoff.hh). */
+    /** PMC-backpressure retry schedule (shared policy, pmc_retry.hh). */
     BoundedBackoff pmcBackoff = pmcRetryBackoff();
     DeliverFn deliver;
     DelayHook delayHook;
     std::deque<Flit> fifo;
     Tick lastArrival = 0;
     bool pumpScheduled = false;
-    std::vector<Waiter> emptyWaiters;
-    std::vector<Waiter> spaceWaiters;
+    WaiterList<> emptyWaiters;
+    WaiterList<> spaceWaiters;
 
     trace::Manager *traceMgr = nullptr;
     std::uint16_t traceUnit = 0;

@@ -67,17 +67,59 @@ PmController::bankFree(Addr block_addr)
 }
 
 void
-PmController::serviceRead(Addr block_addr, Tick enq,
-                          std::function<void()> cb)
+PmController::read(Addr block_addr, ReadDone on_done)
+{
+    // A slot is free while it holds no continuation.
+    panic_if(!on_done, "PM read without a continuation");
+    std::uint32_t s = 0;
+    while (s < readSlots.size() && readSlots[s].done)
+        ++s;
+    if (s == readSlots.size())
+        readSlots.emplace_back();
+    readSlots[s] = PendingRead{block_addr, 0, cfg.pmcPoisonRetries,
+                               std::move(on_done)};
+    startRead(s);
+}
+
+void
+PmController::startRead(std::uint32_t s)
+{
+    const Addr block_addr = readSlots[s].block;
+    readSlots[s].enq = curTick();
+
+    if (design == Design::HOPS) {
+        // Every PM read pays the bloom-filter lookup (Section 8.2.2).
+        const Tick lookup = cfg.bloomLookupLatency;
+        if (bloom.mayContain(block_addr)) {
+            if (blocks.pendingPersists(block_addr) > 0) {
+                // Real conflict: the block sits in a persist buffer.
+                // HOPS postpones the read until the buffer drains it.
+                ++bloomTrueHits;
+                heldReads.add(block_addr, s);
+                return;
+            }
+            // False positive: delay by the configured penalty.
+            ++bloomFalsePositives;
+            schedule(After{lookup + cfg.bloomFalsePositivePenalty},
+                     [this, s] { serviceRead(s); });
+            return;
+        }
+        schedule(After{lookup}, [this, s] { serviceRead(s); });
+        return;
+    }
+
+    serviceRead(s);
+}
+
+void
+PmController::serviceRead(std::uint32_t s)
 {
     if (outstandingReads >= cfg.pmcReadQueue) {
         // Read queue full: retry shortly.
-        schedule(After{ticksPerNs},
-                   [this, block_addr, enq, cb = std::move(cb)]() mutable {
-                       serviceRead(block_addr, enq, std::move(cb));
-                   });
+        schedule(After{ticksPerNs}, [this, s] { serviceRead(s); });
         return;
     }
+    const Addr block_addr = readSlots[s].block;
     ++outstandingReads;
     ++reads;
     PMEMSPEC_TRACE(traceMgr, FlagPmController, trace::EventKind::PmcRead,
@@ -91,52 +133,49 @@ PmController::serviceRead(Addr block_addr, Tick enq,
     Tick start = std::max(curTick(), free_at);
     Tick done = start + cfg.pmReadLatency;
     free_at = done;
-    schedule(After{done - curTick()}, [this, enq, cb = std::move(cb)] {
-        --outstandingReads;
-        readLatencyStat.sample(
-            static_cast<double>(curTick() - enq) / ticksPerNs);
-        cb();
-    });
+    schedule(After{done - curTick()}, [this, s] { finishRead(s); });
 }
 
 void
-PmController::read(Addr block_addr, std::function<void()> on_done)
+PmController::finishRead(std::uint32_t s)
 {
-    const Tick enq = curTick();
-
-    if (design == Design::HOPS) {
-        // Every PM read pays the bloom-filter lookup (Section 8.2.2).
-        const Tick lookup = cfg.bloomLookupLatency;
-        if (bloom.mayContain(block_addr)) {
-            if (blocks.pendingPersists(block_addr) > 0) {
-                // Real conflict: the block sits in a persist buffer.
-                // HOPS postpones the read until the buffer drains it.
-                ++bloomTrueHits;
-                blocks.addPersistWaiter(
-                    block_addr,
-                    [this, block_addr, enq,
-                     cb = std::move(on_done)]() mutable {
-                        serviceRead(block_addr, enq, std::move(cb));
-                    });
-                return;
-            }
-            // False positive: delay by the configured penalty.
-            ++bloomFalsePositives;
-            schedule(After{lookup + cfg.bloomFalsePositivePenalty},
-                       [this, block_addr, enq,
-                        cb = std::move(on_done)]() mutable {
-                           serviceRead(block_addr, enq, std::move(cb));
-                       });
+    --outstandingReads;
+    PendingRead &r = readSlots[s];
+    readLatencyStat.sample(
+        static_cast<double>(curTick() - r.enq) / ticksPerNs);
+    ReadStatus status = ReadStatus::Ok;
+    switch (blocks.notePoisonRead(r.block)) {
+      case BlockTable::PoisonRead::Clean:
+        break;
+      case BlockTable::PoisonRead::Healed:
+        // A transient error: this completed device read was the one
+        // that scrubbed the cell back to health.
+        ++poisonHeals;
+        break;
+      case BlockTable::PoisonRead::Faulted:
+        if (r.retriesLeft > 0) {
+            --r.retriesLeft;
+            ++poisonRetries;
+            warn_once("PMC read of block %#llx hit poisoned media; "
+                      "retrying (logged once; the poisonRetries "
+                      "counter tracks the total)",
+                      static_cast<unsigned long long>(r.block));
+            startRead(s);
             return;
         }
-        schedule(After{lookup}, [this, block_addr, enq,
-                            cb = std::move(on_done)]() mutable {
-            serviceRead(block_addr, enq, std::move(cb));
-        });
-        return;
+        // Retry budget exhausted: the poison propagates to the
+        // requester (machine-check on data delivery), the controller
+        // itself keeps serving every other block.
+        ++poisonedReads;
+        warn_once("PMC poison-retry budget exhausted for block %#llx; "
+                  "delivering machine-check (logged once; the "
+                  "poisonedReads counter tracks the total)",
+                  static_cast<unsigned long long>(r.block));
+        status = ReadStatus::Poisoned;
+        break;
     }
-
-    serviceRead(block_addr, enq, std::move(on_done));
+    ReadDone done = std::move(r.done);
+    done(status);
 }
 
 void
@@ -149,53 +188,6 @@ bool
 PmController::clearPoisonedBlock(Addr block_addr)
 {
     return blocks.clearPoison(block_addr);
-}
-
-void
-PmController::readAttempt(Addr block_addr, unsigned retries_left,
-                          std::function<void(ReadStatus)> cb)
-{
-    read(block_addr, [this, block_addr, retries_left,
-                      cb = std::move(cb)]() mutable {
-        switch (blocks.notePoisonRead(block_addr)) {
-          case BlockTable::PoisonRead::Clean:
-            cb(ReadStatus::Ok);
-            return;
-          case BlockTable::PoisonRead::Healed:
-            // A transient error: this completed device read was the
-            // one that scrubbed the cell back to health.
-            ++poisonHeals;
-            cb(ReadStatus::Ok);
-            return;
-          case BlockTable::PoisonRead::Faulted:
-            break;
-        }
-        if (retries_left > 0) {
-            ++poisonRetries;
-            warn_once("PMC read of block %#llx hit poisoned media; "
-                      "retrying (logged once; the poisonRetries "
-                      "counter tracks the total)",
-                      static_cast<unsigned long long>(block_addr));
-            readAttempt(block_addr, retries_left - 1, std::move(cb));
-            return;
-        }
-        // Retry budget exhausted: the poison propagates to the
-        // requester (machine-check on data delivery), the controller
-        // itself keeps serving every other block.
-        ++poisonedReads;
-        warn_once("PMC poison-retry budget exhausted for block %#llx; "
-                  "delivering machine-check (logged once; the "
-                  "poisonedReads counter tracks the total)",
-                  static_cast<unsigned long long>(block_addr));
-        cb(ReadStatus::Poisoned);
-    });
-}
-
-void
-PmController::readChecked(Addr block_addr,
-                          std::function<void(ReadStatus)> on_done)
-{
-    readAttempt(block_addr, cfg.pmcPoisonRetries, std::move(on_done));
 }
 
 void
@@ -231,33 +223,25 @@ PmController::serviceWrite(Addr block_addr)
     });
 }
 
-void
-PmController::writeBack(Addr block_addr, std::function<void()> on_accepted)
+bool
+PmController::writeBack(Addr block_addr)
 {
     switch (design) {
       case Design::IntelX86:
         // Normal memory behaviour: the writeback enters the write
         // queue; ADR makes it durable at acceptance.
         if (writeQueue >= cfg.pmcWriteQueue &&
-            !blocks.coalescable(block_addr)) {
-            schedule(After{4 * ticksPerNs},
-                       [this, block_addr,
-                        cb = std::move(on_accepted)]() mutable {
-                           writeBack(block_addr, std::move(cb));
-                       });
-            return;
-        }
+            !blocks.coalescable(block_addr))
+            return false;
         serviceWrite(block_addr);
-        on_accepted();
-        return;
+        return true;
 
       case Design::DPO:
       case Design::HOPS:
         // The persist buffers are the agents of persistence; dirty
         // LLC evictions are dropped (Section 2.2).
         ++droppedWritebacks;
-        on_accepted();
-        return;
+        return true;
 
       case Design::PmemSpec:
         // Silently dropped -- but the WriteBack *request* is the
@@ -268,9 +252,9 @@ PmController::writeBack(Addr block_addr, std::function<void()> on_accepted)
                        trace::kNoCore, block_addr,
                        {.arg = writeQueue, .unit = traceUnit});
         specBuf->writeBack(block_addr);
-        on_accepted();
-        return;
+        return true;
     }
+    panic("unhandled design");
 }
 
 bool
@@ -355,10 +339,9 @@ void
 PmController::filterRemove(Addr block_addr)
 {
     bloom.remove(block_addr);
-    if (blocks.persistDrained(block_addr)) {
-        for (auto &cb : blocks.takePersistWaiters(block_addr))
-            cb();
-    }
+    if (blocks.persistDrained(block_addr))
+        heldReads.wake(block_addr,
+                       [this](std::uint32_t s) { serviceRead(s); });
 }
 
 } // namespace pmemspec::mem

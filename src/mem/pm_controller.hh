@@ -21,14 +21,14 @@
 #ifndef PMEMSPEC_MEM_PM_CONTROLLER_HH
 #define PMEMSPEC_MEM_PM_CONTROLLER_HH
 
-#include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "common/bloom_filter.hh"
+#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/waiter_list.hh"
 #include "mem/block_table.hh"
 #include "mem/mem_config.hh"
 #include "mem/speculation_buffer.hh"
@@ -87,22 +87,19 @@ class PmController : public sim::SimObject
                  const MemConfig &cfg, persistency::Design design,
                  std::string name = "pmc");
 
-    /**
-     * Regular-path PM read (the request missed every cache).
-     * @param on_done invoked when the data returns from the device.
-     */
-    void read(Addr block_addr, std::function<void()> on_done);
+    /** Delivery of one PM read: Ok with data, or Poisoned. */
+    using ReadDone = InplaceFn<void(ReadStatus)>;
 
     /**
-     * Media-fault-aware read: like read(), but if the block is
-     * poisoned the PMC retries the device read up to
+     * Regular-path PM read (the request missed every cache). If the
+     * block is poisoned the PMC retries the device read up to
      * cfg.pmcPoisonRetries times (each paying full device latency --
      * a transient error may clear) and then delivers
      * ReadStatus::Poisoned instead of data. Graceful degradation:
      * one bad block fails one request, never the controller.
+     * @param on_done invoked when the data (or the poison) returns.
      */
-    void readChecked(Addr block_addr,
-                     std::function<void(ReadStatus)> on_done);
+    void read(Addr block_addr, ReadDone on_done);
 
     /**
      * Mark a block uncorrectable. With transient_reads == 0 the
@@ -125,11 +122,12 @@ class PmController : public sim::SimObject
     /**
      * Regular-path writeback (dirty LLC eviction or explicit CLWB
      * flush). Handling is design-specific; see the file comment.
-     * @param on_accepted invoked once the writeback is accepted into
-     *        the persistent domain (immediately for designs that drop
-     *        it -- the caller's flush is then trivially "complete").
+     * @return true once the writeback is accepted into the persistent
+     *         domain (always, for designs that drop it -- the caller's
+     *         flush is then trivially "complete"); false when the
+     *         write queue is full and the caller must retry.
      */
-    void writeBack(Addr block_addr, std::function<void()> on_accepted);
+    bool writeBack(Addr block_addr);
 
     /**
      * A persist arrives from a persist-path or persist buffer.
@@ -170,12 +168,25 @@ class PmController : public sim::SimObject
     Accumulator readLatencyStat;
 
   private:
-    /** Issue a device read; completion callback at service end. */
-    void serviceRead(Addr block_addr, Tick enq, std::function<void()> cb);
+    /** One read from request to delivery. Its retry state travels
+     *  here as data; the events that advance it name its slot. */
+    struct PendingRead
+    {
+        Addr block = 0;
+        Tick enq = 0; ///< when the current device-read attempt was queued
+        unsigned retriesLeft = 0;
+        ReadDone done;
+    };
 
-    /** One attempt of the poisoned-read retry loop. */
-    void readAttempt(Addr block_addr, unsigned retries_left,
-                     std::function<void(ReadStatus)> cb);
+    /** Begin one device-read attempt of read slot s (HOPS consults its
+     *  bloom filter first). */
+    void startRead(std::uint32_t s);
+
+    /** Issue slot s's device read once the read queue has room. */
+    void serviceRead(std::uint32_t s);
+
+    /** Slot s's device read returned: retry poison or deliver. */
+    void finishRead(std::uint32_t s);
 
     /** Push one write into the banked device. */
     void serviceWrite(Addr block_addr);
@@ -189,6 +200,12 @@ class PmController : public sim::SimObject
     Tick writeServerFree = 0; ///< aggregate write-bandwidth server
     unsigned outstandingReads = 0;
     unsigned writeQueue = 0;
+
+    /** Reads in flight; a slot without a continuation is free. */
+    std::vector<PendingRead> readSlots;
+    /** HOPS: read slots held until their block leaves the persist
+     *  buffers. */
+    BlockWaiters<std::uint32_t> heldReads;
 
     /**
      * All per-block controller state -- write-queue coalescability

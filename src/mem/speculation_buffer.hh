@@ -33,10 +33,10 @@
 #ifndef PMEMSPEC_MEM_SPECULATION_BUFFER_HH
 #define PMEMSPEC_MEM_SPECULATION_BUFFER_HH
 
-#include <functional>
 #include <optional>
 #include <vector>
 
+#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
@@ -69,11 +69,11 @@ class SpeculationBuffer : public sim::SimObject
   public:
     /** Called when either misspeculation fires; receives the block
      *  address, mirroring the designated OS mailbox of Section 6.1. */
-    using MisspecCallback = std::function<void(Addr, MisspecKind)>;
+    using MisspecCallback = InplaceFn<void(Addr, MisspecKind)>;
 
     /** Called when the buffer is full; the machine must pause all
      *  cores for the given duration (one speculation window). */
-    using PauseCallback = std::function<void(Tick)>;
+    using PauseCallback = InplaceFn<void(Tick)>;
 
     SpeculationBuffer(sim::EventQueue &eq, StatGroup *parent,
                       unsigned num_entries, Tick window);

@@ -56,26 +56,16 @@ TEST(BlockTable, PoisonAutomaton)
     EXPECT_EQ(t.notePoisonRead(kB), BlockTable::PoisonRead::Clean);
 }
 
-TEST(BlockTable, PendingPersistCountAndWaiters)
+TEST(BlockTable, PendingPersistCount)
 {
     BlockTable t;
     EXPECT_EQ(t.pendingPersists(kA), 0u);
     t.persistBuffered(kA);
     t.persistBuffered(kA);
     EXPECT_EQ(t.pendingPersists(kA), 2u);
-
-    std::vector<int> ran;
-    t.addPersistWaiter(kA, [&] { ran.push_back(1); });
-    t.addPersistWaiter(kA, [&] { ran.push_back(2); });
-    t.addPersistWaiter(kA, [&] { ran.push_back(3); });
-
     EXPECT_FALSE(t.persistDrained(kA));
     EXPECT_TRUE(t.persistDrained(kA));
-    for (auto &cb : t.takePersistWaiters(kA))
-        cb();
-    // FIFO: waiters run in arrival order.
-    EXPECT_EQ(ran, (std::vector<int>{1, 2, 3}));
-    EXPECT_TRUE(t.takePersistWaiters(kA).empty());
+    EXPECT_EQ(t.pendingPersists(kA), 0u);
 }
 
 TEST(BlockTable, PersistDrainedWithoutBufferedPanics)

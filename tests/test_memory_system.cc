@@ -186,7 +186,7 @@ TEST(MemorySystem, SpecBarrierCompletesAfterPathDrain)
     Harness h(Design::PmemSpec);
     h.timeStore(0, 0x10000);
     Tick done = 0;
-    h.mem.specBarrier(0, [&] { done = h.eq.now(); });
+    h.mem.persistBarrier(0, [&] { done = h.eq.now(); });
     h.eq.run();
     EXPECT_GT(done, 0u);
     EXPECT_TRUE(h.mem.path(0).empty());

@@ -15,6 +15,7 @@
 using namespace pmemspec;
 using mem::MemConfig;
 using mem::PmController;
+using mem::ReadStatus;
 using persistency::Design;
 using sim::EventQueue;
 
@@ -40,7 +41,7 @@ TEST(PmController, ReadTakesDeviceLatency)
 {
     Harness h(Design::IntelX86);
     Tick done = 0;
-    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
+    h.pmc.read(0x1000, [&](ReadStatus) { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, nsToTicks(175));
     EXPECT_EQ(h.pmc.reads.value(), 1u);
@@ -51,8 +52,8 @@ TEST(PmController, SameBankReadsSerialise)
     Harness h(Design::IntelX86);
     std::vector<Tick> done;
     // Same block -> same bank.
-    h.pmc.read(0x1000, [&] { done.push_back(h.eq.now()); });
-    h.pmc.read(0x1000, [&] { done.push_back(h.eq.now()); });
+    h.pmc.read(0x1000, [&](ReadStatus) { done.push_back(h.eq.now()); });
+    h.pmc.read(0x1000, [&](ReadStatus) { done.push_back(h.eq.now()); });
     h.eq.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_EQ(done[0], nsToTicks(175));
@@ -63,20 +64,54 @@ TEST(PmController, DifferentBanksOverlap)
 {
     Harness h(Design::IntelX86);
     std::vector<Tick> done;
-    h.pmc.read(0, [&] { done.push_back(h.eq.now()); });
-    h.pmc.read(64, [&] { done.push_back(h.eq.now()); }); // next bank
+    h.pmc.read(0, [&](ReadStatus) { done.push_back(h.eq.now()); });
+    // Next block -> next bank.
+    h.pmc.read(64, [&](ReadStatus) { done.push_back(h.eq.now()); });
     h.eq.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_EQ(done[0], nsToTicks(175));
     EXPECT_EQ(done[1], nsToTicks(175));
 }
 
+TEST(PmController, HardPoisonIsRetriedThenDelivered)
+{
+    Harness h(Design::IntelX86);
+    h.pmc.poisonBlock(0x1000);
+    std::vector<ReadStatus> got;
+    Tick done = 0;
+    h.pmc.read(0x1000, [&](ReadStatus st) {
+        got.push_back(st);
+        done = h.eq.now();
+    });
+    h.eq.run();
+    // One device read plus pmcPoisonRetries re-reads, back to back on
+    // one bank, then the poison reaches the requester once.
+    const unsigned attempts = h.cfg.pmcPoisonRetries + 1;
+    ASSERT_EQ(got, std::vector<ReadStatus>{ReadStatus::Poisoned});
+    EXPECT_EQ(done, attempts * nsToTicks(175));
+    EXPECT_EQ(h.pmc.reads.value(), attempts);
+    EXPECT_EQ(h.pmc.poisonRetries.value(), h.cfg.pmcPoisonRetries);
+    EXPECT_EQ(h.pmc.poisonedReads.value(), 1u);
+}
+
+TEST(PmController, TransientPoisonHealsWithinTheRetryBudget)
+{
+    Harness h(Design::IntelX86);
+    h.pmc.poisonBlock(0x1000, 2); // clears on the second device read
+    std::vector<ReadStatus> got;
+    h.pmc.read(0x1000, [&](ReadStatus st) { got.push_back(st); });
+    h.eq.run();
+    ASSERT_EQ(got, std::vector<ReadStatus>{ReadStatus::Ok});
+    EXPECT_EQ(h.pmc.reads.value(), 2u);
+    EXPECT_EQ(h.pmc.poisonRetries.value(), 1u);
+    EXPECT_EQ(h.pmc.poisonHeals.value(), 1u);
+    EXPECT_FALSE(h.pmc.isBlockPoisoned(0x1000));
+}
+
 TEST(PmController, IntelWritebackEntersWriteQueue)
 {
     Harness h(Design::IntelX86);
-    bool accepted = false;
-    h.pmc.writeBack(0x1000, [&] { accepted = true; });
-    EXPECT_TRUE(accepted); // ADR: durable at acceptance
+    EXPECT_TRUE(h.pmc.writeBack(0x1000)); // ADR: durable at acceptance
     EXPECT_EQ(h.pmc.writes.value(), 1u);
     h.eq.run();
     EXPECT_EQ(h.pmc.writeQueueOccupancy(), 0u);
@@ -86,9 +121,7 @@ TEST(PmController, BufferedDesignsDropWritebacks)
 {
     for (Design d : {Design::HOPS, Design::DPO}) {
         Harness h(d);
-        bool accepted = false;
-        h.pmc.writeBack(0x1000, [&] { accepted = true; });
-        EXPECT_TRUE(accepted);
+        EXPECT_TRUE(h.pmc.writeBack(0x1000));
         EXPECT_EQ(h.pmc.droppedWritebacks.value(), 1u);
         EXPECT_EQ(h.pmc.writes.value(), 0u);
     }
@@ -97,11 +130,23 @@ TEST(PmController, BufferedDesignsDropWritebacks)
 TEST(PmController, PmemSpecWritebackFeedsSpecBuffer)
 {
     Harness h(Design::PmemSpec);
-    h.pmc.writeBack(0x1000, [] {});
+    h.pmc.writeBack(0x1000);
     EXPECT_EQ(h.pmc.droppedWritebacks.value(), 1u);
     EXPECT_EQ(h.pmc.specBuffer().occupancy(), 1u);
     EXPECT_EQ(h.pmc.specBuffer().stateOf(0x1000),
               mem::SpecState::Evict);
+}
+
+TEST(PmController, IntelWritebackRefusedOnAFullWriteQueue)
+{
+    MemConfig cfg;
+    cfg.pmcWriteQueue = 1;
+    Harness h(Design::IntelX86, cfg);
+    EXPECT_TRUE(h.pmc.writeBack(0 * 64));
+    EXPECT_TRUE(h.pmc.writeBack(0 * 64)); // coalesces into the queued one
+    EXPECT_FALSE(h.pmc.writeBack(1 * 64));
+    h.eq.run(); // queue drains
+    EXPECT_TRUE(h.pmc.writeBack(1 * 64));
 }
 
 TEST(PmController, AcceptPersistWritesAndCoalesces)
@@ -139,8 +184,8 @@ TEST(PmController, LoadMisspecEndToEnd)
             if (k == mem::MisspecKind::LoadStale)
                 ++misspecs;
         });
-    h.pmc.writeBack(0x1000, [] {});
-    h.pmc.read(0x1000, [] {});
+    h.pmc.writeBack(0x1000);
+    h.pmc.read(0x1000, [](ReadStatus) {});
     h.pmc.acceptPersist(0, 0x1000, std::nullopt);
     EXPECT_EQ(misspecs, 1);
     h.eq.run();
@@ -208,7 +253,7 @@ TEST(PmController, HopsBloomDelaysConflictingReads)
     // Simulate a buffered persist: the filter knows about the block.
     h.pmc.filterInsert(0x1000);
     Tick done = 0;
-    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
+    h.pmc.read(0x1000, [&](ReadStatus) { done = h.eq.now(); });
     h.eq.runUntil(nsToTicks(500));
     EXPECT_EQ(done, 0u); // postponed: true conflict
     EXPECT_EQ(h.pmc.bloomTrueHits.value(), 1u);
@@ -221,7 +266,7 @@ TEST(PmController, HopsCleanReadPaysOnlyLookup)
 {
     Harness h(Design::HOPS);
     Tick done = 0;
-    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
+    h.pmc.read(0x1000, [&](ReadStatus) { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, h.cfg.bloomLookupLatency + nsToTicks(175));
 }
@@ -230,7 +275,7 @@ TEST(PmController, NonHopsReadsSkipTheBloomFilter)
 {
     Harness h(Design::PmemSpec);
     Tick done = 0;
-    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
+    h.pmc.read(0x1000, [&](ReadStatus) { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, nsToTicks(175));
 }

@@ -173,8 +173,9 @@ TEST(RecoveryReport, RecoveryIsIdempotentUnderCrashes)
 
         // A cut before any replay persisted leaves the log intact,
         // so the re-recovery sees exactly the reference work.
-        if (j == 0)
+        if (j == 0) {
             EXPECT_TRUE(second == ref_report);
+        }
     }
 }
 

@@ -123,9 +123,11 @@ TEST(SweepRunner, ExceptionDoesNotPoisonThePool)
                    &errors);
     ASSERT_EQ(errors.size(), n);
     EXPECT_EQ(errors[3], "point 3 is bad");
-    for (std::size_t i = 0; i < n; ++i)
-        if (i != 3)
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i != 3) {
             EXPECT_TRUE(errors[i].empty()) << i;
+        }
+    }
     EXPECT_EQ(ran.load(), n - 1);
 }
 
