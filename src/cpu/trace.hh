@@ -65,13 +65,20 @@ enum class TraceOp : std::uint8_t
     DrainBuffer,
 };
 
-/** One replayed instruction. `addr` is overloaded per op (byte
- *  address, lock id, or compute cycles). */
+/** Operand bits of a trace record: every byte address, lock id and
+ *  cycle count a trace carries must be below 2^56. */
+constexpr unsigned operandBits = 56;
+constexpr Addr operandLimit = Addr{1} << operandBits;
+
+/** One replayed instruction, packed into 8 bytes: the op beside a
+ *  56-bit operand. `addr` is overloaded per op (byte address, lock
+ *  id, or compute cycles). */
 struct TraceInstr
 {
-    TraceOp op;
-    Addr addr;
+    TraceOp op : 8;
+    Addr addr : operandBits;
 };
+static_assert(sizeof(TraceInstr) == 8, "TraceInstr is one 8-byte word");
 
 /** A single thread's instruction stream. */
 using Trace = std::vector<TraceInstr>;

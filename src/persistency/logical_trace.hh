@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "cpu/trace.hh"
 
 namespace pmemspec::persistency
 {
@@ -51,13 +52,17 @@ enum class EventKind : std::uint8_t
     Compute,
 };
 
-/** One logical event. */
+/** One logical event, in 16 bytes: the kind packed beside a 56-bit
+ *  `addr`, the same width as the instruction operand lowering copies
+ *  it into, plus the 32-bit size. */
 struct LogicalEvent
 {
-    EventKind kind;
-    Addr addr = 0;
+    EventKind kind : 8;
+    Addr addr : cpu::operandBits = 0;
     std::uint32_t size = 0;
 };
+static_assert(sizeof(LogicalEvent) == 16,
+              "LogicalEvent is an 8-byte word plus its size");
 
 /** One thread's logical stream. */
 using LogicalTrace = std::vector<LogicalEvent>;

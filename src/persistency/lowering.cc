@@ -1,6 +1,7 @@
 #include "lowering.hh"
 
-#include <set>
+#include <algorithm>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -14,16 +15,34 @@ using cpu::TraceOp;
 namespace
 {
 
+/** Blocks dirtied since the last flush point, in store order with
+ *  repeats; flushAndFence() sorts and deduplicates them. */
+using DirtyBlocks = std::vector<Addr>;
+
+/** Refuse an access whose bytes [addr, end) do not all fit in a
+ *  56-bit instruction operand. */
+void
+checkOperandRange(Addr addr, Addr end)
+{
+    fatal_if(end - 1 >= cpu::operandLimit,
+             "PM access [%#llx, %#llx) does not fit a %u-bit trace "
+             "operand",
+             static_cast<unsigned long long>(addr),
+             static_cast<unsigned long long>(end), cpu::operandBits);
+}
+
 /** Emit one store instruction per grain over [addr, addr+size). */
 void
 emitStores(Trace &out, Addr addr, std::uint32_t size, unsigned grain,
-           std::set<Addr> *dirty_blocks)
+           DirtyBlocks *dirty_blocks)
 {
     const Addr end = addr + (size ? size : 1);
+    checkOperandRange(addr, end);
     for (Addr a = addr; a < end; a += grain) {
         out.push_back(TraceInstr{TraceOp::Store, a});
-        if (dirty_blocks)
-            dirty_blocks->insert(blockAlign(a));
+        if (dirty_blocks && (dirty_blocks->empty() ||
+                             dirty_blocks->back() != blockAlign(a)))
+            dirty_blocks->push_back(blockAlign(a));
     }
 }
 
@@ -33,6 +52,7 @@ emitLoads(Trace &out, Addr addr, std::uint32_t size, unsigned grain,
           bool dependent)
 {
     const Addr end = addr + (size ? size : 1);
+    checkOperandRange(addr, end);
     bool first = true;
     for (Addr a = addr; a < end; a += grain) {
         out.push_back(TraceInstr{
@@ -41,12 +61,16 @@ emitLoads(Trace &out, Addr addr, std::uint32_t size, unsigned grain,
     }
 }
 
-/** CLWB every dirty block, then SFENCE (the x86 epoch idiom). */
+/** CLWB every dirty block once, in address order, then SFENCE (the
+ *  x86 epoch idiom). */
 void
-flushAndFence(Trace &out, std::set<Addr> &dirty_blocks)
+flushAndFence(Trace &out, DirtyBlocks &dirty_blocks)
 {
-    for (Addr b : dirty_blocks)
-        out.push_back(TraceInstr{TraceOp::Clwb, b});
+    std::sort(dirty_blocks.begin(), dirty_blocks.end());
+    const auto last =
+        std::unique(dirty_blocks.begin(), dirty_blocks.end());
+    for (auto it = dirty_blocks.begin(); it != last; ++it)
+        out.push_back(TraceInstr{TraceOp::Clwb, *it});
     dirty_blocks.clear();
     out.push_back(TraceInstr{TraceOp::Sfence, 0});
 }
@@ -60,7 +84,7 @@ lower(const LogicalTrace &events, Design design,
     Trace out;
     out.reserve(events.size() * 4);
     // Blocks dirtied since the last flush point (IntelX86/DPO only).
-    std::set<Addr> dirty;
+    DirtyBlocks dirty;
     const bool x86_style =
         design == Design::IntelX86 || design == Design::DPO;
 

@@ -18,6 +18,16 @@ KvStore::KvStore(runtime::PersistentMemory &pm_, const KvConfig &cfg_)
     pm.persistAll();
 }
 
+std::size_t
+KvStore::footprint(const KvConfig &cfg, std::size_t keys)
+{
+    using runtime::PersistentMemory;
+    return PmHashmap::footprint(cfg.buckets, keys) +
+           2 * PersistentMemory::allocBound(8) +
+           keys * (PersistentMemory::allocBound(cfg.valueBytes) +
+                   PersistentMemory::allocBound(metaBytes));
+}
+
 void
 KvStore::unlink(runtime::Transaction &tx, Addr meta)
 {

@@ -42,6 +42,10 @@ class KvStore
   public:
     KvStore(runtime::PersistentMemory &pm, const KvConfig &cfg);
 
+    /** PM bytes the constructor and the sets of `keys` distinct keys
+     *  allocate (allocBound() sums; erased items are not reused). */
+    static std::size_t footprint(const KvConfig &cfg, std::size_t keys);
+
     /** SET: insert or overwrite, failure-atomically; bumps LRU. */
     void set(runtime::Transaction &tx, std::uint64_t key,
              std::uint8_t fill_byte);

@@ -21,6 +21,14 @@ PmArray::PmArray(runtime::PersistentMemory &pm_, std::size_t n,
     pm.writeU64(expectedSumSlot, 0);
 }
 
+std::size_t
+PmArray::footprint(std::size_t n, std::size_t elem_bytes)
+{
+    using runtime::PersistentMemory;
+    return PersistentMemory::allocBound(n * elem_bytes) +
+           PersistentMemory::allocBound(8);
+}
+
 Addr
 PmArray::elemAddr(std::size_t i) const
 {

@@ -28,6 +28,10 @@ class PmArray
     PmArray(runtime::PersistentMemory &pm, std::size_t n,
             std::size_t elem_bytes = 64);
 
+    /** PM bytes the constructor allocates (allocBound() sums). */
+    static std::size_t footprint(std::size_t n,
+                                 std::size_t elem_bytes = 64);
+
     /** Element PM address. */
     Addr elemAddr(std::size_t i) const;
 

@@ -18,6 +18,14 @@ PmHashmap::PmHashmap(runtime::PersistentMemory &pm_,
 }
 
 std::size_t
+PmHashmap::footprint(std::size_t num_buckets, std::size_t keys)
+{
+    using runtime::PersistentMemory;
+    return PersistentMemory::allocBound(num_buckets * 8) +
+           keys * PersistentMemory::allocBound(nodeBytes);
+}
+
+std::size_t
 PmHashmap::bucketIndex(std::uint64_t key) const
 {
     std::uint64_t h = key * 0x9e3779b97f4a7c15ULL;

@@ -23,6 +23,11 @@ class PmHashmap
   public:
     PmHashmap(runtime::PersistentMemory &pm, std::size_t num_buckets);
 
+    /** PM bytes the constructor and the puts of `keys` distinct keys
+     *  allocate (allocBound() sums; erased nodes are not reused). */
+    static std::size_t footprint(std::size_t num_buckets,
+                                 std::size_t keys);
+
     /** Insert or update, failure-atomically. */
     void put(runtime::Transaction &tx, std::uint64_t key,
              std::uint64_t value);

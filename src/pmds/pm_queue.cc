@@ -20,6 +20,14 @@ PmQueue::PmQueue(runtime::PersistentMemory &pm_,
     pm.persistAll();
 }
 
+std::size_t
+PmQueue::footprint(std::size_t value_bytes, std::uint64_t enqueues)
+{
+    using runtime::PersistentMemory;
+    return 2 * PersistentMemory::allocBound(8) +
+           enqueues * PersistentMemory::allocBound(8 + value_bytes);
+}
+
 Addr
 PmQueue::allocNode(std::uint64_t value)
 {

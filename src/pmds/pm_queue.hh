@@ -33,6 +33,11 @@ class PmQueue
     explicit PmQueue(runtime::PersistentMemory &pm,
                      std::size_t value_bytes = 8);
 
+    /** PM bytes the constructor and `enqueues` enqueue() calls
+     *  allocate (allocBound() sums; dequeued nodes are not reused). */
+    static std::size_t footprint(std::size_t value_bytes,
+                                 std::uint64_t enqueues);
+
     /** Failure-atomic enqueue of a value word (payload zero-padded
      *  to value_bytes). */
     void enqueue(runtime::Transaction &tx, std::uint64_t value);

@@ -20,6 +20,14 @@ PmRbTree::PmRbTree(runtime::PersistentMemory &pm_)
     pm.persistAll();
 }
 
+std::size_t
+PmRbTree::footprint(std::size_t inserts)
+{
+    using runtime::PersistentMemory;
+    return PersistentMemory::allocBound(8) +
+           (1 + inserts) * PersistentMemory::allocBound(nodeBytes);
+}
+
 Addr
 PmRbTree::rootAddr() const
 {

@@ -27,6 +27,10 @@ class PmRbTree
   public:
     explicit PmRbTree(runtime::PersistentMemory &pm);
 
+    /** PM bytes the constructor and `inserts` inserts of absent keys
+     *  allocate (allocBound() sums; erased nodes are not reused). */
+    static std::size_t footprint(std::size_t inserts);
+
     /** Failure-atomic insert-or-update. */
     void insert(runtime::Transaction &tx, std::uint64_t key,
                 std::uint64_t value);

@@ -5,6 +5,15 @@
 namespace pmemspec::pmds
 {
 
+std::size_t
+TatpDb::footprint(std::size_t num_subscribers)
+{
+    using runtime::PersistentMemory;
+    return PersistentMemory::allocBound(num_subscribers * rowBytes) +
+           PmHashmap::footprint(num_subscribers, num_subscribers) +
+           PersistentMemory::allocBound(setupLogBytes);
+}
+
 TatpDb::TatpDb(runtime::PersistentMemory &pm_,
                std::size_t num_subscribers)
     : pm(pm_),
@@ -18,7 +27,8 @@ TatpDb::TatpDb(runtime::PersistentMemory &pm_,
     // leading-zero-padded numbering.
     runtime::VirtualOs os;
     runtime::FaseRuntime setup(pm, os, 1,
-                               runtime::RecoveryPolicy::Lazy, 1 << 14);
+                               runtime::RecoveryPolicy::Lazy,
+                               setupLogBytes);
     for (std::uint64_t s = 0; s < count; ++s) {
         const std::uint64_t sub_nbr = s * 2654435761ULL % (1ULL << 40);
         const Addr r = rowAddr(s);

@@ -29,6 +29,9 @@ class TatpDb
     /** Build and populate num_subscribers rows. */
     TatpDb(runtime::PersistentMemory &pm, std::size_t num_subscribers);
 
+    /** PM bytes the constructor allocates (allocBound() sums). */
+    static std::size_t footprint(std::size_t num_subscribers);
+
     /** The UPDATE_LOCATION transaction. @return true if found. */
     bool updateLocation(runtime::Transaction &tx,
                         std::uint64_t sub_nbr,
@@ -46,6 +49,8 @@ class TatpDb
     // Row layout (64B): [s_id:8][sub_nbr:8][bits:8][hex:8]
     //                   [byte2:8][msc_location:8][vlr_location:8][pad:8]
     static constexpr std::size_t rowBytes = 64;
+    /** Undo log of the one-thread runtime that populates the index. */
+    static constexpr std::size_t setupLogBytes = 1 << 14;
     static constexpr Addr offSId = 0;
     static constexpr Addr offSubNbr = 8;
     static constexpr Addr offVlrLocation = 48;

@@ -47,7 +47,7 @@ TpccDb::footprint(const TpccConfig &cfg)
 {
     std::size_t bytes = 0;
     for (std::size_t n : tableBytes(cfg))
-        bytes += n + rowBytes;
+        bytes += runtime::PersistentMemory::allocBound(n);
     return bytes;
 }
 

@@ -48,8 +48,8 @@ class TpccDb
   public:
     TpccDb(runtime::PersistentMemory &pm, const TpccConfig &cfg);
 
-    /** PM bytes the constructor allocates for @p cfg, with each
-     *  allocation's worst-case 64 B alignment padding. */
+    /** PM bytes the constructor allocates for @p cfg (allocBound()
+     *  sums). */
     static std::size_t footprint(const TpccConfig &cfg);
 
     /**

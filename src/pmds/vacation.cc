@@ -33,6 +33,21 @@ VacationDb::priceOf(std::uint64_t rec)
     return static_cast<std::uint32_t>(rec >> 32);
 }
 
+std::size_t
+VacationDb::footprint(const VacationConfig &cfg,
+                      std::uint64_t reservations)
+{
+    using runtime::PersistentMemory;
+    // Resource r lives in partition r % partitionsPerTable.
+    const std::size_t per_tree =
+        (cfg.resourcesPerTable + cfg.partitionsPerTable - 1) /
+        cfg.partitionsPerTable;
+    return PersistentMemory::allocBound(cfg.customers * 8) +
+           3 * cfg.partitionsPerTable * PmRbTree::footprint(per_tree) +
+           PersistentMemory::allocBound(setupLogBytes) +
+           reservations * PersistentMemory::allocBound(reservationBytes);
+}
+
 VacationDb::VacationDb(runtime::PersistentMemory &pm_,
                        const VacationConfig &cfg_)
     : pm(pm_), cfg(cfg_),
@@ -53,7 +68,8 @@ VacationDb::VacationDb(runtime::PersistentMemory &pm_,
     // Populate the three tables (setup phase, via a local runtime).
     runtime::VirtualOs os;
     runtime::FaseRuntime setup(pm, os, 1,
-                               runtime::RecoveryPolicy::Lazy, 1 << 16);
+                               runtime::RecoveryPolicy::Lazy,
+                               setupLogBytes);
     Rng price_rng(0xbadc0ffee0ddf00dULL);
     for (std::size_t r = 0; r < cfg.resourcesPerTable; ++r) {
         setup.runFase(0, [&](runtime::Transaction &tx) {
@@ -130,7 +146,7 @@ VacationDb::makeReservation(runtime::Transaction &tx,
 
     // Record the reservation on the customer's list.
     // Node: [kind:8][resource:8][price:8][next:8]
-    const Addr node = pm.alloc(32, 64);
+    const Addr node = pm.alloc(reservationBytes, 64);
     pm.writeU64(node, static_cast<std::uint64_t>(kind));
     pm.writeU64(node + 8, *best_id);
     pm.writeU64(node + 16, best_price);

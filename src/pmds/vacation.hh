@@ -57,6 +57,11 @@ class VacationDb
     VacationDb(runtime::PersistentMemory &pm,
                const VacationConfig &cfg);
 
+    /** PM bytes the constructor and `reservations` successful
+     *  makeReservation() calls allocate (allocBound() sums). */
+    static std::size_t footprint(const VacationConfig &cfg,
+                                 std::uint64_t reservations);
+
     /** Partition (lock domain) a resource id belongs to. */
     unsigned
     partitionOf(std::uint64_t id) const
@@ -97,6 +102,11 @@ class VacationDb
     const VacationConfig &config() const { return cfg; }
 
   private:
+    /** Undo log of the one-thread runtime that populates the tables. */
+    static constexpr std::size_t setupLogBytes = 1 << 16;
+    /** Reservation list node: [kind:8][resource:8][price:8][next:8]. */
+    static constexpr std::size_t reservationBytes = 32;
+
     // Packed resource record: free:16 | used:16 | price:32.
     static std::uint64_t pack(std::uint16_t free_seats,
                               std::uint16_t used, std::uint32_t price);

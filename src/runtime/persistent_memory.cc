@@ -55,8 +55,10 @@ PersistentMemory::checkPoison(Addr a, std::size_t n) const
 Addr
 PersistentMemory::alloc(std::size_t n, std::size_t align)
 {
-    panic_if(align == 0 || (align & (align - 1)) != 0,
-             "alloc alignment must be a power of two");
+    panic_if(align == 0 || (align & (align - 1)) != 0 ||
+                 align > blockBytes,
+             "alloc alignment must be a power of two up to %u",
+             blockBytes);
     std::size_t base = (brk + align - 1) & ~(align - 1);
     fatal_if(base + n > volatileImg.size(),
              "PM arena exhausted: need %zu at %zu of %zu", n, base,

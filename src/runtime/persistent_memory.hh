@@ -180,8 +180,23 @@ class PersistentMemory
     /** @param bytes Size of the PM address space. */
     explicit PersistentMemory(std::size_t bytes);
 
-    /** Bump-allocate a region; never freed (arena style). */
+    /** Bump-allocate a region; never freed (arena style). `align`
+     *  is a power of two up to blockBytes. */
     Addr alloc(std::size_t n, std::size_t align = 8);
+
+    /**
+     * Arena bytes to budget for one alloc(n, align), padding
+     * included: n rounded up to whole blocks. Each allocation moves
+     * the next block-aligned base on by at most this much, so from a
+     * block-aligned cursor a sequence of allocations never outgrows
+     * the sum of their allocBound()s. The pmds footprint() functions
+     * are such sums.
+     */
+    static constexpr std::size_t
+    allocBound(std::size_t n)
+    {
+        return (n + blockBytes - 1) / blockBytes * blockBytes;
+    }
 
     /** Bytes remaining in the arena. */
     std::size_t remaining() const { return volatileImg.size() - brk; }

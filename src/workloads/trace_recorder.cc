@@ -46,6 +46,16 @@ TraceRecorder::inLogRegion(Addr a) const
 }
 
 void
+TraceRecorder::record(EventKind kind, std::uint64_t operand,
+                      std::uint32_t size)
+{
+    fatal_if(operand >= cpu::operandLimit,
+             "trace operand %#llx does not fit %u bits",
+             static_cast<unsigned long long>(operand), cpu::operandBits);
+    traces[curThread].push_back(LogicalEvent{kind, operand, size});
+}
+
+void
 TraceRecorder::onAccess(runtime::MemOp op, Addr a, std::uint32_t size)
 {
     if (!enabled)
@@ -53,25 +63,23 @@ TraceRecorder::onAccess(runtime::MemOp op, Addr a, std::uint32_t size)
     switch (op) {
       case runtime::MemOp::Write:
         if (inLogRegion(a)) {
-            cur().push_back(
-                LogicalEvent{EventKind::LogWrite, a, size});
+            record(EventKind::LogWrite, a, size);
             pendingLogWrites = true;
         } else {
             if (pendingLogWrites) {
                 // Undo-log discipline: order the pending log entries
                 // before this guarded data write.
-                cur().push_back(LogicalEvent{EventKind::Boundary, 0, 0});
+                record(EventKind::Boundary, 0, 0);
                 pendingLogWrites = false;
             }
-            cur().push_back(
-                LogicalEvent{EventKind::DataStore, a, size});
+            record(EventKind::DataStore, a, size);
         }
         break;
       case runtime::MemOp::Read:
-        cur().push_back(LogicalEvent{EventKind::PmLoad, a, size});
+        record(EventKind::PmLoad, a, size);
         break;
       case runtime::MemOp::ReadDep:
-        cur().push_back(LogicalEvent{EventKind::PmLoadDep, a, size});
+        record(EventKind::PmLoadDep, a, size);
         break;
     }
 }
@@ -82,7 +90,7 @@ TraceRecorder::faseBegin()
     if (!enabled)
         return;
     pendingLogWrites = false;
-    cur().push_back(LogicalEvent{EventKind::FaseBegin, 0, 0});
+    record(EventKind::FaseBegin, 0, 0);
 }
 
 void
@@ -91,7 +99,7 @@ TraceRecorder::faseEnd()
     if (!enabled)
         return;
     pendingLogWrites = false;
-    cur().push_back(LogicalEvent{EventKind::FaseEnd, 0, 0});
+    record(EventKind::FaseEnd, 0, 0);
 }
 
 void
@@ -99,7 +107,7 @@ TraceRecorder::lockAcq(unsigned lock_id)
 {
     if (!enabled)
         return;
-    cur().push_back(LogicalEvent{EventKind::LockAcq, lock_id, 0});
+    record(EventKind::LockAcq, lock_id, 0);
 }
 
 void
@@ -107,7 +115,7 @@ TraceRecorder::lockRel(unsigned lock_id)
 {
     if (!enabled)
         return;
-    cur().push_back(LogicalEvent{EventKind::LockRel, lock_id, 0});
+    record(EventKind::LockRel, lock_id, 0);
 }
 
 void
@@ -115,7 +123,7 @@ TraceRecorder::compute(std::uint64_t cycles)
 {
     if (!enabled || cycles == 0)
         return;
-    cur().push_back(LogicalEvent{EventKind::Compute, cycles, 0});
+    record(EventKind::Compute, cycles, 0);
 }
 
 std::vector<persistency::LogicalTrace>

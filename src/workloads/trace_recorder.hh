@@ -67,7 +67,10 @@ class TraceRecorder
   private:
     void onAccess(runtime::MemOp op, Addr a, std::uint32_t size);
     bool inLogRegion(Addr a) const;
-    persistency::LogicalTrace &cur() { return traces[curThread]; }
+    /** Append one event to the current thread's trace; fatal() on an
+     *  operand (address, lock id or cycle count) of 2^56 or more. */
+    void record(persistency::EventKind kind, std::uint64_t operand,
+                std::uint32_t size);
 
     struct Region
     {

@@ -75,7 +75,9 @@ struct GenContext
      *  after its 64 B null guard. */
     static constexpr std::size_t logBytes = 1 << 16;
 
-    /** Arena bytes for the guard, the logs and @p data_bytes. */
+    /** Arena bytes for the guard, the logs and @p data_bytes: the
+     *  sum of the footprints of the structures the generator builds
+     *  (the logs end block-aligned, as allocBound() needs). */
     static std::size_t
     arenaBytes(unsigned num_threads, std::size_t data_bytes)
     {
@@ -83,13 +85,11 @@ struct GenContext
     }
 
     GenContext(std::size_t pm_bytes, unsigned num_threads,
-               std::uint64_t seed,
                runtime::LogGranularity granularity =
                    runtime::LogGranularity::Block)
         : pm(pm_bytes),
           rt(pm, os, num_threads, RecoveryPolicy::Lazy, logBytes,
-             granularity),
-          rng(seed)
+             granularity)
     {
     }
 
@@ -124,17 +124,25 @@ struct GenContext
             rec->lockRel(*it);
     }
 
+    /** The recorded traces; reports the arena's use to @p arena. */
+    std::vector<LogicalTrace>
+    finish(ArenaUse *arena)
+    {
+        if (arena)
+            *arena = ArenaUse{pm.size(), pm.size() - pm.remaining()};
+        return rec->takeTraces();
+    }
+
     PersistentMemory pm;
     VirtualOs os;
     FaseRuntime rt;
-    Rng rng;
     std::unique_ptr<TraceRecorder> rec;
 };
 
 constexpr unsigned numStripes = 64;
 
 std::vector<LogicalTrace>
-genArraySwaps(const WorkloadParams &p)
+genArraySwaps(const WorkloadParams &p, ArenaUse *arena)
 {
     // As in DPO/HOPS, each thread owns a private array instance:
     // microbenchmark FASEs have (almost) no inter-thread dependency
@@ -144,8 +152,11 @@ genArraySwaps(const WorkloadParams &p)
     const std::size_t elems =
         std::max<std::size_t>(1 << 10, (std::size_t{1} << 17) /
                                            p.numThreads);
-    GenContext ctx(p.numThreads * elems * 64 + (16u << 20),
-                   p.numThreads, p.seed);
+    GenContext ctx(GenContext::arenaBytes(
+                       p.numThreads,
+                       p.numThreads * pmds::PmArray::footprint(elems, 64)),
+                   p.numThreads);
+    Rng rng(p.seed);
     std::vector<std::unique_ptr<pmds::PmArray>> arrays;
     for (unsigned t = 0; t < p.numThreads; ++t) {
         arrays.push_back(
@@ -158,24 +169,39 @@ genArraySwaps(const WorkloadParams &p)
     for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
         for (unsigned t = 0; t < p.numThreads; ++t) {
             pmds::PmArray &arr = *arrays[t];
-            std::size_t i = ctx.rng.below(elems);
-            std::size_t j = ctx.rng.below(elems);
+            std::size_t i = rng.below(elems);
+            std::size_t j = rng.below(elems);
             if (i == j)
                 j = (j + 1) % elems;
             ctx.fase(t, {},
                      [&](Transaction &tx) { arr.swap(tx, i, j); });
         }
     }
-    return ctx.rec->takeTraces();
+    return ctx.finish(arena);
 }
 
 std::vector<LogicalTrace>
-genQueue(const WorkloadParams &p)
+genQueue(const WorkloadParams &p, ArenaUse *arena)
 {
-    // Per-thread queue instances (DPO/HOPS methodology).
-    const std::uint64_t total_ops = p.opsPerThread * p.numThreads;
-    GenContext ctx(total_ops * 192 + (16u << 20), p.numThreads,
-                   p.seed);
+    // Per-thread queue instances (DPO/HOPS methodology). Each
+    // enqueue allocates a node, so the operations are drawn first and
+    // their enqueues size the arena.
+    Rng rng(p.seed);
+    std::vector<bool> enqs(p.opsPerThread * p.numThreads);
+    std::vector<std::uint64_t> thread_enqs(p.numThreads, 0);
+    for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
+        for (unsigned t = 0; t < p.numThreads; ++t) {
+            // Bias towards enqueue so the queue stays non-trivial.
+            const bool enq = (op + t) % 2 == 0 || rng.chance(0.1);
+            enqs[op * p.numThreads + t] = enq;
+            thread_enqs[t] += enq;
+        }
+    }
+    std::size_t data_bytes = 0;
+    for (std::uint64_t n : thread_enqs)
+        data_bytes += pmds::PmQueue::footprint(64, n);
+    GenContext ctx(GenContext::arenaBytes(p.numThreads, data_bytes),
+                   p.numThreads);
     std::vector<std::unique_ptr<pmds::PmQueue>> queues;
     for (unsigned t = 0; t < p.numThreads; ++t)
         queues.push_back(std::make_unique<pmds::PmQueue>(ctx.pm, 64));
@@ -184,8 +210,7 @@ genQueue(const WorkloadParams &p)
     for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
         for (unsigned t = 0; t < p.numThreads; ++t) {
             pmds::PmQueue &q = *queues[t];
-            // Bias towards enqueue so the queue stays non-trivial.
-            const bool enq = (op + t) % 2 == 0 || ctx.rng.chance(0.1);
+            const bool enq = enqs[op * p.numThreads + t];
             ctx.fase(t, {}, [&](Transaction &tx) {
                 if (enq)
                     q.enqueue(tx, op * p.numThreads + t);
@@ -194,11 +219,11 @@ genQueue(const WorkloadParams &p)
             });
         }
     }
-    return ctx.rec->takeTraces();
+    return ctx.finish(arena);
 }
 
 std::vector<LogicalTrace>
-genHashmap(const WorkloadParams &p)
+genHashmap(const WorkloadParams &p, ArenaUse *arena)
 {
     // Per-thread hashmap + record-table instances over a fixed
     // total footprint.
@@ -206,9 +231,13 @@ genHashmap(const WorkloadParams &p)
         1 << 10, (std::size_t{1} << 16) / p.numThreads);
     const std::size_t buckets =
         std::max<std::size_t>(256, key_space / 4);
-    GenContext ctx(p.numThreads * key_space * (128 + 64) +
-                       (16u << 20),
-                   p.numThreads, p.seed);
+    GenContext ctx(GenContext::arenaBytes(
+                       p.numThreads,
+                       p.numThreads *
+                           (pmds::PmHashmap::footprint(buckets, key_space) +
+                            pmds::PmArray::footprint(key_space, 64))),
+                   p.numThreads);
+    Rng rng(p.seed);
     struct Inst
     {
         pmds::PmHashmap hm;
@@ -231,8 +260,8 @@ genHashmap(const WorkloadParams &p)
     for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
         for (unsigned t = 0; t < p.numThreads; ++t) {
             Inst &in = *insts[t];
-            const std::uint64_t key = ctx.rng.below(key_space);
-            const bool update = ctx.rng.chance(0.5);
+            const std::uint64_t key = rng.below(key_space);
+            const bool update = rng.chance(0.5);
             ctx.fase(t, {}, [&](Transaction &tx) {
                 if (update) {
                     in.hm.put(tx, key, op);
@@ -254,20 +283,50 @@ genHashmap(const WorkloadParams &p)
             });
         }
     }
-    return ctx.rec->takeTraces();
+    return ctx.finish(arena);
 }
 
 std::vector<LogicalTrace>
-genRbTree(const WorkloadParams &p)
+genRbTree(const WorkloadParams &p, ArenaUse *arena)
 {
     // Per-thread red-black tree instances over a fixed total
-    // footprint.
+    // footprint. A tree allocates a node per insert of an absent key
+    // and never reuses an erased one, so the operations are drawn
+    // first and replayed against each tree's key set to size the
+    // arena.
     const std::uint64_t key_space = std::max<std::uint64_t>(
         1 << 9, (std::uint64_t{1} << 15) / p.numThreads);
-    const std::uint64_t total_ops = p.opsPerThread * p.numThreads;
-    GenContext ctx(p.numThreads * key_space * 128 + total_ops * 128 +
-                       (16u << 20),
-                   p.numThreads, p.seed);
+    struct Op
+    {
+        std::uint64_t key;
+        bool ins;
+    };
+    Rng rng(p.seed);
+    std::vector<Op> ops(p.opsPerThread * p.numThreads);
+    std::vector<std::vector<bool>> present(
+        p.numThreads, std::vector<bool>(key_space + 1, false));
+    std::vector<std::size_t> inserts(p.numThreads, 0);
+    for (unsigned t = 0; t < p.numThreads; ++t) {
+        for (std::uint64_t k = 1; k < key_space; k += 2) {
+            present[t][k] = true;
+            ++inserts[t];
+        }
+    }
+    for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
+        for (unsigned t = 0; t < p.numThreads; ++t) {
+            Op &o = ops[op * p.numThreads + t];
+            o.key = 1 + rng.below(key_space);
+            o.ins = rng.chance(0.5);
+            if (o.ins && !present[t][o.key])
+                ++inserts[t];
+            present[t][o.key] = o.ins;
+        }
+    }
+    std::size_t data_bytes = 0;
+    for (std::size_t n : inserts)
+        data_bytes += pmds::PmRbTree::footprint(n);
+    GenContext ctx(GenContext::arenaBytes(p.numThreads, data_bytes),
+                   p.numThreads);
     std::vector<std::unique_ptr<pmds::PmRbTree>> trees;
     for (unsigned t = 0; t < p.numThreads; ++t) {
         trees.push_back(std::make_unique<pmds::PmRbTree>(ctx.pm));
@@ -282,29 +341,30 @@ genRbTree(const WorkloadParams &p)
     for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
         for (unsigned t = 0; t < p.numThreads; ++t) {
             pmds::PmRbTree &tree = *trees[t];
-            const std::uint64_t key = 1 + ctx.rng.below(key_space);
-            const bool ins = ctx.rng.chance(0.5);
+            const Op &o = ops[op * p.numThreads + t];
             ctx.fase(t, {}, [&](Transaction &tx) {
-                if (ins)
-                    tree.insert(tx, key, op);
+                if (o.ins)
+                    tree.insert(tx, o.key, op);
                 else
-                    tree.erase(tx, key);
+                    tree.erase(tx, o.key);
             });
         }
     }
-    return ctx.rec->takeTraces();
+    return ctx.finish(arena);
 }
 
 std::vector<LogicalTrace>
-genTatp(const WorkloadParams &p)
+genTatp(const WorkloadParams &p, ArenaUse *arena)
 {
     // One shared subscriber table; each thread updates a disjoint
     // subscriber range (rows are one cache block each, so the
     // partitioning is race-free without locks). The index is only
     // read during the measured phase.
     const std::size_t subscribers = 65536;
-    GenContext ctx(subscribers * 256 + (32u << 20), p.numThreads,
-                   p.seed);
+    GenContext ctx(GenContext::arenaBytes(
+                       p.numThreads, pmds::TatpDb::footprint(subscribers)),
+                   p.numThreads);
+    Rng rng(p.seed);
     pmds::TatpDb db(ctx.pm, subscribers);
     ctx.startRecording(p.numThreads);
 
@@ -312,21 +372,21 @@ genTatp(const WorkloadParams &p)
     for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
         for (unsigned t = 0; t < p.numThreads; ++t) {
             const std::uint64_t s_id =
-                t * per_thread + ctx.rng.below(per_thread);
+                t * per_thread + rng.below(per_thread);
             const std::uint64_t sub_nbr =
                 s_id * 2654435761ULL % (1ULL << 40);
             const auto loc =
-                static_cast<std::uint32_t>(ctx.rng.next());
+                static_cast<std::uint32_t>(rng.next());
             ctx.fase(t, {}, [&](Transaction &tx) {
                 db.updateLocation(tx, sub_nbr, loc);
             }, 150);
         }
     }
-    return ctx.rec->takeTraces();
+    return ctx.finish(arena);
 }
 
 std::vector<LogicalTrace>
-genTpcc(const WorkloadParams &p)
+genTpcc(const WorkloadParams &p, ArenaUse *arena)
 {
     // Terminal-per-district, as in TPC-C: thread t drives district
     // t (districts >= threads), and line items are drawn from a
@@ -338,7 +398,8 @@ genTpcc(const WorkloadParams &p)
         tc.districts * (p.opsPerThread + 64));
     GenContext ctx(GenContext::arenaBytes(p.numThreads,
                                           pmds::TpccDb::footprint(tc)),
-                   p.numThreads, p.seed);
+                   p.numThreads);
+    Rng rng(p.seed);
     pmds::TpccDb db(ctx.pm, tc);
     ctx.startRecording(p.numThreads);
 
@@ -347,38 +408,40 @@ genTpcc(const WorkloadParams &p)
         for (unsigned t = 0; t < p.numThreads; ++t) {
             const unsigned district = t;
             const unsigned customer = static_cast<unsigned>(
-                ctx.rng.below(tc.customersPerDistrict));
+                rng.below(tc.customersPerDistrict));
             const unsigned n =
-                static_cast<unsigned>(ctx.rng.range(5, 15));
+                static_cast<unsigned>(rng.range(5, 15));
             std::vector<pmds::OrderLineReq> lines(n);
             for (auto &l : lines) {
                 l.itemId = district * items_per_d +
                            static_cast<std::uint32_t>(
-                               ctx.rng.below(items_per_d));
+                               rng.below(items_per_d));
                 l.quantity =
-                    static_cast<std::uint32_t>(ctx.rng.range(1, 10));
+                    static_cast<std::uint32_t>(rng.range(1, 10));
             }
             ctx.fase(t, {}, [&](Transaction &tx) {
                 db.newOrder(tx, district, customer, lines);
             }, 300);
         }
     }
-    return ctx.rec->takeTraces();
+    return ctx.finish(arena);
 }
 
 std::vector<LogicalTrace>
-genVacation(const WorkloadParams &p)
+genVacation(const WorkloadParams &p, ArenaUse *arena)
 {
     pmds::VacationConfig vc;
     vc.resourcesPerTable = 1 << 13;
     vc.customers = 4096;
     vc.numQueries = 8;
     vc.partitionsPerTable = 16;
+    // Each FASE makes at most one reservation.
     const std::uint64_t total_ops = p.opsPerThread * p.numThreads;
-    const std::size_t pm_bytes =
-        vc.resourcesPerTable * 3 * 128 + total_ops * 64 + (48u << 20);
-    GenContext ctx(pm_bytes, p.numThreads, p.seed,
-                   runtime::LogGranularity::Word);
+    GenContext ctx(GenContext::arenaBytes(
+                       p.numThreads,
+                       pmds::VacationDb::footprint(vc, total_ops)),
+                   p.numThreads, runtime::LogGranularity::Word);
+    Rng rng(p.seed);
     pmds::VacationDb db(ctx.pm, vc);
     ctx.startRecording(p.numThreads);
 
@@ -390,19 +453,19 @@ genVacation(const WorkloadParams &p)
     for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
         for (unsigned t = 0; t < p.numThreads; ++t) {
             const std::uint64_t customer =
-                ctx.rng.below(vc.customers);
+                rng.below(vc.customers);
             const auto cust_stripe = static_cast<unsigned>(
                 cust_lock_base + (customer / 8) % numStripes);
             const auto kind =
-                static_cast<pmds::ResourceKind>(ctx.rng.below(3));
+                static_cast<pmds::ResourceKind>(rng.below(3));
             const unsigned kind_base =
                 static_cast<unsigned>(kind) * P;
-            if (ctx.rng.chance(0.9)) {
+            if (rng.chance(0.9)) {
                 // MAKE_RESERVATION over numQueries candidates.
                 std::vector<std::uint64_t> cands(vc.numQueries);
                 std::vector<unsigned> locks{cust_stripe};
                 for (auto &id : cands) {
-                    id = ctx.rng.below(vc.resourcesPerTable);
+                    id = rng.below(vc.resourcesPerTable);
                     locks.push_back(kind_base + db.partitionOf(id));
                 }
                 std::sort(locks.begin(), locks.end());
@@ -414,9 +477,9 @@ genVacation(const WorkloadParams &p)
             } else {
                 // UPDATE_TABLES: reprice one resource.
                 const std::uint64_t id =
-                    ctx.rng.below(vc.resourcesPerTable);
+                    rng.below(vc.resourcesPerTable);
                 const auto price = static_cast<std::uint32_t>(
-                    50 + ctx.rng.below(800));
+                    50 + rng.below(800));
                 ctx.fase(t, {kind_base + db.partitionOf(id)},
                          [&](Transaction &tx) {
                              db.updateTables(tx, kind, id, price);
@@ -425,21 +488,21 @@ genVacation(const WorkloadParams &p)
             }
         }
     }
-    return ctx.rec->takeTraces();
+    return ctx.finish(arena);
 }
 
 std::vector<LogicalTrace>
-genMemcached(const WorkloadParams &p)
+genMemcached(const WorkloadParams &p, ArenaUse *arena)
 {
     pmds::KvConfig kc;
     kc.buckets = 1 << 13;
     kc.valueBytes = 1024; // paper: memcached data size is 1024B
     const std::size_t key_space = 1 << 13;
-    const std::size_t pm_bytes =
-        key_space * (1024 + 256) + (32u << 20);
     // Mnemosyne-style word-granular logging, as in the real port.
-    GenContext ctx(pm_bytes, p.numThreads, p.seed,
-                   runtime::LogGranularity::Word);
+    GenContext ctx(GenContext::arenaBytes(
+                       p.numThreads, pmds::KvStore::footprint(kc, key_space)),
+                   p.numThreads, runtime::LogGranularity::Word);
+    Rng rng(p.seed);
     pmds::KvStore kv(ctx.pm, kc);
     // Pre-populate the store.
     for (std::uint64_t k = 0; k < key_space; ++k) {
@@ -453,8 +516,8 @@ genMemcached(const WorkloadParams &p)
     const unsigned cache_lock = 0;
     for (std::uint64_t op = 0; op < p.opsPerThread; ++op) {
         for (unsigned t = 0; t < p.numThreads; ++t) {
-            const std::uint64_t key = ctx.rng.below(key_space);
-            const bool is_set = ctx.rng.chance(0.5);
+            const std::uint64_t key = rng.below(key_space);
+            const bool is_set = rng.chance(0.5);
             ctx.fase(t, {cache_lock}, [&](Transaction &tx) {
                 if (is_set)
                     kv.set(tx, key,
@@ -464,25 +527,25 @@ genMemcached(const WorkloadParams &p)
             }, 250);
         }
     }
-    return ctx.rec->takeTraces();
+    return ctx.finish(arena);
 }
 
 } // namespace
 
 std::vector<LogicalTrace>
-generateTraces(BenchId id, const WorkloadParams &params)
+generateTraces(BenchId id, const WorkloadParams &params, ArenaUse *arena)
 {
     fatal_if(params.numThreads == 0 || params.opsPerThread == 0,
              "bad workload params");
     switch (id) {
-      case BenchId::ArraySwaps: return genArraySwaps(params);
-      case BenchId::Queue:      return genQueue(params);
-      case BenchId::Hashmap:    return genHashmap(params);
-      case BenchId::RbTree:     return genRbTree(params);
-      case BenchId::Tatp:       return genTatp(params);
-      case BenchId::Tpcc:       return genTpcc(params);
-      case BenchId::Vacation:   return genVacation(params);
-      case BenchId::Memcached:  return genMemcached(params);
+      case BenchId::ArraySwaps: return genArraySwaps(params, arena);
+      case BenchId::Queue:      return genQueue(params, arena);
+      case BenchId::Hashmap:    return genHashmap(params, arena);
+      case BenchId::RbTree:     return genRbTree(params, arena);
+      case BenchId::Tatp:       return genTatp(params, arena);
+      case BenchId::Tpcc:       return genTpcc(params, arena);
+      case BenchId::Vacation:   return genVacation(params, arena);
+      case BenchId::Memcached:  return genMemcached(params, arena);
     }
     panic("unknown benchmark id");
 }

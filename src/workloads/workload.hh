@@ -63,12 +63,24 @@ struct WorkloadParams
     std::uint64_t seed = 1;
 };
 
+/** The PM arena of one generation run. */
+struct ArenaUse
+{
+    /** Arena size: the logs plus the structures' footprints. */
+    std::size_t bytes = 0;
+    /** Bytes the run allocated from it. */
+    std::size_t used = 0;
+};
+
 /**
  * Run the benchmark functionally and capture one logical trace per
- * thread. Deterministic in (id, params).
+ * thread. Deterministic in (id, params). The arena is sized from the
+ * footprints of the structures the benchmark builds; @p arena, if
+ * given, receives its size and use.
  */
 std::vector<persistency::LogicalTrace>
-generateTraces(BenchId id, const WorkloadParams &params);
+generateTraces(BenchId id, const WorkloadParams &params,
+               ArenaUse *arena = nullptr);
 
 } // namespace pmemspec::workloads
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "persistency/lowering.hh"
 
 using namespace pmemspec;
@@ -138,6 +140,30 @@ TEST(Lowering, ClwbsCoverExactlyTheDirtyBlocks)
     EXPECT_EQ(mix.clwbs, 2u); // blocks 0x1000 and 0x2000
 }
 
+TEST(Lowering, ClwbsFlushEachDirtyBlockOnceInAddressOrder)
+{
+    LogicalTrace lt = {
+        {EventKind::FaseBegin, 0, 0},
+        {EventKind::LogWrite, 0x3000, 8},
+        {EventKind::LogWrite, 0x1000, 8},
+        {EventKind::LogWrite, 0x3008, 8},
+        {EventKind::Boundary, 0, 0},
+        {EventKind::DataStore, 0x2038, 16}, // straddles 0x2000/0x2040
+        {EventKind::DataStore, 0x2000, 8},
+        {EventKind::FaseEnd, 0, 0},
+    };
+    std::vector<Addr> clwbs;
+    for (const auto &i : lower(lt, Design::IntelX86)) {
+        if (i.op == TraceOp::Clwb)
+            clwbs.push_back(i.addr);
+        else if (i.op == TraceOp::Sfence)
+            clwbs.push_back(0); // epoch separator
+    }
+    const std::vector<Addr> want = {0x1000, 0x3000, 0,
+                                    0x2000, 0x2040, 0};
+    EXPECT_EQ(clwbs, want);
+}
+
 TEST(Lowering, LoadsLowerToPerGrainInstructions)
 {
     LogicalTrace lt = {
@@ -157,6 +183,38 @@ TEST(Lowering, ComputeEventsPassThrough)
     ASSERT_EQ(t.size(), 1u);
     EXPECT_EQ(t[0].op, TraceOp::Compute);
     EXPECT_EQ(t[0].addr, 120u);
+}
+
+TEST(Lowering, OperandsUpToTheLimitRoundTrip)
+{
+    // The last value a 56-bit operand holds, as cycles, lock id and
+    // byte address.
+    const Addr top = cpu::operandLimit - 1;
+    LogicalTrace lt = {
+        {EventKind::Compute, top, 0},
+        {EventKind::LockAcq, top, 0},
+        {EventKind::DataStore, top, 1},
+        {EventKind::PmLoadDep, top, 1},
+    };
+    const auto t = lower(lt, Design::IntelX86);
+    ASSERT_EQ(t.size(), 4u);
+    const TraceOp ops[] = {TraceOp::Compute, TraceOp::LockAcq,
+                           TraceOp::Store, TraceOp::LoadDep};
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        EXPECT_EQ(t[i].op, ops[i]);
+        EXPECT_EQ(t[i].addr, top);
+    }
+}
+
+TEST(LoweringDeathTest, RefusesBytesAtOrPastTheOperandLimit)
+{
+    // The second grain of this store would start at 2^56.
+    const LogicalTrace store = {
+        {EventKind::DataStore, cpu::operandLimit - 8, 16}};
+    EXPECT_DEATH(lower(store, Design::PmemSpec), "56-bit trace operand");
+    const LogicalTrace load = {
+        {EventKind::PmLoad, cpu::operandLimit - 1, 2}};
+    EXPECT_DEATH(lower(load, Design::HOPS), "56-bit trace operand");
 }
 
 TEST(Lowering, ZeroCycleComputeIsElided)

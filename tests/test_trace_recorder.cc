@@ -139,6 +139,20 @@ TEST(TraceRecorder, ZeroComputeIsElided)
     EXPECT_TRUE(h.rec.trace(0).empty());
 }
 
+TEST(TraceRecorder, OperandsUpToTheLimitAreKept)
+{
+    Harness h;
+    h.rec.compute(cpu::operandLimit - 1);
+    ASSERT_EQ(h.rec.trace(0).size(), 1u);
+    EXPECT_EQ(h.rec.trace(0)[0].addr, cpu::operandLimit - 1);
+}
+
+TEST(TraceRecorderDeathTest, RefusesAnOperandPastTheLimit)
+{
+    Harness h;
+    EXPECT_DEATH(h.rec.compute(cpu::operandLimit), "does not fit 56 bits");
+}
+
 TEST(TraceRecorder, TakeTracesResets)
 {
     Harness h;

@@ -131,6 +131,38 @@ TEST_P(AllBenchmarks, DeterministicForAGivenSeed)
     }
 }
 
+TEST_P(AllBenchmarks, ArenaFitsWhatGenerationAllocates)
+{
+    // Each arena is the undo logs plus the footprints of the
+    // structures the benchmark builds. Generation must never run out
+    // of it (PersistentMemory::alloc is fatal on "PM arena
+    // exhausted"), and it must stay within 2x of what generation
+    // allocated, so no fixed slack term can return. TPC-C's arena was
+    // once sized at 384 B per order, where a new order allocates
+    // 1096 B, and ran out near 7000 FASEs per thread.
+    struct Point
+    {
+        unsigned threads;
+        std::uint64_t ops;
+    };
+    for (const Point pt : {Point{1, 1}, Point{1, 400}, Point{1, 25600},
+                           Point{8, 1}, Point{8, 400}, Point{8, 3200},
+                           Point{64, 1}, Point{64, 100}}) {
+        WorkloadParams p;
+        p.numThreads = pt.threads;
+        p.opsPerThread = pt.ops;
+        ArenaUse arena;
+        const auto traces = generateTraces(GetParam(), p, &arena);
+        ASSERT_EQ(traces.size(), pt.threads);
+        EXPECT_EQ(shapeOf(traces[0]).ends, pt.ops);
+        EXPECT_LE(arena.used, arena.bytes);
+        EXPECT_LE(arena.bytes, 2 * arena.used)
+            << benchName(GetParam()) << " at " << pt.threads
+            << " threads x " << pt.ops << " FASEs: arena "
+            << arena.bytes << " B, used " << arena.used << " B";
+    }
+}
+
 TEST_P(AllBenchmarks, SeedsChangeTheTraces)
 {
     auto p1 = tinyParams();
@@ -174,20 +206,6 @@ TEST(Workloads, MicrobenchmarksAreLockFree)
         for (const auto &t : traces)
             EXPECT_EQ(shapeOf(t).acqs, 0u) << benchName(b);
     }
-}
-
-TEST(Workloads, TpccArenaHoldsLongRuns)
-{
-    // Each new order allocates a 64 B order row, 16 order lines of
-    // 64 B and an 8 B new-order entry: 1096 B, where the arena was
-    // once sized for 384 B and ran out near 7000 orders per thread.
-    WorkloadParams p;
-    p.numThreads = 1;
-    p.opsPerThread = 8000;
-    p.seed = 1;
-    const auto traces = generateTraces(BenchId::Tpcc, p);
-    ASSERT_EQ(traces.size(), 1u);
-    EXPECT_EQ(shapeOf(traces[0]).ends, 8000u);
 }
 
 TEST(Workloads, ApplicationsUseCriticalSections)
