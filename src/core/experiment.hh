@@ -83,22 +83,6 @@ struct ExperimentConfig
         workload.seed = seed;
         return *this;
     }
-
-    /** Event tracing / flight recorder for the run (trace.hh). */
-    ExperimentConfig &
-    withTrace(const trace::Config &t)
-    {
-        machine.trace = t;
-        return *this;
-    }
-
-    /** Time-series metrics sampling + FASE speculation profile. */
-    ExperimentConfig &
-    withMetrics(const observe::MetricsConfig &m)
-    {
-        machine.metrics = m;
-        return *this;
-    }
 };
 
 /** Measured outcome of one experiment. */

@@ -84,8 +84,6 @@ Machine::buildMetrics()
         reg.addGauge(p + "write_q",
                      [&pmc] { return double(pmc.writeQueueOccupancy()); });
         reg.addStat(pmc.stats(), "persistsAccepted");
-        reg.addStat(pmc.stats(), "poisonRetries");
-        reg.addStat(pmc.stats(), "poisonedReads");
         if (cfg.design == Design::PmemSpec) {
             auto &sb = pmc.specBuffer();
             reg.addGauge(sb.stats().fullName() + ".occupancy",

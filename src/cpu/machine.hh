@@ -91,7 +91,6 @@ class Machine
     sim::EventQueue &eventQueue() { return eq; }
     mem::MemorySystem &memory() { return *memsys; }
     Core &core(CoreId c) { return *cores.at(c); }
-    LockTable &lockTable() { return *locks; }
     StatGroup &stats() { return root; }
     const MachineConfig &config() const { return cfg; }
 

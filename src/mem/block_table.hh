@@ -3,11 +3,10 @@
  * Struct-of-arrays per-block state table for the PM controller.
  *
  * The PMC tracks several small automata per cache block: write-queue
- * coalescability, media poison (with a transient-heal countdown), the
- * HOPS pending-persist count, and the Section 5.2.2 speculation-ID
- * order check. These used to live in separate std::map<Addr, ...>
- * instances -- red-black trees allocating a node per block and
- * chasing pointers on every persist.
+ * coalescability, the HOPS pending-persist count, and the Section
+ * 5.2.2 speculation-ID order check. These used to live in separate
+ * std::map<Addr, ...> instances -- red-black trees allocating a node
+ * per block and chasing pointers on every persist.
  *
  * BlockTable replaces all of them with one open-addressing hash table
  * (linear probing, power-of-two capacity) whose per-block fields are
@@ -75,57 +74,6 @@ class BlockTable
         const std::uint32_t i = find(a);
         if (i != kNil)
             flags_[i] &= static_cast<std::uint8_t>(~kCoalescable);
-    }
-
-    // ---- media-poison automaton ------------------------------------
-
-    /** Mark the block uncorrectable; `transient_reads` completed
-     *  device reads clear it (0 = hard poison). */
-    void
-    poison(Addr a, unsigned transient_reads)
-    {
-        const std::uint32_t i = findOrInsert(a);
-        flags_[i] |= kPoisoned;
-        poisonTtl_[i] = transient_reads;
-    }
-
-    /** Scrub / full-block-write heal. @return true if poisoned. */
-    bool
-    clearPoison(Addr a)
-    {
-        const std::uint32_t i = find(a);
-        if (i == kNil || !(flags_[i] & kPoisoned))
-            return false;
-        flags_[i] &= static_cast<std::uint8_t>(~kPoisoned);
-        return true;
-    }
-
-    bool
-    poisoned(Addr a) const
-    {
-        const std::uint32_t i = find(a);
-        return i != kNil && (flags_[i] & kPoisoned);
-    }
-
-    enum class PoisonRead
-    {
-        Clean,   ///< block is not poisoned
-        Healed,  ///< this read's transient countdown cleared the error
-        Faulted, ///< still uncorrectable
-    };
-
-    /** Step the poison automaton for one completed device read. */
-    PoisonRead
-    notePoisonRead(Addr a)
-    {
-        const std::uint32_t i = find(a);
-        if (i == kNil || !(flags_[i] & kPoisoned))
-            return PoisonRead::Clean;
-        if (poisonTtl_[i] > 0 && --poisonTtl_[i] == 0) {
-            flags_[i] &= static_cast<std::uint8_t>(~kPoisoned);
-            return PoisonRead::Healed;
-        }
-        return PoisonRead::Faulted;
     }
 
     // ---- HOPS pending-persist counter ------------------------------
@@ -242,8 +190,7 @@ class BlockTable
     {
         kOccupied = 1,
         kCoalescable = 2,
-        kPoisoned = 4,
-        kSpecTracked = 8,
+        kSpecTracked = 4,
     };
 
     /** An entry whose automata are all idle; rehash reclaims it. */
@@ -291,7 +238,6 @@ class BlockTable
         ++occupied_;
         key_[i] = k;
         flags_[i] = kOccupied;
-        poisonTtl_[i] = 0;
         persistCnt_[i] = 0;
         specId_[i] = 0;
         specAt_[i] = 0;
@@ -308,7 +254,6 @@ class BlockTable
         occupied_ = 0;
         key_.assign(cap, 0);
         flags_.assign(cap, 0);
-        poisonTtl_.assign(cap, 0);
         persistCnt_.assign(cap, 0);
         specId_.assign(cap, 0);
         specAt_.assign(cap, 0);
@@ -326,7 +271,6 @@ class BlockTable
                 continue;
             const std::uint32_t j = bigger.findOrInsert(key_[i]);
             bigger.flags_[j] = flags_[i];
-            bigger.poisonTtl_[j] = poisonTtl_[i];
             bigger.persistCnt_[j] = persistCnt_[i];
             bigger.specId_[j] = specId_[i];
             bigger.specAt_[j] = specAt_[i];
@@ -336,7 +280,6 @@ class BlockTable
         occupied_ = bigger.occupied_;
         key_ = std::move(bigger.key_);
         flags_ = std::move(bigger.flags_);
-        poisonTtl_ = std::move(bigger.poisonTtl_);
         persistCnt_ = std::move(bigger.persistCnt_);
         specId_ = std::move(bigger.specId_);
         specAt_ = std::move(bigger.specAt_);
@@ -347,7 +290,6 @@ class BlockTable
     std::uint32_t occupied_ = 0;
     std::vector<Addr> key_;
     std::vector<std::uint8_t> flags_;
-    std::vector<std::uint32_t> poisonTtl_;
     std::vector<std::uint32_t> persistCnt_;
     std::vector<SpecId> specId_;
     std::vector<Tick> specAt_;

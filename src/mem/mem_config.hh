@@ -46,12 +46,6 @@ struct MemConfig
     unsigned pmcReadQueue = 32;
     unsigned pmcWriteQueue = 64;
 
-    /** Device reads the PMC retries on an uncorrectable (poisoned)
-     *  block before propagating the poison to the requester --
-     *  mirrors the bounded retry real controllers attempt on an
-     *  Optane UE before raising a machine check. */
-    unsigned pmcPoisonRetries = 3;
-
     /** Independent PM banks serving requests in parallel (Optane
      *  interleaves across DIMMs and internal buffers). */
     unsigned pmBanks = 16;

@@ -26,9 +26,6 @@ MemorySystem::MemorySystem(sim::EventQueue &eq, StatGroup *parent,
     stats().addCounter("crossPmcReorderHazards", &crossPmcReorderHazards,
                        "per-core persists arriving across controllers "
                        "out of store order (Section 7 oracle)");
-    stats().addCounter("poisonedFills", &poisonedFills,
-                       "PM fills that delivered poison to the core "
-                       "after the PMC retry budget ran out");
 
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         l1s.push_back(std::make_unique<SetAssocCache>(
@@ -213,9 +210,7 @@ MemorySystem::fillFromPm(CoreId c, Addr block)
 {
     if (!llcMshrs.add(block, c))
         return;
-    pmcFor(block).read(block, [this, c, block](ReadStatus st) {
-        if (st == ReadStatus::Poisoned)
-            ++poisonedFills;
+    pmcFor(block).read(block, [this, c, block] {
         fillL1(c, block, false);
         const bool any = llcMshrs.wake(
             block, [&](CoreId waiter) { finishL1Miss(waiter, block); });

@@ -129,11 +129,6 @@ class MemorySystem : public sim::SimObject
      *  controllers out of store order -- a violation the hardware
      *  cannot detect without an ordered NoC. */
     Counter crossPmcReorderHazards;
-    /** PM fills whose device read came back poisoned after the PMC's
-     *  bounded retry: the poison propagated to the requesting core
-     *  (a machine-check in real hardware; the functional layer
-     *  models the consumer-visible MediaError). */
-    Counter poisonedFills;
 
   private:
     /** A request on an L1 miss; a store's fill dirties the block. */

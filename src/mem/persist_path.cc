@@ -38,8 +38,7 @@ PersistPath::send(Addr block_addr, std::optional<SpecId> spec_id)
     // Entries traverse the path in order: one flit per path cycle of
     // throughput, pathLatency of pipeline depth.
     const Tick one_flit = ticksPerNs; // 1 GB-ish flit rate: 1 flit/ns
-    const Tick injected = delayHook ? delayHook(block_addr) : 0;
-    Tick arrival = std::max(curTick() + pathLatency + injected,
+    Tick arrival = std::max(curTick() + pathLatency,
                             lastArrival + one_flit);
     lastArrival = arrival;
     fifo.push_back(Flit{block_addr, spec_id, arrival});

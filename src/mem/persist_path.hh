@@ -59,19 +59,8 @@ class PersistPath : public sim::SimObject
     using DeliverFn =
         InplaceFn<bool(CoreId, Addr, std::optional<SpecId>)>;
 
-    /**
-     * Fault-injection hook: extra in-flight latency for a given block
-     * address, on top of the configured path latency. Lets a test or
-     * fault campaign hold back (and thereby reorder relative to the
-     * regular read path) chosen persist arrivals deterministically.
-     */
-    using DelayHook = InplaceFn<Tick(Addr)>;
-
     PersistPath(sim::EventQueue &eq, StatGroup *parent, CoreId core,
                 Tick latency, unsigned capacity, DeliverFn deliver);
-
-    /** Install/replace the injection hook (nullptr to disable). */
-    void setDelayHook(DelayHook hook) { delayHook = std::move(hook); }
 
     /** @return true if the FIFO cannot accept another entry. */
     bool full() const { return fifo.size() >= fifoCapacity; }
@@ -141,7 +130,6 @@ class PersistPath : public sim::SimObject
     /** PMC-backpressure retry schedule (shared policy, pmc_retry.hh). */
     BoundedBackoff pmcBackoff = pmcRetryBackoff();
     DeliverFn deliver;
-    DelayHook delayHook;
     std::deque<Flit> fifo;
     Tick lastArrival = 0;
     bool pumpScheduled = false;

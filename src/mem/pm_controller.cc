@@ -34,12 +34,6 @@ PmController::PmController(sim::EventQueue &eq, StatGroup *parent,
                        "PM reads delayed on a real buffer conflict");
     stats().addCounter("bloomFalsePositives", &bloomFalsePositives,
                        "PM reads delayed on a bloom false positive");
-    stats().addCounter("poisonRetries", &poisonRetries,
-                       "device re-reads of an uncorrectable block");
-    stats().addCounter("poisonedReads", &poisonedReads,
-                       "reads that propagated poison after retries");
-    stats().addCounter("poisonHeals", &poisonHeals,
-                       "transient media errors cleared by retrying");
     stats().addAccumulator("readLatency", &readLatencyStat,
                            "PM read latency (ns), enqueue to data");
 }
@@ -67,25 +61,16 @@ PmController::bankFree(Addr block_addr)
 }
 
 void
-PmController::read(Addr block_addr, ReadDone on_done)
+PmController::read(Addr block_addr, Waiter done)
 {
     // A slot is free while it holds no continuation.
-    panic_if(!on_done, "PM read without a continuation");
+    panic_if(!done, "PM read without a continuation");
     std::uint32_t s = 0;
     while (s < readSlots.size() && readSlots[s].done)
         ++s;
     if (s == readSlots.size())
         readSlots.emplace_back();
-    readSlots[s] = PendingRead{block_addr, 0, cfg.pmcPoisonRetries,
-                               std::move(on_done)};
-    startRead(s);
-}
-
-void
-PmController::startRead(std::uint32_t s)
-{
-    const Addr block_addr = readSlots[s].block;
-    readSlots[s].enq = curTick();
+    readSlots[s] = PendingRead{block_addr, curTick(), std::move(done)};
 
     if (design == Design::HOPS) {
         // Every PM read pays the bloom-filter lookup (Section 8.2.2).
@@ -143,51 +128,8 @@ PmController::finishRead(std::uint32_t s)
     PendingRead &r = readSlots[s];
     readLatencyStat.sample(
         static_cast<double>(curTick() - r.enq) / ticksPerNs);
-    ReadStatus status = ReadStatus::Ok;
-    switch (blocks.notePoisonRead(r.block)) {
-      case BlockTable::PoisonRead::Clean:
-        break;
-      case BlockTable::PoisonRead::Healed:
-        // A transient error: this completed device read was the one
-        // that scrubbed the cell back to health.
-        ++poisonHeals;
-        break;
-      case BlockTable::PoisonRead::Faulted:
-        if (r.retriesLeft > 0) {
-            --r.retriesLeft;
-            ++poisonRetries;
-            warn_once("PMC read of block %#llx hit poisoned media; "
-                      "retrying (logged once; the poisonRetries "
-                      "counter tracks the total)",
-                      static_cast<unsigned long long>(r.block));
-            startRead(s);
-            return;
-        }
-        // Retry budget exhausted: the poison propagates to the
-        // requester (machine-check on data delivery), the controller
-        // itself keeps serving every other block.
-        ++poisonedReads;
-        warn_once("PMC poison-retry budget exhausted for block %#llx; "
-                  "delivering machine-check (logged once; the "
-                  "poisonedReads counter tracks the total)",
-                  static_cast<unsigned long long>(r.block));
-        status = ReadStatus::Poisoned;
-        break;
-    }
-    ReadDone done = std::move(r.done);
-    done(status);
-}
-
-void
-PmController::poisonBlock(Addr block_addr, unsigned transient_reads)
-{
-    blocks.poison(block_addr, transient_reads);
-}
-
-bool
-PmController::clearPoisonedBlock(Addr block_addr)
-{
-    return blocks.clearPoison(block_addr);
+    Waiter done = std::move(r.done);
+    done();
 }
 
 void
@@ -204,9 +146,6 @@ PmController::serviceWrite(Addr block_addr)
 
     ++writeQueue;
     ++writes;
-    // A full-block write remaps an uncorrectable line: fresh data
-    // heals the poison (hard or transient alike).
-    blocks.clearPoison(block_addr);
     // Writes drain in the background at the device's aggregate write
     // bandwidth; reads have priority and never queue behind them
     // (standard PMC scheduling -- ADR makes write *latency* invisible

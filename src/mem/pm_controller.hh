@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/bloom_filter.hh"
-#include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/waiter_list.hh"
@@ -69,16 +68,6 @@ void stepStoreOrder(BlockTable &table, sim::EventQueue &eq,
                     std::uint16_t unit, Addr block, SpecId id,
                     Tick window);
 
-/** Outcome of a checked PM read (media-fault aware read path). */
-enum class ReadStatus
-{
-    Ok,
-    /** The block is uncorrectable and the bounded retry budget is
-     *  exhausted: the poison propagates to the requester (the
-     *  device-level analogue of runtime::MediaError). */
-    Poisoned,
-};
-
 /** The PM controller at the bottom of the memory system. */
 class PmController : public sim::SimObject
 {
@@ -87,37 +76,11 @@ class PmController : public sim::SimObject
                  const MemConfig &cfg, persistency::Design design,
                  std::string name = "pmc");
 
-    /** Delivery of one PM read: Ok with data, or Poisoned. */
-    using ReadDone = InplaceFn<void(ReadStatus)>;
-
     /**
-     * Regular-path PM read (the request missed every cache). If the
-     * block is poisoned the PMC retries the device read up to
-     * cfg.pmcPoisonRetries times (each paying full device latency --
-     * a transient error may clear) and then delivers
-     * ReadStatus::Poisoned instead of data. Graceful degradation:
-     * one bad block fails one request, never the controller.
-     * @param on_done invoked when the data (or the poison) returns.
+     * Regular-path PM read (the request missed every cache).
+     * @param done invoked when the data returns.
      */
-    void read(Addr block_addr, ReadDone on_done);
-
-    /**
-     * Mark a block uncorrectable. With transient_reads == 0 the
-     * poison is hard (only clearPoison removes it); with N > 0 the
-     * error clears after N completed device reads (a marginal cell
-     * that the retry sequence scrubs back to health).
-     */
-    void poisonBlock(Addr block_addr, unsigned transient_reads = 0);
-
-    /** Remove poison (host scrub / page retirement + remap).
-     *  @return true if the block was poisoned. */
-    bool clearPoisonedBlock(Addr block_addr);
-
-    /** Is the block currently poisoned? */
-    bool isBlockPoisoned(Addr block_addr) const
-    {
-        return blocks.poisoned(block_addr);
-    }
+    void read(Addr block_addr, Waiter done);
 
     /**
      * Regular-path writeback (dirty LLC eviction or explicit CLWB
@@ -162,30 +125,22 @@ class PmController : public sim::SimObject
     Counter persistsRefused;
     Counter bloomTrueHits;
     Counter bloomFalsePositives;
-    Counter poisonRetries;
-    Counter poisonedReads;
-    Counter poisonHeals;
     Accumulator readLatencyStat;
 
   private:
-    /** One read from request to delivery. Its retry state travels
-     *  here as data; the events that advance it name its slot. */
+    /** One read from request to delivery; the events that advance it
+     *  name its slot. */
     struct PendingRead
     {
         Addr block = 0;
-        Tick enq = 0; ///< when the current device-read attempt was queued
-        unsigned retriesLeft = 0;
-        ReadDone done;
+        Tick enq = 0; ///< when the read was queued
+        Waiter done;
     };
-
-    /** Begin one device-read attempt of read slot s (HOPS consults its
-     *  bloom filter first). */
-    void startRead(std::uint32_t s);
 
     /** Issue slot s's device read once the read queue has room. */
     void serviceRead(std::uint32_t s);
 
-    /** Slot s's device read returned: retry poison or deliver. */
+    /** Slot s's device read returned: deliver. */
     void finishRead(std::uint32_t s);
 
     /** Push one write into the banked device. */
@@ -209,7 +164,7 @@ class PmController : public sim::SimObject
 
     /**
      * All per-block controller state -- write-queue coalescability
-     * (Section 4.2), media poison, the HOPS pending-persist count and
+     * (Section 4.2), the HOPS pending-persist count and
      * read waiters, and the Section 5.2.2 spec-ID order automaton --
      * in one struct-of-arrays open-addressing table.
      */

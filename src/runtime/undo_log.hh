@@ -125,10 +125,6 @@ class UndoLog
      * resulting WAW-inversion bug (known-bad oracle test).
      */
     void setOrderingTags(bool on) { orderingTags = on; }
-    bool hasOrderingTags() const { return orderingTags; }
-
-    /** Bytes of log space used. */
-    std::size_t bytesUsed() const { return writeOffset; }
 
     Addr regionBase() const { return base; }
 

@@ -64,8 +64,6 @@ class ZipfianGenerator
         return scramble(nextRank(rng)) % items;
     }
 
-    std::uint64_t itemCount() const { return items; }
-
     /** The stateless scramble (exposed for tests). */
     static std::uint64_t
     scramble(std::uint64_t v)

@@ -35,27 +35,6 @@ TEST(BlockTable, CoalescableLifecycle)
     EXPECT_TRUE(t.markCoalescable(kA));
 }
 
-TEST(BlockTable, PoisonAutomaton)
-{
-    BlockTable t;
-    EXPECT_FALSE(t.poisoned(kA));
-    EXPECT_EQ(t.notePoisonRead(kA), BlockTable::PoisonRead::Clean);
-
-    t.poison(kA, 0); // hard poison
-    EXPECT_TRUE(t.poisoned(kA));
-    EXPECT_EQ(t.notePoisonRead(kA), BlockTable::PoisonRead::Faulted);
-    EXPECT_EQ(t.notePoisonRead(kA), BlockTable::PoisonRead::Faulted);
-    EXPECT_TRUE(t.clearPoison(kA));
-    EXPECT_FALSE(t.clearPoison(kA));
-    EXPECT_FALSE(t.poisoned(kA));
-
-    t.poison(kB, 2); // transient: heals on the second completed read
-    EXPECT_EQ(t.notePoisonRead(kB), BlockTable::PoisonRead::Faulted);
-    EXPECT_EQ(t.notePoisonRead(kB), BlockTable::PoisonRead::Healed);
-    EXPECT_FALSE(t.poisoned(kB));
-    EXPECT_EQ(t.notePoisonRead(kB), BlockTable::PoisonRead::Clean);
-}
-
 TEST(BlockTable, PendingPersistCount)
 {
     BlockTable t;
@@ -120,17 +99,22 @@ TEST(BlockTable, GrowsPastInitialCapacityAndCompactsDeadEntries)
     BlockTable t(16);
     const unsigned n = 4096;
     for (unsigned i = 0; i < n; ++i)
-        t.poison(static_cast<Addr>(i) * 64, 0);
+        EXPECT_TRUE(t.markCoalescable(static_cast<Addr>(i) * 64));
     EXPECT_EQ(t.blocksTracked(), n);
     for (unsigned i = 0; i < n; ++i)
-        EXPECT_TRUE(t.poisoned(static_cast<Addr>(i) * 64));
+        EXPECT_TRUE(t.coalescable(static_cast<Addr>(i) * 64));
     // Clearing every automaton leaves dead entries that the next
     // growth wave compacts away; state must stay correct throughout.
     for (unsigned i = 0; i < n; ++i)
-        EXPECT_TRUE(t.clearPoison(static_cast<Addr>(i) * 64));
+        t.clearCoalescable(static_cast<Addr>(i) * 64);
     EXPECT_EQ(t.blocksTracked(), 0u);
     for (unsigned i = 0; i < n; ++i)
         t.persistBuffered((static_cast<Addr>(i) * 64) + (1ull << 20));
-    for (unsigned i = 0; i < n; ++i)
-        EXPECT_FALSE(t.poisoned(static_cast<Addr>(i) * 64));
+    EXPECT_EQ(t.blocksTracked(), n);
+    for (unsigned i = 0; i < n; ++i) {
+        EXPECT_FALSE(t.coalescable(static_cast<Addr>(i) * 64));
+        EXPECT_EQ(
+            t.pendingPersists((static_cast<Addr>(i) * 64) + (1ull << 20)),
+            1u);
+    }
 }

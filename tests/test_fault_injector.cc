@@ -3,8 +3,7 @@
  * Tests for the fault-injection subsystem: misspeculation injection
  * through the real speculation buffer -> VirtualOs -> FaseRuntime
  * trap chain under both recovery policies, benign persist delays,
- * power cuts (including a crash *during* recovery), and the
- * timing-layer persist-path delay hook.
+ * and power cuts (including a crash *during* recovery).
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +12,9 @@
 
 #include "faultinject/fault_injector.hh"
 #include "faultinject/fault_plan.hh"
-#include "mem/persist_path.hh"
 #include "runtime/fase_runtime.hh"
 #include "runtime/persistent_memory.hh"
 #include "runtime/virtual_os.hh"
-#include "sim/event_queue.hh"
 
 using namespace pmemspec;
 using faultinject::AddrTouchPlan;
@@ -344,31 +341,4 @@ TEST(FaultInjector, PoisonPlanMakesReadsThrowMediaError)
     // A fresh full-word store remaps (heals) the line.
     h.pm.writeU64(h.data + 64, 4);
     EXPECT_EQ(h.pm.readU64(h.data + 64), 4u);
-}
-
-TEST(FaultInjector, PersistPathDelayHookPostponesArrival)
-{
-    // Timing-layer injection point: a hook on the decoupled
-    // persist-path stretches one store's traversal.
-    sim::EventQueue eq;
-    StatGroup stats{"test"};
-    std::vector<std::pair<Addr, Tick>> delivered;
-    mem::PersistPath path(
-        eq, &stats, 0, nsToTicks(20), 8,
-        [&](CoreId, Addr a, std::optional<SpecId>) {
-            delivered.emplace_back(a, eq.now());
-            return true;
-        });
-    path.setDelayHook([](Addr a) {
-        return blockAlign(a) == 0x1000 ? nsToTicks(30) : Tick{0};
-    });
-
-    path.send(0x1000, std::nullopt);
-    eq.run();
-    path.send(0x2000, std::nullopt);
-    eq.run();
-
-    ASSERT_EQ(delivered.size(), 2u);
-    EXPECT_EQ(delivered[0].second, nsToTicks(50)); // 20 + 30 injected
-    EXPECT_GE(delivered[1].second, nsToTicks(20)); // unhooked block
 }

@@ -15,7 +15,6 @@
 using namespace pmemspec;
 using mem::MemConfig;
 using mem::PmController;
-using mem::ReadStatus;
 using persistency::Design;
 using sim::EventQueue;
 
@@ -41,7 +40,7 @@ TEST(PmController, ReadTakesDeviceLatency)
 {
     Harness h(Design::IntelX86);
     Tick done = 0;
-    h.pmc.read(0x1000, [&](ReadStatus) { done = h.eq.now(); });
+    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, nsToTicks(175));
     EXPECT_EQ(h.pmc.reads.value(), 1u);
@@ -52,8 +51,8 @@ TEST(PmController, SameBankReadsSerialise)
     Harness h(Design::IntelX86);
     std::vector<Tick> done;
     // Same block -> same bank.
-    h.pmc.read(0x1000, [&](ReadStatus) { done.push_back(h.eq.now()); });
-    h.pmc.read(0x1000, [&](ReadStatus) { done.push_back(h.eq.now()); });
+    h.pmc.read(0x1000, [&] { done.push_back(h.eq.now()); });
+    h.pmc.read(0x1000, [&] { done.push_back(h.eq.now()); });
     h.eq.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_EQ(done[0], nsToTicks(175));
@@ -64,48 +63,13 @@ TEST(PmController, DifferentBanksOverlap)
 {
     Harness h(Design::IntelX86);
     std::vector<Tick> done;
-    h.pmc.read(0, [&](ReadStatus) { done.push_back(h.eq.now()); });
+    h.pmc.read(0, [&] { done.push_back(h.eq.now()); });
     // Next block -> next bank.
-    h.pmc.read(64, [&](ReadStatus) { done.push_back(h.eq.now()); });
+    h.pmc.read(64, [&] { done.push_back(h.eq.now()); });
     h.eq.run();
     ASSERT_EQ(done.size(), 2u);
     EXPECT_EQ(done[0], nsToTicks(175));
     EXPECT_EQ(done[1], nsToTicks(175));
-}
-
-TEST(PmController, HardPoisonIsRetriedThenDelivered)
-{
-    Harness h(Design::IntelX86);
-    h.pmc.poisonBlock(0x1000);
-    std::vector<ReadStatus> got;
-    Tick done = 0;
-    h.pmc.read(0x1000, [&](ReadStatus st) {
-        got.push_back(st);
-        done = h.eq.now();
-    });
-    h.eq.run();
-    // One device read plus pmcPoisonRetries re-reads, back to back on
-    // one bank, then the poison reaches the requester once.
-    const unsigned attempts = h.cfg.pmcPoisonRetries + 1;
-    ASSERT_EQ(got, std::vector<ReadStatus>{ReadStatus::Poisoned});
-    EXPECT_EQ(done, attempts * nsToTicks(175));
-    EXPECT_EQ(h.pmc.reads.value(), attempts);
-    EXPECT_EQ(h.pmc.poisonRetries.value(), h.cfg.pmcPoisonRetries);
-    EXPECT_EQ(h.pmc.poisonedReads.value(), 1u);
-}
-
-TEST(PmController, TransientPoisonHealsWithinTheRetryBudget)
-{
-    Harness h(Design::IntelX86);
-    h.pmc.poisonBlock(0x1000, 2); // clears on the second device read
-    std::vector<ReadStatus> got;
-    h.pmc.read(0x1000, [&](ReadStatus st) { got.push_back(st); });
-    h.eq.run();
-    ASSERT_EQ(got, std::vector<ReadStatus>{ReadStatus::Ok});
-    EXPECT_EQ(h.pmc.reads.value(), 2u);
-    EXPECT_EQ(h.pmc.poisonRetries.value(), 1u);
-    EXPECT_EQ(h.pmc.poisonHeals.value(), 1u);
-    EXPECT_FALSE(h.pmc.isBlockPoisoned(0x1000));
 }
 
 TEST(PmController, IntelWritebackEntersWriteQueue)
@@ -185,7 +149,7 @@ TEST(PmController, LoadMisspecEndToEnd)
                 ++misspecs;
         });
     h.pmc.writeBack(0x1000);
-    h.pmc.read(0x1000, [](ReadStatus) {});
+    h.pmc.read(0x1000, [] {});
     h.pmc.acceptPersist(0, 0x1000, std::nullopt);
     EXPECT_EQ(misspecs, 1);
     h.eq.run();
@@ -253,7 +217,7 @@ TEST(PmController, HopsBloomDelaysConflictingReads)
     // Simulate a buffered persist: the filter knows about the block.
     h.pmc.filterInsert(0x1000);
     Tick done = 0;
-    h.pmc.read(0x1000, [&](ReadStatus) { done = h.eq.now(); });
+    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
     h.eq.runUntil(nsToTicks(500));
     EXPECT_EQ(done, 0u); // postponed: true conflict
     EXPECT_EQ(h.pmc.bloomTrueHits.value(), 1u);
@@ -266,7 +230,7 @@ TEST(PmController, HopsCleanReadPaysOnlyLookup)
 {
     Harness h(Design::HOPS);
     Tick done = 0;
-    h.pmc.read(0x1000, [&](ReadStatus) { done = h.eq.now(); });
+    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, h.cfg.bloomLookupLatency + nsToTicks(175));
 }
@@ -275,7 +239,7 @@ TEST(PmController, NonHopsReadsSkipTheBloomFilter)
 {
     Harness h(Design::PmemSpec);
     Tick done = 0;
-    h.pmc.read(0x1000, [&](ReadStatus) { done = h.eq.now(); });
+    h.pmc.read(0x1000, [&] { done = h.eq.now(); });
     h.eq.run();
     EXPECT_EQ(done, nsToTicks(175));
 }
