@@ -39,7 +39,8 @@ BM_PersistPathSendDeliver(benchmark::State &state)
     StatGroup stats{"bench"};
     std::uint64_t delivered = 0;
     mem::PersistPath path(eq, &stats, 0, nsToTicks(20), 8,
-                          [&](CoreId, Addr, std::optional<SpecId>) {
+                          [&](CoreId, Addr, std::optional<SpecId>,
+                              Waiter &) {
                               ++delivered;
                               return true;
                           });

@@ -1,15 +1,11 @@
 /**
  * @file
- * Deterministic bounded exponential backoff.
- *
- * One policy object shared by every retry loop in the repo: the
- * persist-path and persist-buffer PMC-backpressure retries (which
- * used to carry two copy-pasted fixed-delay loops) and the service
- * harness's client-side retry policy. The schedule is pure
- * arithmetic on the attempt counter -- no randomisation -- so a
- * retry storm replays tick-identically on every run: delay(n) =
- * min(base << n, cap) for the n-th consecutive failure, reset to
- * `base` on the first success.
+ * Deterministic bounded exponential backoff, the service harness's
+ * client-side retry policy. The schedule is pure arithmetic on the
+ * attempt counter -- no randomisation -- so a retry storm replays
+ * tick-identically on every run: delay(n) = min(base << n, cap) for
+ * the n-th consecutive failure, reset to `base` on the first
+ * success.
  */
 
 #ifndef PMEMSPEC_COMMON_BACKOFF_HH

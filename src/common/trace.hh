@@ -73,7 +73,7 @@ enum class EventKind : std::uint8_t
     // persist path (FlagPersistPath)
     PathSend,     ///< persist pushed onto a path FIFO (arg: occupancy)
     PathDeliver,  ///< persist accepted by the PMC (arg: occupancy)
-    PathRetry,    ///< delivery retried on PMC backpressure
+    PathRetry,    ///< head waits for PMC write-queue admission
     // PM controller (FlagPmController)
     PmcWriteBack,           ///< regular-path writeback reached the PMC
     PmcRead,                ///< PM device read starts (Read input)

@@ -1,13 +1,15 @@
 /**
  * @file
- * One-shot waiters woken together, the waiter lists of the timing
- * path: WaiterList for one condition (a persist path or buffer
- * draining or freeing a slot, a core's store queue draining, DPO's
- * drain token coming free) and BlockWaiters for one per block (MSHRs,
- * HOPS reads held until their block leaves the persist buffers).
- * Waiters fire once, in arrival order; one queued during a wake waits
- * for the next. The vectors keep their capacity across wakes, so
- * waiting in steady state allocates nothing.
+ * One-shot waiters of the timing path: WaiterList for one condition,
+ * woken together (a persist path or buffer draining or freeing a
+ * slot, a core's store queue draining, DPO's drain token coming
+ * free); BlockWaiters for one per block (MSHRs, HOPS reads held until
+ * their block leaves the persist buffers); and WaiterFifo for waiters
+ * admitted one at a time as a resource frees a slot (the PM
+ * controller's read and write queues). Waiters fire once, in arrival
+ * order; one queued during a wake waits for the next. The vectors
+ * keep their capacity across wakes, so waiting in steady state
+ * allocates nothing.
  */
 
 #ifndef PMEMSPEC_COMMON_WAITER_LIST_HH
@@ -110,6 +112,40 @@ class BlockWaiters
   private:
     std::vector<std::pair<Addr, W>> waiting;
     std::vector<W> firing;
+};
+
+/** Waiters taken one at a time, oldest first. */
+template <typename T>
+class WaiterFifo
+{
+  public:
+    void add(T w) { queue.push_back(std::move(w)); }
+
+    bool empty() const { return head == queue.size(); }
+    std::size_t size() const { return queue.size() - head; }
+
+    /** Remove and return the oldest waiter. */
+    T
+    pop()
+    {
+        panic_if(empty(), "pop from an empty waiter FIFO");
+        T w = std::move(queue[head++]);
+        // Reuse the vector's storage: reset when drained, and slide
+        // the live tail down once the consumed head dominates.
+        if (head == queue.size()) {
+            queue.clear();
+            head = 0;
+        } else if (head >= 32 && 2 * head >= queue.size()) {
+            queue.erase(queue.begin(),
+                        queue.begin() + static_cast<std::ptrdiff_t>(head));
+            head = 0;
+        }
+        return w;
+    }
+
+  private:
+    std::vector<T> queue;
+    std::size_t head = 0; ///< index of the oldest waiter
 };
 
 } // namespace pmemspec

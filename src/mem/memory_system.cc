@@ -59,9 +59,13 @@ MemorySystem::MemorySystem(sim::EventQueue &eq, StatGroup *parent,
                 paths.push_back(std::make_unique<PersistPath>(
                     eq, &stats(), c, lat, cfg.persistPathCapacity,
                     [this, lane_idx](CoreId core, Addr a,
-                                     std::optional<SpecId> s) {
-                        if (!pmcFor(a).acceptPersist(core, a, s))
+                                     std::optional<SpecId> s,
+                                     Waiter &on_admit) {
+                        PmController &pmc = pmcFor(a);
+                        if (!pmc.acceptPersist(core, a, s)) {
+                            pmc.awaitAdmission(std::move(on_admit));
                             return false;
+                        }
                         if (pathLanes > 1) {
                             auto &fifo = laneSeqs[lane_idx];
                             recordPersistArrival(core, fifo.front());
@@ -80,9 +84,12 @@ MemorySystem::MemorySystem(sim::EventQueue &eq, StatGroup *parent,
                 eq, &stats(), c, cfg.persistPathLatency,
                 cfg.persistBufferEntries, cfg.persistBufferDrainWidth,
                 strict, strict ? &dpoToken : nullptr,
-                [this](CoreId core, Addr a) {
-                    return pmcFor(a).acceptPersist(core, a,
-                                                   std::nullopt);
+                [this](CoreId core, Addr a, Waiter &on_admit) {
+                    PmController &pmc = pmcFor(a);
+                    if (pmc.acceptPersist(core, a, std::nullopt))
+                        return true;
+                    pmc.awaitAdmission(std::move(on_admit));
+                    return false;
                 }));
         }
         if (dsgn == Design::HOPS) {
@@ -360,16 +367,24 @@ MemorySystem::clwb(CoreId c, Addr addr, Done on_done)
 void
 MemorySystem::writeBack(Addr block, Done acked)
 {
-    if (!pmcFor(block).writeBack(block)) {
-        // Write queue full: offer it again shortly.
-        schedule(After{4 * ticksPerNs},
-                 [this, block, acked = std::move(acked)]() mutable {
-                     writeBack(block, std::move(acked));
-                 });
+    PmController &pmc = pmcFor(block);
+    if (pmc.writeBack(block)) {
+        if (acked)
+            schedule(After{cfg.l1ToPmcLatency}, std::move(acked));
         return;
     }
-    if (acked)
-        schedule(After{cfg.l1ToPmcLatency}, std::move(acked));
+    // Write queue full: park the writeback until the PMC admits it.
+    std::uint32_t s = 0;
+    while (s < parkedWriteBacks.size() && parkedWriteBacks[s].waiting)
+        ++s;
+    if (s == parkedWriteBacks.size())
+        parkedWriteBacks.emplace_back();
+    parkedWriteBacks[s] = ParkedWriteBack{block, std::move(acked), true};
+    pmc.awaitAdmission([this, s] {
+        ParkedWriteBack &w = parkedWriteBacks[s];
+        w.waiting = false;
+        writeBack(w.block, std::move(w.acked));
+    });
 }
 
 void

@@ -12,7 +12,8 @@
  *
  * A request's continuation is never wrapped in another callback: it
  * waits in one place at a time -- the event carrying it, an L1 MSHR
- * entry, or its core's stalled-store or barrier slot.
+ * entry, its core's stalled-store or barrier slot, or the parked
+ * writeback slot of a CLWB waiting for PMC admission.
  */
 
 #ifndef PMEMSPEC_MEM_MEMORY_SYSTEM_HH
@@ -144,6 +145,14 @@ class MemorySystem : public sim::SimObject
         std::optional<SpecId> specId;
         Done done;
     };
+    /** A writeback refused on a full write queue, waiting for PMC
+     *  admission; `acked` is a CLWB's ack (none for an eviction). */
+    struct ParkedWriteBack
+    {
+        Addr block = 0;
+        Done acked;
+        bool waiting = false;
+    };
     /** A persist barrier: lanes / buffers not yet seen empty. */
     struct Barrier
     {
@@ -167,8 +176,9 @@ class MemorySystem : public sim::SimObject
                       std::optional<SpecId> spec_id);
     /** A captured store's L1 write (write-allocate on a miss). */
     void writeL1(CoreId c, Addr block, Done on_done);
-    /** Offer a writeback to its PMC until accepted, then schedule
-     *  `acked` (if set) one transport delay later. */
+    /** Offer a writeback to its PMC, parking it until admitted on a
+     *  full write queue; once accepted, schedule `acked` (if set) one
+     *  transport delay later. */
     void writeBack(Addr block, Done acked);
     void barrierPartDone(CoreId c);
 
@@ -207,6 +217,9 @@ class MemorySystem : public sim::SimObject
     /** Per core: its stalled store and its barrier in flight. */
     std::vector<StalledStore> stalledStores;
     std::vector<Barrier> barriers;
+    /** Writebacks waiting for PMC admission; a slot not waiting is
+     *  free. */
+    std::vector<ParkedWriteBack> parkedWriteBacks;
 
     /** Lock watermarks for persist-buffer dependencies. */
     struct LockWatermark

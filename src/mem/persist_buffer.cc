@@ -39,7 +39,7 @@ PersistBuffer::PersistBuffer(sim::EventQueue &eq, StatGroup *parent,
     stats().addCounter("depStalls", &depStalls,
                        "drain attempts blocked on a cross-thread dep");
     stats().addCounter("pathRetries", &pathRetries,
-                       "delivery retries due to PMC backpressure");
+                       "waits for PMC write-queue admission");
     stats().addAccumulator("occupancy", &occupancyStat,
                            "buffer occupancy sampled at each append");
 }
@@ -155,36 +155,36 @@ PersistBuffer::pump()
             const Tick token_hold = drainLatency / 5;
             schedule(After{token_hold}, [this] { globalToken->release(); });
         }
-        schedule(After{drainLatency}, [this, e] { attemptDeliver(e); });
+        schedule(After{drainLatency}, [this, addr = e.addr, seq = e.seq] {
+            attemptDeliver(addr, seq);
+        });
         // Space freed in `pending` may unblock an appender only after
         // the in-flight entry completes; capacity counts both.
     }
 }
 
 void
-PersistBuffer::attemptDeliver(Entry e)
+PersistBuffer::attemptDeliver(Addr addr, std::uint64_t seq)
 {
-    if (deliver(coreId, e.addr)) {
-        pmcBackoff.reset();
-        finishOne(e);
-    } else {
-        // PMC write queue full: retry on the shared bounded-backoff
-        // schedule.
+    // On a full PMC write queue the PMC runs on_admit when it admits
+    // the entry; until then no event is pending.
+    Waiter on_admit = [this, addr, seq] { attemptDeliver(addr, seq); };
+    if (deliver(coreId, addr, on_admit))
+        finishOne(addr, seq);
+    else
         ++pathRetries;
-        schedule(After{pmcBackoff.next()}, [this, e] { attemptDeliver(e); });
-    }
 }
 
 void
-PersistBuffer::finishOne(Entry e)
+PersistBuffer::finishOne(Addr addr, std::uint64_t seq)
 {
     auto it = std::find_if(inFlight.begin(), inFlight.end(),
-                           [&](const Entry &f) { return f.seq == e.seq; });
+                           [&](const Entry &f) { return f.seq == seq; });
     panic_if(it == inFlight.end(), "persist completion for unknown seq");
     inFlight.erase(it);
     ++persistsDone;
     if (filterRemove)
-        filterRemove(e.addr);
+        filterRemove(addr);
 
     if (empty())
         emptyWaiters.wake();

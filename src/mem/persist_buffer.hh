@@ -35,12 +35,10 @@
 #include <limits>
 #include <vector>
 
-#include "common/backoff.hh"
 #include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/waiter_list.hh"
-#include "mem/pmc_retry.hh"
 #include "sim/sim_object.hh"
 
 namespace pmemspec::mem
@@ -79,8 +77,10 @@ struct PersistDep
 class PersistBuffer : public sim::SimObject
 {
   public:
-    /** Hands one persist to the PMC; false on backpressure. */
-    using DeliverFn = InplaceFn<bool(CoreId, Addr)>;
+    /** Hands one persist to the PMC; false on backpressure, when the
+     *  PMC keeps `on_admit` and runs it once the persist may be
+     *  offered again. */
+    using DeliverFn = InplaceFn<bool(CoreId, Addr, Waiter &on_admit)>;
     /** Bloom-filter maintenance hooks (HOPS keeps the PMC filter in
      *  sync with buffer contents). */
     using FilterHook = InplaceFn<void(Addr)>;
@@ -144,7 +144,7 @@ class PersistBuffer : public sim::SimObject
     Counter persistsDone;
     Counter ofences;
     Counter depStalls;
-    /** Delivery retries due to PMC backpressure (stat "pathRetries",
+    /** Waits for PMC admission, one per refusal (stat "pathRetries",
      *  shared naming with PersistPath). */
     Counter pathRetries;
     Accumulator occupancyStat;
@@ -158,8 +158,9 @@ class PersistBuffer : public sim::SimObject
     };
 
     bool depsSatisfied();
-    void attemptDeliver(Entry e);
-    void finishOne(Entry e);
+    /** Offer in-flight entry `seq` to the PMC. */
+    void attemptDeliver(Addr addr, std::uint64_t seq);
+    void finishOne(Addr addr, std::uint64_t seq);
 
     CoreId coreId;
     Tick drainLatency;
@@ -167,8 +168,6 @@ class PersistBuffer : public sim::SimObject
     unsigned drainWidth;
     bool strictFifo;
     GlobalDrainToken *globalToken;
-    /** PMC-backpressure retry schedule (shared policy, pmc_retry.hh). */
-    BoundedBackoff pmcBackoff = pmcRetryBackoff();
     DeliverFn deliver;
     FilterHook filterInsert;
     FilterHook filterRemove;

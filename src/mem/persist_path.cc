@@ -23,7 +23,7 @@ PersistPath::PersistPath(sim::EventQueue &eq, StatGroup *parent,
     stats().addCounter("deliveries", &deliveries,
                        "persists accepted by the PMC");
     stats().addCounter("pathRetries", &pathRetries,
-                       "delivery retries due to PMC backpressure");
+                       "waits for PMC write-queue admission");
     stats().addAccumulator("occupancy", &occupancyStat,
                            "FIFO occupancy sampled at each send");
     stats().addHistogram("occupancyDist", &occupancyHist,
@@ -49,54 +49,55 @@ PersistPath::send(Addr block_addr, std::optional<SpecId> spec_id)
                    curTick(), coreId, block_addr,
                    {.specId = spec_id ? *spec_id : trace::kNoSpecId,
                     .arg = fifo.size(), .unit = traceUnit});
-    if (!pumpScheduled) {
-        pumpScheduled = true;
-        schedule(After{arrival - curTick()}, [this] { pump(); });
-    }
+    if (!pumpPending)
+        schedulePump(arrival);
+}
+
+void
+PersistPath::schedulePump(Tick at)
+{
+    pumpPending = true;
+    schedule(After{at > curTick() ? at - curTick() : 0},
+             [this] { pump(); });
 }
 
 void
 PersistPath::pump()
 {
-    pumpScheduled = false;
+    pumpPending = false;
     if (fifo.empty())
         return;
 
     Flit &head = fifo.front();
     if (head.readyAt > curTick()) {
-        pumpScheduled = true;
-        schedule(After{head.readyAt - curTick()}, [this] { pump(); });
+        schedulePump(head.readyAt);
         return;
     }
 
-    if (deliver(coreId, head.addr, head.specId)) {
-        ++deliveries;
-        pmcBackoff.reset();
-        PMEMSPEC_TRACE(traceMgr, FlagPersistPath,
-                       trace::EventKind::PathDeliver, curTick(), coreId,
-                       head.addr,
-                       {.specId = head.specId ? *head.specId
-                                              : trace::kNoSpecId,
-                        .arg = fifo.size() - 1, .unit = traceUnit});
-        fifo.pop_front();
-        wakeWaiters();
-        if (!fifo.empty()) {
-            pumpScheduled = true;
-            Tick delay = fifo.front().readyAt > curTick()
-                             ? fifo.front().readyAt - curTick()
-                             : 0;
-            schedule(After{delay}, [this] { pump(); });
-        }
-    } else {
-        // PMC write queue full: retry on the shared bounded-backoff
-        // schedule, preserving order.
+    Waiter on_admit = [this] { pump(); };
+    if (!deliver(coreId, head.addr, head.specId, on_admit)) {
+        // PMC write queue full: the PMC runs on_admit when it admits
+        // the head; until then no event is pending.
         ++pathRetries;
         PMEMSPEC_TRACE(traceMgr, FlagPersistPath,
                        trace::EventKind::PathRetry, curTick(), coreId,
                        head.addr, {.unit = traceUnit});
-        pumpScheduled = true;
-        schedule(After{pmcBackoff.next()}, [this] { pump(); });
+        pumpPending = true;
+        return;
     }
+    ++deliveries;
+    PMEMSPEC_TRACE(traceMgr, FlagPersistPath,
+                   trace::EventKind::PathDeliver, curTick(), coreId,
+                   head.addr,
+                   {.specId = head.specId ? *head.specId
+                                          : trace::kNoSpecId,
+                    .arg = fifo.size() - 1, .unit = traceUnit});
+    fifo.pop_front();
+    // Reschedule before waking: a store sent from the wake then finds
+    // the pump pending instead of starting a second chain.
+    if (!fifo.empty())
+        schedulePump(fifo.front().readyAt);
+    wakeWaiters();
 }
 
 void

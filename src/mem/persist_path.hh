@@ -9,7 +9,8 @@
  * bus, which the speculation window accounts for). Because the PMC is
  * inside the ADR persistent domain, a store is durable the moment it
  * is accepted there; spec-barrier therefore only waits for this FIFO
- * to drain and be accepted.
+ * to drain and be accepted. When the PMC write queue is full, the
+ * head waits for the PMC to admit it, with no event pending.
  */
 
 #ifndef PMEMSPEC_MEM_PERSIST_PATH_HH
@@ -18,13 +19,11 @@
 #include <deque>
 #include <optional>
 
-#include "common/backoff.hh"
 #include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
 #include "common/types.hh"
 #include "common/waiter_list.hh"
-#include "mem/pmc_retry.hh"
 #include "sim/sim_object.hh"
 
 namespace pmemspec::mem
@@ -54,10 +53,12 @@ class PersistPath : public sim::SimObject
     /**
      * Delivery hook into the PM controller: attempts to hand one
      * persist over. Returns false when the PMC write queue is full;
-     * the path then retries, preserving FIFO order.
+     * the PMC then keeps `on_admit` and runs it when the persist may
+     * be offered again, so the head keeps its place.
      */
-    using DeliverFn =
-        InplaceFn<bool(CoreId, Addr, std::optional<SpecId>)>;
+    using DeliverFn = InplaceFn<bool(CoreId, Addr,
+                                     std::optional<SpecId>,
+                                     Waiter &on_admit)>;
 
     PersistPath(sim::EventQueue &eq, StatGroup *parent, CoreId core,
                 Tick latency, unsigned capacity, DeliverFn deliver);
@@ -104,7 +105,7 @@ class PersistPath : public sim::SimObject
 
     Counter sends;
     Counter deliveries;
-    /** Delivery retries due to PMC backpressure (stat "pathRetries",
+    /** Waits for PMC admission, one per refusal (stat "pathRetries",
      *  shared naming with PersistBuffer). */
     Counter pathRetries;
     Accumulator occupancyStat;
@@ -121,18 +122,19 @@ class PersistPath : public sim::SimObject
 
     /** Try to deliver the FIFO head; reschedules itself as needed. */
     void pump();
+    void schedulePump(Tick at);
 
     void wakeWaiters();
 
     CoreId coreId;
     Tick pathLatency;
     unsigned fifoCapacity;
-    /** PMC-backpressure retry schedule (shared policy, pmc_retry.hh). */
-    BoundedBackoff pmcBackoff = pmcRetryBackoff();
     DeliverFn deliver;
     std::deque<Flit> fifo;
     Tick lastArrival = 0;
-    bool pumpScheduled = false;
+    /** A pump event is pending, or the head waits for admission:
+     *  either way the path has one pump chain. */
+    bool pumpPending = false;
     WaiterList<> emptyWaiters;
     WaiterList<> spaceWaiters;
 

@@ -36,6 +36,9 @@ PmController::PmController(sim::EventQueue &eq, StatGroup *parent,
                        "PM reads delayed on a bloom false positive");
     stats().addAccumulator("readLatency", &readLatencyStat,
                            "PM read latency (ns), enqueue to data");
+    stats().addAccumulator("admissionWait", &admissionWait,
+                           "ns a refused write waited for a "
+                           "write-queue slot");
 }
 
 SpeculationBuffer &
@@ -100,8 +103,8 @@ void
 PmController::serviceRead(std::uint32_t s)
 {
     if (outstandingReads >= cfg.pmcReadQueue) {
-        // Read queue full: retry shortly.
-        schedule(After{ticksPerNs}, [this, s] { serviceRead(s); });
+        // Read queue full: finishRead admits the slot.
+        readWaiters.add(s);
         return;
     }
     const Addr block_addr = readSlots[s].block;
@@ -129,7 +132,37 @@ PmController::finishRead(std::uint32_t s)
     readLatencyStat.sample(
         static_cast<double>(curTick() - r.enq) / ticksPerNs);
     Waiter done = std::move(r.done);
+    if (!readWaiters.empty())
+        serviceRead(readWaiters.pop());
     done();
+}
+
+bool
+PmController::writeQueueFull(Addr block_addr) const
+{
+    return writeQueue >= cfg.pmcWriteQueue &&
+           !blocks.coalescable(block_addr);
+}
+
+void
+PmController::awaitAdmission(Waiter on_admit)
+{
+    admissions.add(Admission{curTick(), std::move(on_admit)});
+}
+
+void
+PmController::retireWrite()
+{
+    panic_if(writeQueue == 0, "write queue underflow");
+    --writeQueue;
+    // An admitted write takes the freed slot, unless its block
+    // coalesces into a queued write; then the next waiter may.
+    while (writeQueue < cfg.pmcWriteQueue && !admissions.empty()) {
+        Admission a = admissions.pop();
+        admissionWait.sample(static_cast<double>(curTick() - a.since) /
+                             ticksPerNs);
+        a.admit();
+    }
 }
 
 void
@@ -156,10 +189,7 @@ PmController::serviceWrite(Addr block_addr)
     // The block stops being coalescable once its device write starts.
     schedule(After{start - curTick()},
                [this, block_addr] { blocks.clearCoalescable(block_addr); });
-    schedule(After{done - curTick()}, [this] {
-        panic_if(writeQueue == 0, "write queue underflow");
-        --writeQueue;
-    });
+    schedule(After{done - curTick()}, [this] { retireWrite(); });
 }
 
 bool
@@ -169,8 +199,7 @@ PmController::writeBack(Addr block_addr)
       case Design::IntelX86:
         // Normal memory behaviour: the writeback enters the write
         // queue; ADR makes it durable at acceptance.
-        if (writeQueue >= cfg.pmcWriteQueue &&
-            !blocks.coalescable(block_addr))
+        if (writeQueueFull(block_addr))
             return false;
         serviceWrite(block_addr);
         return true;
@@ -201,8 +230,7 @@ PmController::acceptPersist(CoreId core, Addr block_addr,
                             std::optional<SpecId> spec_id)
 {
     (void)core; // only the trace points consume it today
-    if (writeQueue >= cfg.pmcWriteQueue &&
-        !blocks.coalescable(block_addr)) {
+    if (writeQueueFull(block_addr)) {
         ++persistsRefused;
         PMEMSPEC_TRACE(traceMgr, FlagPmController,
                        trace::EventKind::PmcPersistRefuse, curTick(),

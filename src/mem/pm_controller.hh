@@ -16,6 +16,13 @@
  *    the speculation buffer as WriteBack inputs; persists arriving on
  *    the decoupled paths enter the write queue and feed the Persist
  *    input; PM reads feed the Read input.
+ *
+ * A full queue is credit-style flow control, not polling. A write
+ * (persist or writeback) refused on a full write queue joins one FIFO
+ * of admission waiters; each retiring write admits waiters from its
+ * head while a slot is free, and each admitted waiter offers its
+ * write again, which is then accepted. A read finding the read queue
+ * full waits in FIFO order for a finishing read to free its slot.
  */
 
 #ifndef PMEMSPEC_MEM_PM_CONTROLLER_HH
@@ -88,16 +95,25 @@ class PmController : public sim::SimObject
      * @return true once the writeback is accepted into the persistent
      *         domain (always, for designs that drop it -- the caller's
      *         flush is then trivially "complete"); false when the
-     *         write queue is full and the caller must retry.
+     *         write queue is full: the caller waits for admission.
      */
     bool writeBack(Addr block_addr);
 
     /**
      * A persist arrives from a persist-path or persist buffer.
-     * @return false when the write queue is full (backpressure).
+     * @return false when the write queue is full (backpressure): the
+     *         caller waits for admission.
      */
     bool acceptPersist(CoreId core, Addr block_addr,
                        std::optional<SpecId> spec_id);
+
+    /**
+     * Wait for a write-queue slot after a refused writeBack or
+     * acceptPersist. `on_admit` runs, after every earlier waiter,
+     * when a retiring write leaves a slot free; it must offer its
+     * write again, which is then accepted.
+     */
+    void awaitAdmission(Waiter on_admit);
 
     /** HOPS: keep the PMC bloom filter in sync with buffer contents. */
     void filterInsert(Addr block_addr);
@@ -126,6 +142,8 @@ class PmController : public sim::SimObject
     Counter bloomTrueHits;
     Counter bloomFalsePositives;
     Accumulator readLatencyStat;
+    /** ns each admitted waiter waited for a write-queue slot. */
+    Accumulator admissionWait;
 
   private:
     /** One read from request to delivery; the events that advance it
@@ -137,14 +155,30 @@ class PmController : public sim::SimObject
         Waiter done;
     };
 
-    /** Issue slot s's device read once the read queue has room. */
+    /** A write waiting for a write-queue slot. */
+    struct Admission
+    {
+        Tick since = 0; ///< when it was refused
+        Waiter admit;
+    };
+
+    /** Issue slot s's device read, or queue it until the read queue
+     *  has room. */
     void serviceRead(std::uint32_t s);
 
-    /** Slot s's device read returned: deliver. */
+    /** Slot s's device read returned: admit the oldest waiting read,
+     *  then deliver. */
     void finishRead(std::uint32_t s);
+
+    /** Whether a write of this block finds no write-queue slot (a
+     *  coalescing write needs none). */
+    bool writeQueueFull(Addr block_addr) const;
 
     /** Push one write into the banked device. */
     void serviceWrite(Addr block_addr);
+
+    /** A queued write finished: admit waiters while a slot is free. */
+    void retireWrite();
 
     Tick &bankFree(Addr block_addr);
 
@@ -158,6 +192,10 @@ class PmController : public sim::SimObject
 
     /** Reads in flight; a slot without a continuation is free. */
     std::vector<PendingRead> readSlots;
+    /** Read slots waiting for the read queue, oldest first. */
+    WaiterFifo<std::uint32_t> readWaiters;
+    /** Writes waiting for a write-queue slot, oldest first. */
+    WaiterFifo<Admission> admissions;
     /** HOPS: read slots held until their block leaves the persist
      *  buffers. */
     BlockWaiters<std::uint32_t> heldReads;

@@ -9,7 +9,7 @@
  * ticks per client, regardless of completions), keys are
  * scrambled-zipfian, shards serve their queues FIFO, and the
  * scheduled FaultEvents fire into individual shards mid-flight.
- * Client-side failures retry on the shared BoundedBackoff schedule
+ * Client-side failures retry on the BoundedBackoff schedule
  * under a per-op deadline; a shard that trips its abort budget opens
  * a load-shed window; a shard whose recovery cannot vouch for the
  * image degrades to read-only while the rest of the service keeps

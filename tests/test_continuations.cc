@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the timing path's continuation primitives: InplaceFn
  * (inline storage, boxing, moves, target lifetime) and the waiter
- * lists (firing order, waiters queued during a wake, no allocation
- * once warm).
+ * lists and FIFO (firing order, waiters queued during a wake, no
+ * allocation once warm).
  */
 
 #include <gtest/gtest.h>
@@ -174,4 +174,28 @@ TEST(BlockWaiters, WakesOneBlockInArrivalOrder)
     EXPECT_TRUE(w.add(0x40, 4)); // a new miss on the block
     EXPECT_TRUE(w.wake(0x80, [&](int v) { got.push_back(v); }));
     EXPECT_EQ(got, (std::vector<int>{1, 3, 2}));
+}
+
+TEST(WaiterFifo, PopsOldestFirstAndReusesItsStorage)
+{
+    // A queue that never drains keeps sliding its live tail down into
+    // the storage it already has.
+    WaiterFifo<int> fifo;
+    int next_in = 0, next_out = 0;
+    for (; next_in < 8; ++next_in)
+        fifo.add(next_in);
+    for (int round = 0; round < 4; ++round) {
+        AllocCounter counter;
+        for (int i = 0; i < 100; ++i) {
+            EXPECT_EQ(fifo.pop(), next_out++);
+            fifo.add(next_in++);
+        }
+        if (round >= 1) {
+            EXPECT_EQ(counter.count(), 0u) << "round " << round;
+        }
+    }
+    EXPECT_EQ(fifo.size(), 8u);
+    while (!fifo.empty())
+        EXPECT_EQ(fifo.pop(), next_out++);
+    EXPECT_EQ(next_out, next_in);
 }

@@ -159,6 +159,26 @@ TEST(MemorySystem, ClwbFlushesDirtyBlockToPmc)
     EXPECT_FALSE(h.mem.l1(0).isDirty(blockAlign(0x10000)));
 }
 
+TEST(MemorySystem, RefusedClwbIsAckedOnceAdmitted)
+{
+    MemConfig cfg = Harness::smallConfig();
+    cfg.pmcWriteQueue = 1;
+    Harness h(Design::IntelX86, cfg);
+    h.timeStore(0, 0x10000);
+    h.timeStore(0, 0x20000);
+    std::vector<Tick> acked;
+    h.mem.clwb(0, 0x10000, [&] { acked.push_back(h.eq.now()); });
+    h.mem.clwb(0, 0x20000, [&] { acked.push_back(h.eq.now()); });
+    h.eq.run();
+    // The second CLWB finds the one write-queue slot taken, waits for
+    // the first write to retire (94ns), then is acked.
+    ASSERT_EQ(acked.size(), 2u);
+    EXPECT_EQ(acked[1] - acked[0], nsToTicks(94));
+    EXPECT_EQ(h.mem.pmc().writes.value(), 2u);
+    EXPECT_EQ(h.mem.pmc().admissionWait.samples(), 1u);
+    EXPECT_DOUBLE_EQ(h.mem.pmc().admissionWait.max(), 94.0);
+}
+
 TEST(MemorySystem, ClwbOfCleanBlockIsCheap)
 {
     Harness h(Design::IntelX86);

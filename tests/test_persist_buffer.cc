@@ -32,7 +32,10 @@ struct Harness
     EventQueue eq;
     StatGroup stats{"test"};
     std::vector<Delivery> delivered;
+    /** A fake PMC: while !accept it refuses, keeping each refused
+     *  persist's admission waiter until the test admits them. */
     bool accept = true;
+    WaiterList<> admission;
     GlobalDrainToken token;
 
     PersistBuffer
@@ -41,12 +44,25 @@ struct Harness
     {
         return PersistBuffer(
             eq, &stats, core, nsToTicks(20), capacity, width, strict,
-            strict ? &token : nullptr, [this](CoreId c, Addr a) {
-                if (!accept)
+            strict ? &token : nullptr,
+            [this](CoreId c, Addr a, Waiter &on_admit) {
+                if (!accept) {
+                    admission.add(std::move(on_admit));
                     return false;
+                }
                 delivered.push_back(Delivery{c, a, eq.now()});
                 return true;
             });
+    }
+
+    /** Open the PMC at now() + d and admit its waiters. */
+    void
+    admitAfter(Tick d)
+    {
+        eq.schedule(After{d}, [this] {
+            accept = true;
+            admission.wake();
+        });
     }
 };
 
@@ -165,13 +181,39 @@ TEST(PersistBuffer, FullAndBackpressure)
     buf.append(0x1000);
     buf.append(0x2000);
     EXPECT_TRUE(buf.full());
-    bool spaced = false;
-    buf.notifyWhenNotFull([&] { spaced = true; });
-    h.eq.runUntil(nsToTicks(100));
-    EXPECT_FALSE(spaced);
-    h.accept = true;
+    Tick spaced_at = 0;
+    buf.notifyWhenNotFull([&] { spaced_at = h.eq.now(); });
     h.eq.run();
-    EXPECT_TRUE(spaced);
+    // The in-flight entry waits for admission with no event pending.
+    EXPECT_EQ(spaced_at, 0u);
+    EXPECT_EQ(h.eq.pending(), 0u);
+    EXPECT_EQ(buf.pathRetries.value(), 1u);
+    h.admitAfter(nsToTicks(80));
+    h.eq.run();
+    EXPECT_EQ(spaced_at, nsToTicks(100));
+    ASSERT_EQ(h.delivered.size(), 2u);
+    EXPECT_EQ(h.delivered[0].at, nsToTicks(100));
+}
+
+TEST(PersistBuffer, WaitsForPmcAdmissionInOrder)
+{
+    Harness h;
+    h.accept = false;
+    auto buf = h.make(0, 32, 4);
+    for (int i = 0; i < 4; ++i)
+        buf.append(static_cast<Addr>(0x1000 + 64 * i));
+    h.eq.run();
+    EXPECT_TRUE(h.delivered.empty());
+    EXPECT_EQ(h.eq.pending(), 0u);
+    EXPECT_EQ(buf.pathRetries.value(), 4u);
+    h.admitAfter(nsToTicks(30));
+    h.eq.run();
+    ASSERT_EQ(h.delivered.size(), 4u);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(h.delivered[i].addr, static_cast<Addr>(0x1000 + 64 * i));
+        EXPECT_EQ(h.delivered[i].at, nsToTicks(50));
+    }
+    EXPECT_TRUE(buf.empty());
 }
 
 TEST(PersistBuffer, AppendWhileFullPanics)
@@ -181,7 +223,7 @@ TEST(PersistBuffer, AppendWhileFullPanics)
     auto buf = h.make(0, 1);
     buf.append(0x1000);
     EXPECT_DEATH(buf.append(0x2000), "overflow");
-    h.accept = true;
+    h.admitAfter(0);
     h.eq.run();
 }
 
@@ -213,7 +255,7 @@ TEST(PersistBuffer, DependencyBlocksDrainUntilSatisfied)
     EXPECT_TRUE(h.delivered.empty());
     EXPECT_GT(acquirer.depStalls.value(), 0u);
 
-    h.accept = true;
+    h.admitAfter(0);
     h.eq.run();
     ASSERT_EQ(h.delivered.size(), 2u);
     EXPECT_EQ(h.delivered[0].addr, 0x1000u); // releaser persisted first

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the decoupled persist-path (Section 4.2): FIFO
- * delivery in commit order, path latency, PMC backpressure, and the
- * spec-barrier drain notification.
+ * delivery in commit order, path latency, waiting for PMC admission,
+ * one pump chain per path, and the spec-barrier drain notification.
  */
 
 #include <gtest/gtest.h>
@@ -32,18 +32,34 @@ struct Harness
     EventQueue eq;
     StatGroup stats{"test"};
     std::vector<Delivery> delivered;
+    /** A fake PMC: while !accept it refuses, keeping the refused
+     *  persist's admission waiter until the test calls admit(). */
     bool accept = true;
+    WaiterList<> admission;
     PersistPath path;
 
     explicit Harness(Tick latency = nsToTicks(20), unsigned cap = 4)
         : path(eq, &stats, 0, latency, cap,
-               [this](CoreId, Addr a, std::optional<SpecId> s) {
-                   if (!accept)
+               [this](CoreId, Addr a, std::optional<SpecId> s,
+                      Waiter &on_admit) {
+                   if (!accept) {
+                       admission.add(std::move(on_admit));
                        return false;
+                   }
                    delivered.push_back(Delivery{a, s, eq.now()});
                    return true;
                })
     {
+    }
+
+    /** Open the PMC at now() + d and admit its waiters. */
+    void
+    admitAfter(Tick d)
+    {
+        eq.schedule(After{d}, [this] {
+            accept = true;
+            admission.wake();
+        });
     }
 };
 
@@ -117,18 +133,22 @@ TEST(PersistPath, SendWhileFullPanics)
     EXPECT_DEATH(h.path.send(0x2000, std::nullopt), "overflow");
 }
 
-TEST(PersistPath, RetriesOnPmcBackpressure)
+TEST(PersistPath, WaitsForPmcAdmission)
 {
     Harness h;
     h.accept = false;
     h.path.send(0x1000, std::nullopt);
-    h.eq.runUntil(nsToTicks(100));
+    h.eq.run();
+    // Refused at 20ns: the head waits for admission, no event pending.
     EXPECT_TRUE(h.delivered.empty());
-    EXPECT_GT(h.path.pathRetries.value(), 0u);
-    h.accept = true;
+    EXPECT_EQ(h.eq.pending(), 0u);
+    EXPECT_EQ(h.path.pathRetries.value(), 1u);
+    h.admitAfter(nsToTicks(80));
     h.eq.run();
     ASSERT_EQ(h.delivered.size(), 1u);
+    EXPECT_EQ(h.delivered[0].at, nsToTicks(100));
     EXPECT_EQ(h.path.deliveries.value(), 1u);
+    EXPECT_EQ(h.path.pathRetries.value(), 1u);
 }
 
 TEST(PersistPath, OrderSurvivesBackpressure)
@@ -137,12 +157,40 @@ TEST(PersistPath, OrderSurvivesBackpressure)
     h.accept = false;
     h.path.send(0x1000, std::nullopt);
     h.path.send(0x2000, std::nullopt);
-    h.eq.runUntil(nsToTicks(200));
-    h.accept = true;
+    h.path.send(0x3000, std::nullopt);
     h.eq.run();
-    ASSERT_EQ(h.delivered.size(), 2u);
+    // Only the head waits; the flits behind it schedule nothing.
+    EXPECT_TRUE(h.delivered.empty());
+    EXPECT_EQ(h.eq.pending(), 0u);
+    EXPECT_EQ(h.path.pathRetries.value(), 1u);
+    h.admitAfter(nsToTicks(180));
+    h.eq.run();
+    ASSERT_EQ(h.delivered.size(), 3u);
     EXPECT_EQ(h.delivered[0].addr, 0x1000u);
     EXPECT_EQ(h.delivered[1].addr, 0x2000u);
+    EXPECT_EQ(h.delivered[2].addr, 0x3000u);
+    // The backlog was ready long ago: it all lands at the wake tick.
+    for (const auto &d : h.delivered)
+        EXPECT_EQ(d.at, nsToTicks(200));
+}
+
+TEST(PersistPath, SendFromTheSpaceWakeKeepsOnePumpPending)
+{
+    Harness h(nsToTicks(20), 2);
+    h.path.send(0x1000, std::nullopt);
+    h.path.send(0x2000, std::nullopt);
+    ASSERT_TRUE(h.path.full());
+    // A stalled store retries from the space wake, as the store queue
+    // does.
+    h.path.notifyWhenNotFull([&] { h.path.send(0x3000, std::nullopt); });
+    h.eq.runUntil(nsToTicks(20));
+    ASSERT_EQ(h.delivered.size(), 1u);
+    EXPECT_EQ(h.path.occupancy(), 2u);
+    EXPECT_EQ(h.eq.pending(), 1u);
+    h.eq.run();
+    ASSERT_EQ(h.delivered.size(), 3u);
+    EXPECT_EQ(h.delivered[1].addr, 0x2000u);
+    EXPECT_EQ(h.delivered[2].addr, 0x3000u);
 }
 
 TEST(PersistPath, NotifyWhenEmptyFiresImmediatelyIfIdle)

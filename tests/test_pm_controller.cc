@@ -72,6 +72,24 @@ TEST(PmController, DifferentBanksOverlap)
     EXPECT_EQ(done[1], nsToTicks(175));
 }
 
+TEST(PmController, FullReadQueueWaitsForAFinishingRead)
+{
+    MemConfig cfg;
+    cfg.pmBanks = 64; // every read below has its own bank
+    Harness h(Design::IntelX86, cfg);
+    std::vector<Tick> done;
+    for (unsigned i = 0; i <= cfg.pmcReadQueue; ++i)
+        h.pmc.read(Addr{i} * 64, [&] { done.push_back(h.eq.now()); });
+    // The last read waits for a slot with no event of its own.
+    EXPECT_EQ(h.pmc.reads.value(), cfg.pmcReadQueue);
+    EXPECT_EQ(h.eq.pending(), std::size_t{cfg.pmcReadQueue});
+    h.eq.run();
+    ASSERT_EQ(done.size(), cfg.pmcReadQueue + 1u);
+    EXPECT_EQ(done.front(), nsToTicks(175));
+    // It starts the tick the first read finishes.
+    EXPECT_EQ(done.back(), nsToTicks(175) + nsToTicks(175));
+}
+
 TEST(PmController, IntelWritebackEntersWriteQueue)
 {
     Harness h(Design::IntelX86);
@@ -135,6 +153,52 @@ TEST(PmController, WriteQueueFullRefusesPersists)
     EXPECT_EQ(h.pmc.persistsRefused.value(), 1u);
     h.eq.run(); // queue drains
     EXPECT_TRUE(h.pmc.acceptPersist(0, 2 * 64, std::nullopt));
+}
+
+TEST(PmController, RetiringWriteAdmitsWaitersInFifoOrder)
+{
+    MemConfig cfg;
+    cfg.pmcWriteQueue = 1;
+    Harness h(Design::PmemSpec, cfg);
+    ASSERT_TRUE(h.pmc.acceptPersist(0, 0 * 64, std::nullopt));
+    std::vector<std::pair<Addr, Tick>> admitted;
+    for (Addr block : {Addr{1} * 64, Addr{2} * 64}) {
+        ASSERT_FALSE(h.pmc.acceptPersist(1, block, std::nullopt));
+        h.pmc.awaitAdmission([&h, &admitted, block] {
+            admitted.emplace_back(block, h.eq.now());
+            EXPECT_TRUE(h.pmc.acceptPersist(1, block, std::nullopt));
+        });
+    }
+    EXPECT_EQ(h.pmc.persistsRefused.value(), 2u);
+    h.eq.run();
+    // Each retiring write frees the one slot for the oldest waiter.
+    ASSERT_EQ(admitted.size(), 2u);
+    EXPECT_EQ(admitted[0], std::make_pair(Addr{1} * 64, nsToTicks(94)));
+    EXPECT_EQ(admitted[1], std::make_pair(Addr{2} * 64, nsToTicks(188)));
+    EXPECT_EQ(h.pmc.admissionWait.samples(), 2u);
+    EXPECT_DOUBLE_EQ(h.pmc.admissionWait.sum(), 94.0 + 188.0);
+    EXPECT_EQ(h.pmc.writes.value(), 3u);
+}
+
+TEST(PmController, CoalescingPersistBypassesTheAdmissionFifo)
+{
+    MemConfig cfg;
+    cfg.pmcWriteQueue = 1;
+    Harness h(Design::PmemSpec, cfg);
+    ASSERT_TRUE(h.pmc.acceptPersist(0, 0 * 64, std::nullopt));
+    ASSERT_FALSE(h.pmc.acceptPersist(1, 1 * 64, std::nullopt));
+    bool admitted = false;
+    h.pmc.awaitAdmission([&] {
+        admitted = true;
+        EXPECT_TRUE(h.pmc.acceptPersist(1, 1 * 64, std::nullopt));
+    });
+    // Block 0 is still queued, so a newcomer to it takes no slot and
+    // is accepted ahead of the waiter.
+    EXPECT_TRUE(h.pmc.acceptPersist(2, 0 * 64, std::nullopt));
+    EXPECT_EQ(h.pmc.writeCoalesces.value(), 1u);
+    EXPECT_FALSE(admitted);
+    h.eq.run();
+    EXPECT_TRUE(admitted);
 }
 
 TEST(PmController, LoadMisspecEndToEnd)
