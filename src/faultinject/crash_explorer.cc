@@ -18,12 +18,6 @@ namespace pmemspec::faultinject
 namespace
 {
 
-/** Persist-prefix safety valve: no single FASE in this repo queues
- *  anywhere near this many persists; hitting it means the inner loop
- *  is not converging (e.g. a workload whose op is non-deterministic)
- *  and is reported as a failure instead of spinning forever. */
-constexpr std::size_t maxPrefixesPerOp = std::size_t{1} << 14;
-
 std::string
 hexMask(std::uint64_t m)
 {
@@ -40,57 +34,46 @@ constexpr unsigned tornExhaustiveBits = 4;
 constexpr unsigned maxTornSubsets = 12;
 
 /**
- * Never fires; records what the reference (uninterrupted) execution
- * persists. Reorder and torn modes need two things from that run:
- *
- *  - the full tagged persist stream (addr, bytes, ordering tag),
- *    copied off the in-flight queue as each write is observed. A
- *    FASE is deterministic given the PM state and every crash trial
- *    of the operation re-runs it from the identical restored state,
- *    so stream entries [k, k+depth) are exactly the speculation
- *    window a cut at prefix k interrupted -- including the entries
- *    the armed trial never got to issue because its plan fired the
- *    moment write k+1 was queued. Entry k is also the frontier the
- *    armed trial captures, which checks that determinism;
- *  - the dirty-block set: the only blocks any trial state of this
- *    operation can differ in (recovery writes only the logged data
- *    blocks and the log region, all touched here). The crash
- *    snapshot that reorder states and torn frontiers rewind to, and
- *    the reorder digest, cover exactly these blocks; the PM's
- *    block-touch journal checks the claim after every crash point
- *    and every torn trial.
+ * Never fires; records every persist an uninterrupted run queues,
+ * tags and all, copied off the in-flight queue as each write is
+ * observed. Every write counts, as PowerCutPlan counts them, so entry
+ * k is the persist a cut at prefix k loses first.
  */
 class RecordingPlan : public FaultPlan
 {
   public:
     RecordingPlan(const runtime::PersistentMemory &pm,
-                  std::vector<runtime::PersistentMemory::Pending> &stream,
-                  std::set<Addr> &blocks)
-        : pm(pm), stream(stream), blocks(blocks)
+                  std::vector<runtime::PersistentMemory::Pending> &stream)
+        : pm(pm), stream(stream)
     {
     }
 
     std::optional<FaultAction>
     onAccess(const AccessInfo &info) override
     {
-        if (info.op == runtime::MemOp::Write && info.bytes > 0) {
-            // The observer runs right after the store was queued, so
-            // the youngest in-flight entry is this write, tags and
-            // all.
+        // The observer runs right after the store was queued, so the
+        // youngest in-flight entry is this write.
+        if (info.op == runtime::MemOp::Write)
             stream.push_back(pm.pendingEntry(pm.inFlightCount() - 1));
-            const Addr last = info.addr + info.bytes - 1;
-            for (Addr b = blockAlign(info.addr); b <= blockAlign(last);
-                 b += blockBytes)
-                blocks.insert(b);
-        }
         return std::nullopt;
     }
 
   private:
     const runtime::PersistentMemory &pm;
     std::vector<runtime::PersistentMemory::Pending> &stream;
-    std::set<Addr> &blocks;
 };
+
+/** 8-byte words persist `p` overlaps: the mask width a torn frontier
+ *  has (PersistentMemory::pendingEntryWords of a queued entry). */
+std::size_t
+entryWords(const runtime::PersistentMemory::Pending &p)
+{
+    if (p.bytes.empty())
+        return 0;
+    const Addr first = p.addr / 8;
+    const Addr last = (p.addr + p.bytes.size() - 1) / 8;
+    return static_cast<std::size_t>(last - first) + 1;
+}
 
 /** Same persist apart from its store-order id: the trials' pre-arm
  *  recovery queues persists the reference run did not, which shifts
@@ -169,9 +152,18 @@ void
 OpExplorer::exploreOp(std::size_t op)
 {
     ++res.ops;
-    const std::size_t firstCrashPoint = res.crashPoints;
     pm.persistAll();
     const auto pre = pm.snapshot();
+
+    // The state every trial starts from: rewind to the
+    // pre-operation state, let recoverAll() resynchronise the undo
+    // logs' volatile cursors with the restored durable image, and
+    // drain its writes so the in-flight queue is empty.
+    auto startTrial = [&] {
+        pm.restore(pre);
+        rt.recoverAll();
+        pm.persistAll();
+    };
 
     // Reference committed image: the commit record is not the
     // FASE's last persist (tombstones trail it), so a crash can
@@ -180,27 +172,45 @@ OpExplorer::exploreOp(std::size_t op)
     // oracle must recognise it. Run the op once uninterrupted to
     // learn what that state looks like (kept as the blocks where it
     // differs from `pre`), then rewind. In reorder and torn modes the
-    // same run also records the operation's persist stream and
-    // dirty-block set: recovery only ever writes the logged data
-    // blocks and the log region, both of which this run touches, so
-    // every trial state of this op should agree with `pre` outside
-    // it.
+    // same run also records the persist stream whose entries
+    // [k, k+depth) are the speculation window a cut at prefix k
+    // interrupts, and the blocks that stream dirties: recovery only
+    // ever writes the logged data blocks and the log region, both of
+    // which this run touches, so every trial state of this op should
+    // agree with `pre` outside them. The recorder stays armed through
+    // the first trial start, so the stream ends with that recovery's
+    // persists.
     const bool recorded = opts.reorderings || opts.tornWrites;
-    std::set<Addr> dirtySet;
     std::vector<runtime::PersistentMemory::Pending> refStream;
     inj.clearPlans();
     if (recorded)
-        inj.addPlan(std::make_unique<RecordingPlan>(pm, refStream,
-                                                    dirtySet));
+        inj.addPlan(std::make_unique<RecordingPlan>(pm, refStream));
     rt.runFase(0,
                [&](runtime::Transaction &tx) { wl.runOp(tx, op); });
     pm.persistAll();
     const auto post = pm.snapshotBlocks(pm.durableChangesSince(pre));
-    pm.restore(pre);
-    rt.recoverAll();
-    pm.persistAll();
+    startTrial();
     inj.clearPlans();
-    const std::vector<Addr> dirty(dirtySet.begin(), dirtySet.end());
+    std::vector<Addr> dirty;
+    for (const auto &p : refStream) {
+        if (p.bytes.empty())
+            continue;
+        const Addr last = p.addr + p.bytes.size() - 1;
+        for (Addr b = blockAlign(p.addr); b <= blockAlign(last);
+             b += blockBytes)
+            dirty.push_back(b);
+    }
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+
+    // The trials take their stream from a run of their own, from the
+    // trial start: entry k is the frontier a cut at prefix k loses
+    // first, and the stream's length is the op's crash-point count.
+    std::vector<runtime::PersistentMemory::Pending> trialStream;
+    inj.addPlan(std::make_unique<RecordingPlan>(pm, trialStream));
+    rt.runFase(0,
+               [&](runtime::Transaction &tx) { wl.runOp(tx, op); });
+    inj.clearPlans();
 
     // Every trial starts from restore(pre), so the PM's journal
     // limits both oracles to the blocks the trial touched (plus
@@ -267,41 +277,17 @@ OpExplorer::exploreOp(std::size_t op)
     // the second is counted as deduped and skipped.
     std::set<std::uint64_t> seenDigests;
 
-    bool committed = false;
-    for (std::size_t k = 0; !committed; ++k) {
-        if (k >= maxPrefixesPerOp) {
-            fail(op, k, "prefix enumeration did not converge");
-            break;
-        }
-        // Rewind to the pre-operation state. recoverAll() then
-        // resynchronises the undo logs' volatile cursors with the
-        // restored durable image; its writes drain before the
-        // plan is armed so the plan's persist count matches the
-        // (empty) in-flight queue. The plan captures the frontier
-        // persist it cuts, which the torn trials tear.
-        pm.restore(pre);
-        rt.recoverAll();
-        pm.persistAll();
-        inj.clearPlans();
-        inj.addPlan(std::make_unique<PowerCutPlan>(k, 1));
-
-        bool crashed = false;
-        std::size_t frontier_words = 0;
-        try {
-            rt.runFase(0, [&](runtime::Transaction &tx) {
-                wl.runOp(tx, op);
-            });
-            committed = true;
-        } catch (const PowerFailure &pf) {
-            crashed = true;
-            frontier_words = pf.frontierWords;
-        }
-        // Disarm before recovery: the plan must not count (or
-        // crash on) recovery's own persist stream.
-        inj.clearPlans();
-        if (!crashed)
-            continue;
-
+    const std::size_t crashPoints = trialStream.size();
+    for (std::size_t k = 0; k < crashPoints; ++k) {
+        // crash(k) plus the reboot: stream entries [0, k) durable in
+        // both images, nothing in flight. No FASE drains the queue
+        // before its commit, so a cut at prefix k keeps exactly
+        // these entries.
+        startTrial();
+        for (std::size_t i = 0; i < k; ++i)
+            pm.overlayDurable(trialStream[i].addr,
+                              trialStream[i].bytes.data(),
+                              trialStream[i].bytes.size());
         ++res.crashPoints;
         // The post-crash (pre-recovery) image over the dirty blocks,
         // taken before the prefix trial's recovery mutates the
@@ -313,10 +299,10 @@ OpExplorer::exploreOp(std::size_t op)
         // The frontier (persist k, the first one lost) must be the
         // reference run's entry k, or neither the reorder window nor
         // the torn frontier describes this crash.
-        const auto &captured = inj.capturedWindow();
+        const runtime::PersistentMemory::Pending &frontier =
+            trialStream[k];
         const bool frontierMatches =
-            !captured.empty() && k < refStream.size() &&
-            samePersist(captured.front(), refStream[k]);
+            k < refStream.size() && samePersist(frontier, refStream[k]);
         if (recorded && !frontierMatches)
             fail(op, k,
                  "crash frontier differs from the reference run's "
@@ -403,33 +389,28 @@ OpExplorer::exploreOp(std::size_t op)
             res.reorderStatesDeduped += rc.statesDeduped;
             res.elidedPersists += rc.elidedPersists;
             res.orderingsCollapsed += rc.orderingsCollapsed;
-            // Leave a clean slate for the next k: the last
-            // explored state's recovery is still in the images.
-            pm.restoreBlocks(crashSnap);
         }
         if (recorded && touchedOutsideDirty(k))
             continue;
 
-        if (!opts.tornWrites || frontier_words < 2 || !frontierMatches)
+        const std::size_t frontierWords = entryWords(frontier);
+        if (!opts.tornWrites || frontierWords < 2 || !frontierMatches)
             continue;
 
         // Torn-frontier trials: same crash point k, but a word
-        // subset of persist k+1 lands too. Re-executing the
-        // operation with a torn cut at k would stop at the same
-        // write and leave crashTorn(k, mask): the crash(k) image in
-        // crashSnap plus the masked words of the frontier just
-        // checked against the reference stream. So each mask is
-        // built from those two instead.
+        // subset of persist k+1 lands too. crashTorn(k, mask) is by
+        // definition crash(k) plus the masked words of that
+        // frontier, so each mask is built from the crash(k) image in
+        // crashSnap and the frontier just checked against the
+        // reference stream.
         //
         // The oracle is no-silent-corruption: either recovery
         // restores the pre-operation state, or it refuses with an
         // explicit report. Under this repo's checksummed undo log
         // every torn frontier is detected and discarded, so
         // recovery is expected to succeed.
-        const runtime::PersistentMemory::Pending &frontier =
-            captured.front();
         for (std::uint64_t mask :
-             subsetMasks(frontier_words, maxTornSubsets, opts.enumSeed,
+             subsetMasks(frontierWords, maxTornSubsets, opts.enumSeed,
                          tornExhaustiveBits)) {
             pm.restoreBlocks(crashSnap);
             pm.overlayTorn(frontier, mask);
@@ -460,18 +441,19 @@ OpExplorer::exploreOp(std::size_t op)
         }
     }
 
-    if (committed) {
-        // Every prefix before the committed run crashed, so the
-        // committed run's prefix is the op's crash-point count.
-        const std::size_t k = res.crashPoints - firstCrashPoint;
-        wl.applyToModel(op);
-        if (!wl.checkInvariants())
-            fail(op, k, "invariants violated after commit");
-        if (!wl.matchesModel())
-            fail(op, k, "committed state does not match the model");
-        if (!converged())
-            fail(op, k, "volatile/persisted images diverge after commit");
-    }
+    // The uninterrupted run from the trial start leaves the
+    // operation committed; its prefix is the op's crash-point count.
+    startTrial();
+    rt.runFase(0,
+               [&](runtime::Transaction &tx) { wl.runOp(tx, op); });
+    wl.applyToModel(op);
+    if (!wl.checkInvariants())
+        fail(op, crashPoints, "invariants violated after commit");
+    if (!wl.matchesModel())
+        fail(op, crashPoints, "committed state does not match the model");
+    if (!converged())
+        fail(op, crashPoints,
+             "volatile/persisted images diverge after commit");
 }
 
 } // namespace

@@ -6,42 +6,55 @@
  * power failure is always an in-order *prefix* of the persist stream
  * (PersistentMemory models exactly that). The explorer exploits this
  * to be exhaustive rather than sampled: for every operation of a
- * workload it snapshots the PM, then repeatedly re-runs the operation
- * with a PowerCutPlan armed at durable prefix k = 0, 1, 2, ... Each
- * armed run crashes after exactly k persists, replays recovery, and
- * checks the oracles:
+ * workload it snapshots the PM, records the persist stream of one
+ * uninterrupted run of the operation, and then builds the crash
+ * image of every durable prefix k = 0, 1, ..., n-1 of that stream
+ * (n = the run's persist count) without re-running the operation:
+ * from the state every trial starts from, stream entries [0, k) are
+ * made durable in both images (PersistentMemory::overlayDurable),
+ * which is what crash(k) and the reboot leave. Each crash image is
+ * recovered and checked against the oracles:
  *
  *  - all-or-nothing: the recovered structure equals the pre-operation
  *    shadow model (the cut landed before the commit record, so the
- *    FASE must vanish);
+ *    FASE must vanish) or the committed state;
  *  - structure invariants: the workload's own consistency check;
  *  - image convergence: after recovery and a persist barrier the
  *    volatile and persisted images must be byte-identical.
  *
- * The k that never fires is the run whose persist stream fits inside
- * the allowed prefix -- i.e. the committed run. That terminates the
- * inner loop and simultaneously discovers the operation's persist
- * count, so every crash point of every operation is covered without
- * the workload declaring its write counts.
+ * The operation runs three times per op: a reference run, the
+ * recorded run that gives the trials their stream, and a final
+ * uninterrupted run that leaves it committed. The workload never
+ * declares its write counts.
  *
  * Two extensions widen the failure model per crash point:
  * tornWrites adds word-subset frontiers (media tearing), and
  * reorderings adds the speculation window's order-consistent persist
  * subsets (see reorder_explorer.hh) -- the crash states where
- * WAW-inversion bugs hide, which no prefix can produce. Neither
- * re-runs the operation: an uninterrupted reference run records the
- * persist stream and the blocks it dirties, and each crash point's
- * prefix trial keeps a sparse snapshot of its post-crash image.
- * Reorder states lay window persists over that image; torn states
- * lay the chosen words of the frontier persist the power cut
- * captured over it (PersistentMemory::overlayTorn). Because the
- * operation is deterministic, that frontier is the reference run's
- * persist k, and the image is crash(k); crashTorn(k, mask) is by
- * definition crash(k) plus those words, so the built state is the
- * one a re-executed torn cut would leave. The explorer checks both
- * premises: the captured frontier against the reference stream, and
- * the PM's block-touch journal against the dirty set after every
- * crash point and torn trial.
+ * WAW-inversion bugs hide, which no prefix can produce. The
+ * reference run records the persist stream whose entries
+ * [k, k+depth) are the window a cut at prefix k interrupts, and the
+ * blocks it dirties; each crash point keeps a sparse snapshot of its
+ * crash image over those blocks. Reorder states lay window persists
+ * over that image; torn states lay the chosen words of the frontier
+ * persist k over it (PersistentMemory::overlayTorn), and
+ * crashTorn(k, mask) is by definition crash(k) plus those words.
+ *
+ * The built states are the ones a re-executed power cut would leave
+ * only under three premises; reorder and torn modes check the first
+ * and the last:
+ *
+ *  - the operation is deterministic given the PM state, so every
+ *    run of it persists the same stream: each crash point's frontier
+ *    is compared with the reference run's persist at the same prefix;
+ *  - no FASE drains the persist queue before it commits (only
+ *    FaseRuntime's commit and UndoLog::recover call persistAll(), and
+ *    no misspeculation is injected here), so a cut at prefix k keeps
+ *    exactly stream entries [0, k);
+ *  - every block a trial touches is in the reference run's dirty
+ *    set, so rewinding the crash snapshot is exact: the PM's
+ *    block-touch journal is checked against it after every crash
+ *    point and torn trial.
  */
 
 #ifndef PMEMSPEC_FAULTINJECT_CRASH_EXPLORER_HH
@@ -174,7 +187,7 @@ struct ExploreOptions
      * spans more than one 8-byte word, additionally check a set of
      * word subsets of that frontier made durable. Each state is the
      * prefix trial's crash(k) image plus the subset's words of the
-     * captured frontier -- the state a TornWritePlan(k, mask) re-run
+     * frontier persist -- the state a TornWritePlan(k, mask) re-run
      * leaves, built without re-executing the operation (see the file
      * comment for why the two match). The oracle weakens from
      * "recovered state == pre-operation state" to *no silent

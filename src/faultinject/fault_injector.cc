@@ -119,7 +119,7 @@ FaultInjector::fire(const FaultAction &action)
       case FaultKind::TornWrite:
         injectTornWrite(action.prefix, action.mask); // throws
       case FaultKind::PowerCut:
-        injectPowerCut(action.prefix, action.capture); // throws
+        injectPowerCut(action.prefix); // throws
     }
 }
 
@@ -184,8 +184,7 @@ FaultInjector::injectDelayedPersist(Addr addr, Tick delay)
 }
 
 void
-FaultInjector::injectPowerCut(std::size_t prefix,
-                              std::size_t capture_depth)
+FaultInjector::injectPowerCut(std::size_t prefix)
 {
     ++powerCuts;
     PMEMSPEC_TRACE(traceMgr, FlagFaultInject,
@@ -198,13 +197,6 @@ FaultInjector::injectPowerCut(std::size_t prefix,
     const std::size_t frontier = durable < pm.inFlightCount()
                                      ? pm.pendingEntryWords(durable)
                                      : 0;
-    // The speculation window's contents at the outage: the queue
-    // entries the crash is about to lose, oldest first. Copy them
-    // out before crash() clears the queue.
-    windowCapture.clear();
-    for (std::size_t i = 0;
-         i < capture_depth && durable + i < pm.inFlightCount(); ++i)
-        windowCapture.push_back(pm.pendingEntry(durable + i));
     pm.crash(durable);
     throw PowerFailure{durable, false, frontier};
 }

@@ -54,8 +54,8 @@ struct PowerFailure
     bool torn = false;
     /** 8-byte words the frontier persist (entry durablePrefix of the
      *  queue, the first one lost) overlapped at crash time; 0 when
-     *  the cut consumed the whole queue. The torn-write explorer
-     *  learns the enumerable mask width from this. */
+     *  the cut consumed the whole queue: the width of the word mask
+     *  a TornWritePlan at the same prefix tears over. */
     std::size_t frontierWords = 0;
 };
 
@@ -112,25 +112,9 @@ class FaultInjector
     /** Hold a persist back benignly (no interrupt expected). */
     void injectDelayedPersist(Addr addr, Tick delay);
 
-    /**
-     * Cut power keeping `prefix` in-flight persists; throws
-     * PowerFailure (never returns). When `capture_depth` is nonzero
-     * the injector first copies up to that many queue entries from
-     * the crash frontier onward -- the contents of the speculation
-     * window the outage interrupted -- into capturedWindow(), so the
-     * reorder explorer can enumerate which subset/order of them the
-     * hardware might also have made durable.
-     */
-    [[noreturn]] void injectPowerCut(std::size_t prefix,
-                                     std::size_t capture_depth = 0);
-
-    /** The window entries captured by the last capturing power cut
-     *  (empty when capture_depth was 0 or the queue was consumed). */
-    const std::vector<runtime::PersistentMemory::Pending> &
-    capturedWindow() const
-    {
-        return windowCapture;
-    }
+    /** Cut power keeping `prefix` in-flight persists; throws
+     *  PowerFailure (never returns). */
+    [[noreturn]] void injectPowerCut(std::size_t prefix);
 
     /** Cut power keeping `prefix` in-flight persists plus the word
      *  subset `mask` of persist prefix+1 (torn frontier); throws
@@ -197,9 +181,6 @@ class FaultInjector
 
     /** Per-block spec-ID order automata (same table the PMC uses). */
     mem::BlockTable specTrack;
-
-    /** See capturedWindow(). */
-    std::vector<runtime::PersistentMemory::Pending> windowCapture;
 
     std::uint64_t loadStales = 0;
     std::uint64_t storeWaws = 0;

@@ -76,9 +76,6 @@ struct FaultAction
      *  (bit i = i-th overlapped 8-byte word). BitFlip: XOR mask
      *  applied to the word (0 means flip bit 0). */
     std::uint64_t mask = 0;
-    /** PowerCut: speculation-window entries to capture from the
-     *  crash frontier onward (FaultInjector::capturedWindow()). */
-    std::size_t capture = 0;
 };
 
 /**
@@ -219,19 +216,15 @@ class PeriodicPlan : public FaultPlan
  * first `prefix` entries and throws PowerFailure. Arm it while the
  * queue is empty (e.g. at a FASE boundary) so the count and the
  * queue agree. If the run queues `prefix` entries or fewer, the plan
- * never fires and the run completes -- the crash-point explorer uses
- * exactly this to detect that it has enumerated every prefix.
+ * never fires and the run completes. The crash-point explorer builds
+ * the same states from a recorded persist stream without re-running
+ * the operation (see crash_explorer.hh); this plan is the re-executed
+ * reference its equivalence test compares against.
  */
 class PowerCutPlan : public FaultPlan
 {
   public:
-    /** @param capture_depth Window entries to capture at the crash
-     *  frontier for reorder exploration (0 = plain power cut). */
-    explicit PowerCutPlan(std::size_t prefix,
-                          std::size_t capture_depth = 0)
-        : prefix(prefix), captureDepth(capture_depth)
-    {
-    }
+    explicit PowerCutPlan(std::size_t prefix) : prefix(prefix) {}
 
     std::optional<FaultAction>
     onAccess(const AccessInfo &info) override
@@ -241,13 +234,11 @@ class PowerCutPlan : public FaultPlan
         if (++writesSeen != prefix + 1)
             return std::nullopt;
         fired = true;
-        return FaultAction{FaultKind::PowerCut, info.addr, prefix, 0,
-                           0, captureDepth};
+        return FaultAction{FaultKind::PowerCut, info.addr, prefix};
     }
 
   private:
     std::size_t prefix;
-    std::size_t captureDepth;
     std::size_t writesSeen = 0;
     bool fired = false;
 };

@@ -27,7 +27,7 @@ std::vector<std::unique_ptr<CrashWorkload>> makeStandardWorkloads();
 
 /** Downsized TATP / TPC-C / Vacation adapters (small tables, fixed
  *  transaction schedules) so the macro workloads fit the explorer's
- *  per-crash-point re-execution budget. */
+ *  per-crash-point recovery budget. */
 std::vector<std::unique_ptr<CrashWorkload>> makeMacroWorkloads();
 
 /** The five structures plus the three macro workloads. */

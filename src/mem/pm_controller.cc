@@ -30,6 +30,8 @@ PmController::PmController(sim::EventQueue &eq, StatGroup *parent,
                        "persists accepted into the ADR domain");
     stats().addCounter("persistsRefused", &persistsRefused,
                        "persists refused on a full write queue");
+    stats().addCounter("writeBacksRefused", &writeBacksRefused,
+                       "writebacks refused on a full write queue");
     stats().addCounter("bloomTrueHits", &bloomTrueHits,
                        "PM reads delayed on a real buffer conflict");
     stats().addCounter("bloomFalsePositives", &bloomFalsePositives,
@@ -199,8 +201,10 @@ PmController::writeBack(Addr block_addr)
       case Design::IntelX86:
         // Normal memory behaviour: the writeback enters the write
         // queue; ADR makes it durable at acceptance.
-        if (writeQueueFull(block_addr))
+        if (writeQueueFull(block_addr)) {
+            ++writeBacksRefused;
             return false;
+        }
         serviceWrite(block_addr);
         return true;
 

@@ -139,6 +139,9 @@ class PmController : public sim::SimObject
     Counter droppedWritebacks;
     Counter persistsAccepted;
     Counter persistsRefused;
+    /** IntelX86 writebacks (LLC evictions, CLWBs) refused on a full
+     *  write queue; each then waits for admission. */
+    Counter writeBacksRefused;
     Counter bloomTrueHits;
     Counter bloomFalsePositives;
     Accumulator readLatencyStat;

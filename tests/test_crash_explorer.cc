@@ -74,10 +74,178 @@ TEST(CrashExplorer, TornWriteModePassesNoSilentCorruptionOracle)
     }
 }
 
+namespace
+{
+
+using Pending = runtime::PersistentMemory::Pending;
+
+/** Records every persist a run queues, as the explorer's recorder
+ *  does: entry k is the frontier a cut at prefix k loses first. */
+class StreamRecorder : public FaultPlan
+{
+  public:
+    StreamRecorder(const runtime::PersistentMemory &pm,
+                   std::vector<Pending> &stream)
+        : pm(pm), stream(stream)
+    {
+    }
+
+    std::optional<faultinject::FaultAction>
+    onAccess(const faultinject::AccessInfo &info) override
+    {
+        if (info.op == runtime::MemOp::Write)
+            stream.push_back(pm.pendingEntry(pm.inFlightCount() - 1));
+        return std::nullopt;
+    }
+
+  private:
+    const runtime::PersistentMemory &pm;
+    std::vector<Pending> &stream;
+};
+
+/** Op 0 of one workload, set up the way the explorer sets it up,
+ *  through the public PM/runtime/injector API only. */
+struct OpHarness
+{
+    explicit OpHarness(CrashWorkload &wl)
+        : wl(wl), pm(wl.pmBytes()),
+          rt(pm, os, 1, runtime::RecoveryPolicy::Lazy, wl.logBytes()),
+          inj(pm, os)
+    {
+        wl.setup(pm, rt);
+        pm.persistAll();
+        inj.attach();
+        EXPECT_TRUE(pm.imagesAgree());
+        preImage.assign(pm.persistedImage(),
+                        pm.persistedImage() + pm.size());
+        pre = pm.snapshot();
+    }
+
+    /** The state every explorer trial starts from. */
+    void
+    startTrial()
+    {
+        pm.restore(pre);
+        rt.recoverAll();
+        pm.persistAll();
+    }
+
+    /** Run op 0 from the trial start under `plan`; the power failure
+     *  it threw, if any. */
+    std::optional<PowerFailure>
+    runArmed(std::unique_ptr<FaultPlan> plan)
+    {
+        startTrial();
+        inj.addPlan(std::move(plan));
+        std::optional<PowerFailure> cut;
+        try {
+            rt.runFase(0, [&](Transaction &tx) { wl.runOp(tx, 0); });
+        } catch (const PowerFailure &pf) {
+            cut = pf;
+        }
+        inj.clearPlans();
+        return cut;
+    }
+
+    /** The persist stream of op 0 run uninterrupted from the trial
+     *  start. */
+    std::vector<Pending>
+    recordStream()
+    {
+        std::vector<Pending> stream;
+        EXPECT_FALSE(runArmed(std::make_unique<StreamRecorder>(pm, stream)));
+        return stream;
+    }
+
+    CrashWorkload &wl;
+    runtime::PersistentMemory pm;
+    runtime::VirtualOs os;
+    runtime::FaseRuntime rt;
+    faultinject::FaultInjector inj;
+    /** The persisted image at `pre`; the volatile one equalled it. */
+    std::vector<std::uint8_t> preImage;
+    runtime::PersistentMemory::Snapshot pre;
+};
+
+} // namespace
+
+// The explorer builds the crash image of prefix k without re-running
+// the operation: from the trial start state it makes entries [0, k)
+// of the recorded persist stream durable in both images. Check that
+// this is the state a re-executed PowerCutPlan(k) run leaves, for the
+// first op of every standard workload and every k, and that the plan
+// stops firing exactly at the stream's length.
+TEST(CrashExplorer, PrefixStateFromStreamMatchesReexecution)
+{
+    for (const auto &wl : makeStandardWorkloads()) {
+        SCOPED_TRACE(wl->name());
+        OpHarness h(*wl);
+        const std::vector<Pending> stream = h.recordStream();
+        ASSERT_FALSE(stream.empty());
+        for (std::size_t k = 0; k < stream.size(); ++k) {
+            SCOPED_TRACE("k " + std::to_string(k));
+            const auto cut =
+                h.runArmed(std::make_unique<faultinject::PowerCutPlan>(k));
+            ASSERT_TRUE(cut);
+            EXPECT_EQ(cut->durablePrefix, k);
+            EXPECT_EQ(h.pm.inFlightCount(), 0u);
+            const std::vector<Addr> reexecBlocks = h.pm.touchedBlocks();
+            std::vector<std::uint8_t> reexecVolatile, reexecPersisted;
+            for (Addr b : reexecBlocks) {
+                reexecVolatile.insert(reexecVolatile.end(),
+                                      h.pm.volatileImage() + b,
+                                      h.pm.volatileImage() + b + blockBytes);
+                reexecPersisted.insert(
+                    reexecPersisted.end(), h.pm.persistedImage() + b,
+                    h.pm.persistedImage() + b + blockBytes);
+            }
+
+            h.startTrial();
+            for (std::size_t i = 0; i < k; ++i)
+                h.pm.overlayDurable(stream[i].addr, stream[i].bytes.data(),
+                                    stream[i].bytes.size());
+            EXPECT_EQ(h.pm.inFlightCount(), 0u);
+
+            // Outside both journals both states still hold pre's
+            // bytes, so their union covers the whole image.
+            std::vector<Addr> blocks = h.pm.touchedBlocks();
+            blocks.insert(blocks.end(), reexecBlocks.begin(),
+                          reexecBlocks.end());
+            std::sort(blocks.begin(), blocks.end());
+            blocks.erase(std::unique(blocks.begin(), blocks.end()),
+                         blocks.end());
+            for (Addr b : blocks) {
+                const auto it = std::find(reexecBlocks.begin(),
+                                          reexecBlocks.end(), b);
+                const std::size_t i =
+                    static_cast<std::size_t>(it - reexecBlocks.begin());
+                const bool touched = it != reexecBlocks.end();
+                const std::uint8_t *wantVolatile =
+                    touched ? reexecVolatile.data() + i * blockBytes
+                            : h.preImage.data() + b;
+                const std::uint8_t *wantPersisted =
+                    touched ? reexecPersisted.data() + i * blockBytes
+                            : h.preImage.data() + b;
+                EXPECT_EQ(std::memcmp(h.pm.volatileImage() + b,
+                                      wantVolatile, blockBytes),
+                          0)
+                    << "volatile block " << b;
+                EXPECT_EQ(std::memcmp(h.pm.persistedImage() + b,
+                                      wantPersisted, blockBytes),
+                          0)
+                    << "persisted block " << b;
+            }
+        }
+        EXPECT_FALSE(h.runArmed(
+            std::make_unique<faultinject::PowerCutPlan>(stream.size())))
+            << "a cut past the stream's last persist must not fire";
+    }
+}
+
 // The explorer builds each torn-frontier state from the prefix
-// trial's crash image: the post-crash blocks plus overlayTorn() of the
-// frontier persist the PowerCutPlan captured. Through the public
-// PM/runtime/injector API only, check that this is the state a
+// trial's crash image: the post-crash blocks plus overlayTorn() of
+// the frontier persist, entry k of the recorded stream. Through the
+// public PM/runtime/injector API only, check that this is the state a
 // re-executed TornWritePlan(k, mask) run leaves, for the first op of
 // every standard workload and every (k, mask) the explorer enumerates.
 TEST(CrashExplorer, TornStateFromCrashImageMatchesReexecution)
@@ -85,82 +253,56 @@ TEST(CrashExplorer, TornStateFromCrashImageMatchesReexecution)
     const std::uint64_t seed = ExploreOptions{}.enumSeed;
     for (const auto &wl : makeStandardWorkloads()) {
         SCOPED_TRACE(wl->name());
-        runtime::PersistentMemory pm(wl->pmBytes());
-        runtime::VirtualOs os;
-        runtime::FaseRuntime rt(pm, os, 1, runtime::RecoveryPolicy::Lazy,
-                                wl->logBytes());
-        faultinject::FaultInjector inj(pm, os);
-        wl->setup(pm, rt);
-        pm.persistAll();
-        inj.attach();
-        const std::vector<std::uint8_t> preImage(
-            pm.persistedImage(), pm.persistedImage() + pm.size());
-        const auto pre = pm.snapshot();
-
-        // Rewind to the pre-operation state and run op 0 under `plan`.
-        auto runArmed = [&](std::unique_ptr<FaultPlan> plan) {
-            pm.restore(pre);
-            rt.recoverAll();
-            pm.persistAll();
-            inj.clearPlans();
-            inj.addPlan(std::move(plan));
-            std::optional<PowerFailure> cut;
-            try {
-                rt.runFase(0, [&](Transaction &tx) { wl->runOp(tx, 0); });
-            } catch (const PowerFailure &pf) {
-                cut = pf;
-            }
-            inj.clearPlans();
-            return cut;
-        };
+        OpHarness h(*wl);
+        const std::vector<Pending> stream = h.recordStream();
 
         std::size_t compared = 0;
         for (std::size_t k = 0;; ++k) {
             const auto cut =
-                runArmed(std::make_unique<faultinject::PowerCutPlan>(k, 1));
+                h.runArmed(std::make_unique<faultinject::PowerCutPlan>(k));
             if (!cut)
                 break;
             if (cut->frontierWords < 2)
                 continue;
-            ASSERT_EQ(inj.capturedWindow().size(), 1u);
-            const runtime::PersistentMemory::Pending frontier =
-                inj.capturedWindow().front();
+            ASSERT_LT(k, stream.size());
+            const Pending &frontier = stream[k];
             // Every block the trial changed since `pre` is journaled.
-            const auto crashSnap = pm.snapshotBlocks(pm.touchedBlocks());
+            const auto crashSnap = h.pm.snapshotBlocks(h.pm.touchedBlocks());
 
             for (std::uint64_t mask :
                  faultinject::subsetMasks(cut->frontierWords, 12, seed, 4)) {
                 SCOPED_TRACE("k " + std::to_string(k) + " mask " +
                              std::to_string(mask));
-                const auto torn = runArmed(
+                const auto torn = h.runArmed(
                     std::make_unique<faultinject::TornWritePlan>(k, mask));
                 ASSERT_TRUE(torn && torn->torn);
-                const std::vector<Addr> reexecBlocks = pm.touchedBlocks();
+                const std::vector<Addr> reexecBlocks = h.pm.touchedBlocks();
                 std::vector<std::uint8_t> reexec;
                 for (Addr b : reexecBlocks)
-                    reexec.insert(reexec.end(), pm.persistedImage() + b,
-                                  pm.persistedImage() + b + blockBytes);
+                    reexec.insert(reexec.end(), h.pm.persistedImage() + b,
+                                  h.pm.persistedImage() + b + blockBytes);
 
-                pm.restore(pre);
-                pm.restoreBlocks(crashSnap);
-                pm.overlayTorn(frontier, mask);
-                EXPECT_EQ(pm.inFlightCount(), 0u);
-                EXPECT_TRUE(pm.imagesAgree());
+                h.pm.restore(h.pre);
+                h.pm.restoreBlocks(crashSnap);
+                h.pm.overlayTorn(frontier, mask);
+                EXPECT_EQ(h.pm.inFlightCount(), 0u);
+                EXPECT_TRUE(h.pm.imagesAgree());
                 // Outside both journals both states still hold pre's
                 // bytes, so these blocks cover the whole image.
                 for (std::size_t i = 0; i < reexecBlocks.size(); ++i)
-                    EXPECT_EQ(std::memcmp(pm.persistedImage() +
+                    EXPECT_EQ(std::memcmp(h.pm.persistedImage() +
                                               reexecBlocks[i],
                                           reexec.data() + i * blockBytes,
                                           blockBytes),
                               0)
                         << "block " << reexecBlocks[i];
-                for (Addr b : pm.touchedBlocks()) {
+                for (Addr b : h.pm.touchedBlocks()) {
                     if (std::find(reexecBlocks.begin(), reexecBlocks.end(),
                                   b) != reexecBlocks.end())
                         continue;
-                    EXPECT_EQ(std::memcmp(pm.persistedImage() + b,
-                                          preImage.data() + b, blockBytes),
+                    EXPECT_EQ(std::memcmp(h.pm.persistedImage() + b,
+                                          h.preImage.data() + b,
+                                          blockBytes),
                               0)
                         << "block " << b;
                 }
@@ -229,6 +371,44 @@ class BuggyWorkload : public faultinject::CrashWorkload
     std::uint64_t modelUnlogged = 0;
 };
 
+/** A non-deterministic operation: its second execution logs and
+ *  writes a different cell than its first (the count lives outside
+ *  PM, so rewinding the PM does not rewind it). */
+class NondeterministicWorkload : public faultinject::CrashWorkload
+{
+  public:
+    const char *name() const override { return "nondeterministic"; }
+
+    void
+    setup(runtime::PersistentMemory &pm_,
+          runtime::FaseRuntime &rt) override
+    {
+        (void)rt;
+        pm = &pm_;
+        cells = pm->alloc(2 * 64, 64);
+        pm->writeU64(cells, 1);
+        pm->writeU64(cells + 64, 1);
+        pm->persistAll();
+    }
+
+    std::size_t numOps() const override { return 1; }
+
+    void
+    runOp(Transaction &tx, std::size_t) override
+    {
+        tx.writeU64(executions++ == 1 ? cells + 64 : cells, 2);
+    }
+
+    void applyToModel(std::size_t) override {}
+    bool matchesModel() const override { return true; }
+    bool checkInvariants() const override { return true; }
+
+  private:
+    runtime::PersistentMemory *pm = nullptr;
+    Addr cells = 0;
+    unsigned executions = 0;
+};
+
 } // namespace
 
 TEST(CrashExplorer, CatchesUnloggedWrites)
@@ -239,6 +419,26 @@ TEST(CrashExplorer, CatchesUnloggedWrites)
     EXPECT_GT(res.failures, 0u);
     ASSERT_FALSE(res.messages.empty());
     EXPECT_NE(res.messages.front().find("atomicity"), std::string::npos);
+}
+
+// The crash states are built from one run's persist stream and the
+// reorder windows from another's, which describe the same crashes
+// only if the operation is deterministic. An operation that is not
+// must be reported, not explored as if it were.
+TEST(CrashExplorer, ReportsANonDeterministicOperation)
+{
+    NondeterministicWorkload wl;
+    ExploreOptions opts;
+    opts.reorderings = true;
+    const auto res = exploreCrashPoints(wl, opts);
+    EXPECT_FALSE(res.passed());
+    const bool reported = std::any_of(
+        res.messages.begin(), res.messages.end(), [](const std::string &m) {
+            return m.find("crash frontier differs from the reference "
+                          "run's persist at the same prefix") !=
+                   std::string::npos;
+        });
+    EXPECT_TRUE(reported);
 }
 
 TEST(CrashExplorer, WorkloadFactoryKnowsEveryName)

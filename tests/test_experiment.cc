@@ -149,6 +149,26 @@ TEST(Experiment, ResultCarriesStatsSnapshot)
     EXPECT_DOUBLE_EQ(res.statOr("no.such.stat", -7), -7);
 }
 
+// IntelX86 has no persist path: every write the PMC makes wait is a
+// writeback (LLC eviction or CLWB), and each is refused exactly once,
+// because the retiring write that admits it frees its slot. TPC-C is
+// the benchmark that fills the write queue.
+TEST(Experiment, IntelWritebackWaitsAreCountedAsRefusals)
+{
+    ExperimentConfig cfg = tiny(BenchId::Tpcc, Design::IntelX86);
+    cfg.workload.numThreads = 8;
+    cfg.workload.opsPerThread = 40;
+    cfg.machine = defaultMachineConfig(8);
+    const auto res = runExperiment(cfg);
+    const double refused =
+        res.statOr("machine.memsys.pmc.writeBacksRefused", -1);
+    EXPECT_GT(refused, 0);
+    EXPECT_DOUBLE_EQ(
+        refused, res.statOr("machine.memsys.pmc.admissionWait.samples", -2));
+    EXPECT_DOUBLE_EQ(res.statOr("machine.memsys.pmc.persistsRefused", -1),
+                     0);
+}
+
 TEST(Experiment, DeterministicThroughput)
 {
     auto a = runExperiment(tiny(BenchId::Queue, Design::PmemSpec));

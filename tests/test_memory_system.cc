@@ -177,6 +177,8 @@ TEST(MemorySystem, RefusedClwbIsAckedOnceAdmitted)
     EXPECT_EQ(h.mem.pmc().writes.value(), 2u);
     EXPECT_EQ(h.mem.pmc().admissionWait.samples(), 1u);
     EXPECT_DOUBLE_EQ(h.mem.pmc().admissionWait.max(), 94.0);
+    EXPECT_EQ(h.mem.pmc().writeBacksRefused.value(), 1u);
+    EXPECT_EQ(h.mem.pmc().persistsRefused.value(), 0u);
 }
 
 TEST(MemorySystem, ClwbOfCleanBlockIsCheap)

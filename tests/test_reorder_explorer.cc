@@ -4,10 +4,9 @@
  * enumeration (ordering edges, admissibility, reduction counters),
  * the hook-driven state walk, and the end-to-end model-checking
  * acceptance oracles -- every workload survives persist-reordering
- * exploration, the measured state reduction is at least 10x, the
- * speculation-window capture works, and a deliberately misordered
- * undo log is caught by reorder exploration while prefix-only
- * exploration provably cannot see it.
+ * exploration, the measured state reduction is at least 10x, and a
+ * deliberately misordered undo log is caught by reorder exploration
+ * while prefix-only exploration provably cannot see it.
  */
 
 #include <gtest/gtest.h>
@@ -23,12 +22,10 @@
 #include <vector>
 
 #include "faultinject/crash_explorer.hh"
-#include "faultinject/fault_injector.hh"
 #include "faultinject/fault_plan.hh"
 #include "faultinject/pmds_workloads.hh"
 #include "faultinject/reorder_explorer.hh"
 #include "runtime/fase_runtime.hh"
-#include "runtime/virtual_os.hh"
 
 using namespace pmemspec;
 using faultinject::ExploreOptions;
@@ -178,40 +175,6 @@ TEST(ExploreReorderWindow, ElidesNoopsAndDedupsDigests)
     EXPECT_EQ(c2.statesExplored, 0u);
     EXPECT_EQ(c2.statesDeduped, 3u);
     EXPECT_TRUE(ih.checkedMasks.empty());
-}
-
-TEST(FaultInjector, PowerCutCapturesTheRequestedWindow)
-{
-    runtime::PersistentMemory pm(1 << 16);
-    runtime::VirtualOs os;
-    faultinject::FaultInjector inj(pm, os);
-    const Addr cells = pm.alloc(8 * 64, 64);
-    pm.persistAll();
-    for (std::uint64_t i = 0; i < 5; ++i)
-        pm.writeU64(cells + 64 * i, 100 + i);
-
-    bool crashed = false;
-    try {
-        inj.injectPowerCut(2, 3);
-    } catch (const faultinject::PowerFailure &pf) {
-        crashed = true;
-        EXPECT_EQ(pf.durablePrefix, 2u);
-    }
-    ASSERT_TRUE(crashed);
-    // The capture holds the in-flight entries beyond the kept
-    // prefix, oldest first, copied before crash() cleared the queue.
-    ASSERT_EQ(inj.capturedWindow().size(), 3u);
-    EXPECT_EQ(inj.capturedWindow()[0].addr, cells + 64 * 2);
-    EXPECT_GT(inj.capturedWindow()[0].specId, 0u);
-    // The queue had only the five writes; asking deeper than it goes
-    // clamps instead of inventing entries.
-    for (std::uint64_t i = 0; i < 5; ++i)
-        pm.writeU64(cells + 64 * i, 200 + i);
-    try {
-        inj.injectPowerCut(3, 16);
-    } catch (const faultinject::PowerFailure &) {
-    }
-    EXPECT_EQ(inj.capturedWindow().size(), 2u);
 }
 
 TEST(ReorderExplorer, AllWorkloadsSurviveReorderedCrashStates)
