@@ -63,18 +63,6 @@ class RecordingPlan : public FaultPlan
     std::vector<runtime::PersistentMemory::Pending> &stream;
 };
 
-/** 8-byte words persist `p` overlaps: the mask width a torn frontier
- *  has (PersistentMemory::pendingEntryWords of a queued entry). */
-std::size_t
-entryWords(const runtime::PersistentMemory::Pending &p)
-{
-    if (p.bytes.empty())
-        return 0;
-    const Addr first = p.addr / 8;
-    const Addr last = (p.addr + p.bytes.size() - 1) / 8;
-    return static_cast<std::size_t>(last - first) + 1;
-}
-
 /** Same persist apart from its store-order id: the trials' pre-arm
  *  recovery queues persists the reference run did not, which shifts
  *  every later id. */
@@ -393,7 +381,8 @@ OpExplorer::exploreOp(std::size_t op)
         if (recorded && touchedOutsideDirty(k))
             continue;
 
-        const std::size_t frontierWords = entryWords(frontier);
+        const std::size_t frontierWords =
+            runtime::PersistentMemory::entryWords(frontier);
         if (!opts.tornWrites || frontierWords < 2 || !frontierMatches)
             continue;
 

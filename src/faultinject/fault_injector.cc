@@ -35,7 +35,7 @@ void
 FaultInjector::attach()
 {
     pm.setObserver([this](runtime::MemOp op, Addr a, std::uint32_t n) {
-        onAccess(op, a, n);
+        observeAccess(op, a, n);
     });
     attached = true;
 }
@@ -83,7 +83,7 @@ FaultInjector::onAccess(runtime::MemOp op, Addr a, std::uint32_t n)
 {
     if (firing)
         return; // accesses made while injecting do not re-trigger
-    const AccessInfo info{accessIndex++, op, a, n};
+    const AccessInfo info{op, a, n};
     for (auto &plan : plans) {
         if (auto action = plan->onAccess(info))
             fire(*action);
@@ -194,11 +194,8 @@ FaultInjector::injectPowerCut(std::size_t prefix)
                         FaultKind::PowerCut)});
     const std::size_t durable =
         prefix < pm.inFlightCount() ? prefix : pm.inFlightCount();
-    const std::size_t frontier = durable < pm.inFlightCount()
-                                     ? pm.pendingEntryWords(durable)
-                                     : 0;
     pm.crash(durable);
-    throw PowerFailure{durable, false, frontier};
+    throw PowerFailure{durable, false};
 }
 
 void
@@ -212,11 +209,8 @@ FaultInjector::injectTornWrite(std::size_t prefix, std::uint64_t mask)
                         FaultKind::TornWrite)});
     const std::size_t durable =
         prefix < pm.inFlightCount() ? prefix : pm.inFlightCount();
-    const std::size_t frontier = durable < pm.inFlightCount()
-                                     ? pm.pendingEntryWords(durable)
-                                     : 0;
     pm.crashTorn(durable, mask);
-    throw PowerFailure{durable, true, frontier};
+    throw PowerFailure{durable, true};
 }
 
 void

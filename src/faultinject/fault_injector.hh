@@ -52,11 +52,6 @@ struct PowerFailure
     std::size_t durablePrefix; ///< persists that made it to PM
     /** True when the frontier persist landed partially (TornWrite). */
     bool torn = false;
-    /** 8-byte words the frontier persist (entry durablePrefix of the
-     *  queue, the first one lost) overlapped at crash time; 0 when
-     *  the cut consumed the whole queue: the width of the word mask
-     *  a TornWritePlan at the same prefix tears over. */
-    std::size_t frontierWords = 0;
 };
 
 /** The injector; see the file comment. */
@@ -88,12 +83,14 @@ class FaultInjector
      * stream for itself (the service shard counts per-op work) owns
      * the observer and forwards every access here instead of calling
      * attach(). Semantics are identical to the attached path: armed
-     * plans see the access and may fire.
+     * plans see the access and may fire; with no plan armed the
+     * access is dropped here, before any call.
      */
     void
     observeAccess(runtime::MemOp op, Addr a, std::uint32_t n)
     {
-        onAccess(op, a, n);
+        if (!plans.empty())
+            onAccess(op, a, n);
     }
 
     void addPlan(std::unique_ptr<FaultPlan> plan);
@@ -156,6 +153,8 @@ class FaultInjector
     std::uint64_t interruptsRaised() const { return interrupts; }
 
   private:
+    /** Show one access to every armed plan (observeAccess() has
+     *  checked that one is armed). */
     void onAccess(runtime::MemOp op, Addr a, std::uint32_t n);
     void fire(const FaultAction &action);
 
@@ -174,8 +173,10 @@ class FaultInjector
     Tick window;
     Tick defaultPersistDelay;
 
+    /** Armed plans. Each counts the accesses it sees from its own
+     *  arming, so accesses made while none is armed need not reach
+     *  the injector at all. */
     std::vector<std::unique_ptr<FaultPlan>> plans;
-    std::uint64_t accessIndex = 0;
     bool firing = false; ///< reentrancy guard while injecting
     bool attached = false;
 

@@ -56,10 +56,11 @@ enum class FaultKind
     Poison,
 };
 
-/** One functional PM access as seen by the injector's observer. */
+/** One functional PM access as seen by the injector's observer.
+ *  It carries no running index: a plan that counts accesses counts
+ *  the ones it sees, from its own arming. */
 struct AccessInfo
 {
-    std::uint64_t index;  ///< accesses observed since attach()
     runtime::MemOp op;
     Addr addr;
     std::uint32_t bytes;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "runtime/scratch_bytes.hh"
 
 namespace pmemspec::pmds
 {
@@ -72,7 +73,8 @@ void
 KvStore::set(runtime::Transaction &tx, std::uint64_t key,
              std::uint8_t fill_byte)
 {
-    std::vector<std::uint8_t> value(cfg.valueBytes, fill_byte);
+    runtime::ScratchBytes value(cfg.valueBytes);
+    std::memset(value.data(), fill_byte, value.size());
     auto meta = index.get(tx, key);
     if (meta) {
         // Overwrite in place, undo-logged, and bump the LRU.
@@ -103,13 +105,13 @@ KvStore::get(runtime::Transaction &tx, std::uint64_t key)
     if (!meta)
         return std::nullopt;
     const Addr slab = tx.readU64Dep(*meta + offSlab);
-    std::vector<std::uint8_t> value(cfg.valueBytes);
-    tx.read(slab, value.data(), value.size());
-    for (std::size_t i = 1; i < value.size(); ++i) {
-        panic_if(value[i] != value[0],
-                 "torn KV value observed for key %llu",
-                 static_cast<unsigned long long>(key));
-    }
+    runtime::ScratchBytes buf(cfg.valueBytes);
+    std::uint8_t *value = buf.data();
+    tx.read(slab, value, buf.size());
+    // Every byte equals the first iff each equals its successor.
+    panic_if(std::memcmp(value, value + 1, buf.size() - 1) != 0,
+             "torn KV value observed for key %llu",
+             static_cast<unsigned long long>(key));
     // memcached updates the item's LRU position on every hit.
     touch(tx, *meta);
     return value[0];

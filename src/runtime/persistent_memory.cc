@@ -73,15 +73,17 @@ PersistentMemory::writeTagged(Addr a, const void *src, std::size_t n,
 {
     checkRange(a, n);
     touch(a, n);
-    std::memcpy(volatileImg.data() + a, src, n);
+    copyBytes(volatileImg.data() + a, src, n);
     // A full 8-byte overwrite of a poisoned word heals it (the
     // device remaps the line when fresh data arrives); a partial
-    // overwrite leaves the word uncorrectable.
+    // overwrite leaves the word uncorrectable. The words the store
+    // covers whole are those with bases in [ceil8(a), floor8(a+n)).
     if (!poisoned.empty()) {
-        for (Addr w = wordAlign(a); w < a + n; w += wordBytes) {
-            if (w >= a && w + wordBytes <= a + n)
-                poisoned.erase(w);
-        }
+        const Addr lo = wordAlign(a + wordBytes - 1);
+        const Addr hi = wordAlign(a + n);
+        if (lo < hi)
+            poisoned.erase(poisoned.lower_bound(lo),
+                           poisoned.lower_bound(hi));
     }
     Pending &p = inFlight.emplace_back();
     p.addr = a;
@@ -116,7 +118,7 @@ PersistentMemory::read(Addr a, void *dst, std::size_t n) const
 {
     checkRange(a, n);
     checkPoison(a, n);
-    std::memcpy(dst, volatileImg.data() + a, n);
+    copyBytes(dst, volatileImg.data() + a, n);
     if (observer)
         observer(MemOp::Read, a, static_cast<std::uint32_t>(n));
 }
@@ -126,7 +128,7 @@ PersistentMemory::readDep(Addr a, void *dst, std::size_t n) const
 {
     checkRange(a, n);
     checkPoison(a, n);
-    std::memcpy(dst, volatileImg.data() + a, n);
+    copyBytes(dst, volatileImg.data() + a, n);
     if (observer)
         observer(MemOp::ReadDep, a, static_cast<std::uint32_t>(n));
 }
@@ -171,8 +173,8 @@ void
 PersistentMemory::applyPending(const Pending &p)
 {
     touch(p.addr, p.bytes.size());
-    std::memcpy(persistedImg.data() + p.addr, p.bytes.data(),
-                p.bytes.size());
+    copyBytes(persistedImg.data() + p.addr, p.bytes.data(),
+              p.bytes.size());
 }
 
 void
@@ -436,16 +438,19 @@ PersistentMemory::pendingEntry(std::size_t idx) const
 }
 
 std::size_t
-PersistentMemory::pendingEntryWords(std::size_t idx) const
+PersistentMemory::entryWords(const Pending &p)
 {
-    if (idx >= inFlight.size())
-        return 0;
-    const Pending &p = inFlight[idx];
     if (p.bytes.empty())
         return 0;
     const Addr first = wordAlign(p.addr);
     const Addr last = wordAlign(p.addr + p.bytes.size() - 1);
     return static_cast<std::size_t>((last - first) / wordBytes) + 1;
+}
+
+std::size_t
+PersistentMemory::pendingEntryWords(std::size_t idx) const
+{
+    return idx < inFlight.size() ? entryWords(inFlight[idx]) : 0;
 }
 
 void

@@ -69,6 +69,18 @@ struct MediaError
     Addr addr; ///< first poisoned word the access overlapped
 };
 
+/** memcpy with the 8-byte case split out: a constant-size copy is a
+ *  single move the compiler inlines, where a variable-size one calls
+ *  libc, and nearly every functional access is one word. */
+inline void
+copyBytes(void *dst, const void *src, std::size_t n)
+{
+    if (n == 8)
+        std::memcpy(dst, src, 8);
+    else
+        std::memcpy(dst, src, n);
+}
+
 /**
  * The payload of one in-flight persist: a byte string that stores up
  * to kInline bytes in place (word stores, log headers, tombstones --
@@ -111,7 +123,7 @@ class PersistBytes
     assign(const std::uint8_t *first, const std::uint8_t *last)
     {
         const auto count = static_cast<std::size_t>(last - first);
-        std::memcpy(resize(count), first, count);
+        copyBytes(resize(count), first, count);
     }
 
     /** Replace the contents with `count` copies of `b`. */
@@ -316,6 +328,10 @@ class PersistentMemory
     /** In-flight persist `idx` (0 = oldest). The reorder explorer
      *  captures the speculation window from these before a crash. */
     const Pending &pendingEntry(std::size_t idx) const;
+
+    /** Number of 8-byte machine words persist `p` overlaps: the mask
+     *  width crashTorn() and overlayTorn() tear it over. */
+    static std::size_t entryWords(const Pending &p);
 
     /**
      * Apply bytes directly to *both* images beneath the persist

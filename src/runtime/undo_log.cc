@@ -4,6 +4,7 @@
 
 #include "common/crc32.hh"
 #include "common/logging.hh"
+#include "runtime/scratch_bytes.hh"
 
 namespace pmemspec::runtime
 {
@@ -75,7 +76,7 @@ UndoLog::logRange(Addr addr, std::size_t size)
              "undo log overflow: %zu + %zu > %zu", writeOffset,
              need + markerBytes, capacity);
 
-    std::vector<std::uint8_t> old(size);
+    ScratchBytes old(size);
     pm.read(addr, old.data(), size);
 
     const Addr entry = base + writeOffset;

@@ -1,10 +1,16 @@
 /**
  * @file
- * Heap-allocation budget of the timing path. Continuations on the
- * store-queue -> persist-path / persist-buffer -> PMC chain never
- * capture one another, so each fits one inline slot, and the waiter
- * lists and MSHRs keep their capacity across wakes: a timing run
- * allocates almost nothing per event once its structures are warm.
+ * Heap-allocation budgets of the timing and the functional paths.
+ *
+ * Timing: continuations on the store-queue -> persist-path /
+ * persist-buffer -> PMC chain never capture one another, so each
+ * fits one inline slot, and the waiter lists and MSHRs keep their
+ * capacity across wakes: a timing run allocates almost nothing per
+ * event once its structures are warm.
+ *
+ * Functional: a word-sized undo-log entry and a KV read copy their
+ * bytes through stack buffers, and the in-flight persist queue keeps
+ * its capacity across drains, so once warm neither allocates.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +20,11 @@
 #include "alloc_counter.hh"
 #include "core/experiment.hh"
 #include "persistency/lowering.hh"
+#include "pmds/kv_store.hh"
+#include "runtime/fase_runtime.hh"
+#include "runtime/persistent_memory.hh"
+#include "runtime/undo_log.hh"
+#include "runtime/virtual_os.hh"
 
 using namespace pmemspec;
 using persistency::Design;
@@ -60,4 +71,62 @@ TEST(AllocBudget, TimingRunAllocatesAtMostOneInTenEvents)
                     persistency::designName(d).c_str(), per_event);
         EXPECT_LE(per_event, 0.1) << persistency::designName(d);
     }
+}
+
+TEST(AllocBudget, WordUndoLogEntryAllocatesNothingOnceWarm)
+{
+    runtime::PersistentMemory pm(1 << 20);
+    const Addr data = pm.alloc(64, 64);
+    const Addr region = pm.alloc(4096, 64);
+    runtime::UndoLog log(pm, region, 4096);
+    log.reset();
+    pm.persistAll();
+
+    // One FASE's worth of logging; the first round grows the
+    // in-flight queue, the second must reuse it.
+    std::uint64_t allocs = 0;
+    for (int round = 0; round < 2; ++round) {
+        {
+            AllocCounter counter;
+            for (Addr a = data; a < data + 64; a += 8)
+                log.logRange(a, 8);
+            allocs = counter.count();
+        }
+        log.commit();
+        pm.persistAll();
+    }
+    EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocBudget, KvGetInsideAFaseAllocatesNothingOnceWarm)
+{
+    // The service shard's configuration: word-granular undo log, LRU
+    // tracking on, so every hit logs and rewrites LRU links.
+    runtime::PersistentMemory pm(1 << 22);
+    runtime::VirtualOs os;
+    runtime::FaseRuntime rt(pm, os, 1, runtime::RecoveryPolicy::Lazy,
+                            1 << 16, runtime::LogGranularity::Word);
+    pmds::KvConfig cfg;
+    cfg.buckets = 16;
+    cfg.valueBytes = 128;
+    cfg.lruTracking = true;
+    pmds::KvStore kv(pm, cfg);
+    for (std::uint64_t k = 1; k <= 8; ++k)
+        rt.runFase(0, [&](runtime::Transaction &tx) {
+            kv.set(tx, k, static_cast<std::uint8_t>(k));
+        });
+
+    std::uint64_t allocs = 0;
+    std::optional<std::uint8_t> got[8];
+    for (int round = 0; round < 2; ++round) {
+        rt.runFase(0, [&](runtime::Transaction &tx) {
+            AllocCounter counter;
+            for (std::uint64_t k = 1; k <= 8; ++k)
+                got[k - 1] = kv.get(tx, k);
+            allocs = counter.count();
+        });
+    }
+    EXPECT_EQ(allocs, 0u);
+    for (std::uint64_t k = 1; k <= 8; ++k)
+        EXPECT_EQ(got[k - 1], static_cast<std::uint8_t>(k));
 }

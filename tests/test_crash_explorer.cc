@@ -262,15 +262,17 @@ TEST(CrashExplorer, TornStateFromCrashImageMatchesReexecution)
                 h.runArmed(std::make_unique<faultinject::PowerCutPlan>(k));
             if (!cut)
                 break;
-            if (cut->frontierWords < 2)
-                continue;
             ASSERT_LT(k, stream.size());
             const Pending &frontier = stream[k];
+            const std::size_t frontierWords =
+                runtime::PersistentMemory::entryWords(frontier);
+            if (frontierWords < 2)
+                continue;
             // Every block the trial changed since `pre` is journaled.
             const auto crashSnap = h.pm.snapshotBlocks(h.pm.touchedBlocks());
 
             for (std::uint64_t mask :
-                 faultinject::subsetMasks(cut->frontierWords, 12, seed, 4)) {
+                 faultinject::subsetMasks(frontierWords, 12, seed, 4)) {
                 SCOPED_TRACE("k " + std::to_string(k) + " mask " +
                              std::to_string(mask));
                 const auto torn = h.runArmed(

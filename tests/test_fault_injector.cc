@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "faultinject/fault_injector.hh"
 #include "faultinject/fault_plan.hh"
@@ -50,6 +52,32 @@ struct Harness
         // to armed plans.
         inj.attach();
     }
+};
+
+/** Never fires; records the word width of the persist the first
+ *  observed write queued (entry 0 of a queue that was empty). */
+class FirstWriteWidth : public faultinject::FaultPlan
+{
+  public:
+    FirstWriteWidth(const PersistentMemory &pm, std::size_t &words)
+        : pm(pm), words(words)
+    {
+    }
+
+    std::optional<faultinject::FaultAction>
+    onAccess(const faultinject::AccessInfo &info) override
+    {
+        if (!seen && info.op == runtime::MemOp::Write) {
+            seen = true;
+            words = pm.pendingEntryWords(0);
+        }
+        return std::nullopt;
+    }
+
+  private:
+    const PersistentMemory &pm;
+    std::size_t &words;
+    bool seen = false;
 };
 
 } // namespace
@@ -257,6 +285,34 @@ TEST(FaultInjector, DetachStopsInjection)
     EXPECT_EQ(h.rt.fasesAborted(), 0u);
 }
 
+// A plan counts the accesses it sees from its own arming: one armed
+// after the injector has seen accesses with no plan fires at the
+// same access counts as one armed from the start.
+TEST(FaultInjector, PlanArmedLateFiresAtTheSameAccessCounts)
+{
+    auto firesAt = [](std::size_t accesses_before_arming) {
+        Harness h;
+        for (std::size_t i = 0; i < accesses_before_arming; ++i)
+            h.pm.writeU64(h.data + 8 * (i % 32), i);
+        h.inj.addPlan(std::make_unique<faultinject::PeriodicPlan>(
+            FaultKind::PersistDelay, 3, 4, 10));
+        std::vector<std::size_t> fires;
+        for (std::size_t i = 1; i <= 20; ++i) {
+            const auto before = h.inj.persistDelaysInjected();
+            if (i % 2)
+                h.pm.writeU64(h.data + 8 * (i % 32), i);
+            else
+                (void)h.pm.readU64(h.data + 8 * (i % 32));
+            if (h.inj.persistDelaysInjected() != before)
+                fires.push_back(i);
+        }
+        return fires;
+    };
+    const std::vector<std::size_t> want{3, 6, 9, 12};
+    EXPECT_EQ(firesAt(0), want);
+    EXPECT_EQ(firesAt(7), want);
+}
+
 TEST(FaultInjector, TornWriteCutsPowerWithATornFrontier)
 {
     Harness h;
@@ -265,10 +321,13 @@ TEST(FaultInjector, TornWriteCutsPowerWithATornFrontier)
     // whatever persist sits at the frontier of prefix 0 -- here the
     // first log payload write (8 words wide). Keep only its first
     // word durable.
+    // The probe, armed first, sees the frontier queued before the
+    // torn plan cuts power on the same access.
+    std::size_t frontier_words = 0;
+    h.inj.addPlan(std::make_unique<FirstWriteWidth>(h.pm, frontier_words));
     h.inj.addPlan(std::make_unique<faultinject::TornWritePlan>(0, 0x1));
 
     bool torn = false;
-    std::size_t frontier_words = 0;
     try {
         h.rt.runFase(0, [&](Transaction &tx) {
             tx.writeU64(h.data, 70);
@@ -276,7 +335,6 @@ TEST(FaultInjector, TornWriteCutsPowerWithATornFrontier)
         FAIL() << "expected PowerFailure";
     } catch (const PowerFailure &pf) {
         torn = pf.torn;
-        frontier_words = pf.frontierWords;
         EXPECT_EQ(pf.durablePrefix, 0u);
     }
     EXPECT_TRUE(torn);

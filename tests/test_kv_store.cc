@@ -9,6 +9,7 @@
 #include "common/rng.hh"
 #include "pmds/kv_store.hh"
 #include "runtime/fase_runtime.hh"
+#include "runtime/scratch_bytes.hh"
 #include "runtime/virtual_os.hh"
 
 using namespace pmemspec;
@@ -206,4 +207,36 @@ TEST(KvStore, CheckInvariantsReadsAreLinear)
         EXPECT_LE(reads, kReadsPerUnit * (items + kBuckets))
             << items << " items";
     }
+}
+
+// The torn-value check compares the whole value: a slab that differs
+// only in its first or only in its last byte must still be caught.
+TEST(KvStoreDeathTest, ValueDifferingInAnEndByteIsTorn)
+{
+    for (const bool last : {false, true}) {
+        Harness h;
+        h.set(5, 0x11);
+        const auto [slab, n] = *h.kv.slabRegion(5);
+        const std::uint8_t other = 0x22;
+        h.pm.write(last ? slab + n - 1 : slab, &other, 1);
+        h.pm.persistAll();
+        EXPECT_DEATH(h.get(5), "torn KV value observed for key 5")
+            << (last ? "last byte" : "first byte");
+    }
+}
+
+TEST(KvStore, ValuesLargerThanTheStackBufferRoundTrip)
+{
+    PersistentMemory pm(1 << 24);
+    VirtualOs os;
+    KvConfig cfg;
+    cfg.buckets = 16;
+    cfg.valueBytes = 4 * runtime::ScratchBytes::kInline;
+    KvStore kv(pm, cfg);
+    FaseRuntime rt(pm, os, 1, RecoveryPolicy::Lazy, 1 << 17);
+    rt.runFase(0, [&](Transaction &tx) { kv.set(tx, 1, 0x5a); });
+    rt.runFase(0, [&](Transaction &tx) { kv.set(tx, 1, 0x6b); });
+    std::optional<std::uint8_t> got;
+    rt.runFase(0, [&](Transaction &tx) { got = kv.get(tx, 1); });
+    EXPECT_EQ(got, std::optional<std::uint8_t>{0x6b});
 }

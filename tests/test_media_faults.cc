@@ -13,6 +13,8 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "faultinject/fault_injector.hh"
@@ -138,6 +140,52 @@ TEST(Poison, FullWordOverwriteHeals)
     pm.writeU64(a, 42);
     EXPECT_FALSE(pm.isPoisoned(a));
     EXPECT_EQ(pm.readU64(a), 42u);
+}
+
+TEST(Poison, PartialOverlapHealsOnlyCoveredWords)
+{
+    PersistentMemory pm(1 << 16);
+    const Addr w = pm.alloc(24, 8);
+    pm.poisonWord(w);
+    pm.poisonWord(w + 8);
+    pm.poisonWord(w + 16);
+    // [w+4, w+20) covers only the middle word whole.
+    const std::uint8_t bytes[16] = {};
+    pm.write(w + 4, bytes, sizeof(bytes));
+    EXPECT_TRUE(pm.isPoisoned(w));
+    EXPECT_FALSE(pm.isPoisoned(w + 8));
+    EXPECT_TRUE(pm.isPoisoned(w + 16));
+}
+
+// The store's heal erases one address range from the poison set; it
+// must leave the set exactly as the rule applied word by word does.
+TEST(Poison, RangeHealMatchesThePerWordRule)
+{
+    constexpr std::size_t region = 128;
+    PersistentMemory pm(1 << 16);
+    const Addr base = pm.alloc(region, 64);
+    const std::uint8_t zeros[region] = {};
+    std::set<Addr> model;
+    Rng rng(20260419);
+    for (int round = 0; round < 4000; ++round) {
+        for (auto k = rng.below(4); k > 0; --k) {
+            const Addr w = base + 8 * rng.below(region / 8);
+            pm.poisonWord(w);
+            model.insert(w);
+        }
+        const Addr a = base + rng.below(region);
+        const std::size_t n = rng.below(base + region - a + 1);
+        pm.write(a, zeros, n);
+        pm.persistAll();
+        // A word heals iff the store covers all 8 of its bytes.
+        for (Addr w = a & ~Addr{7}; w < a + n; w += 8)
+            if (w >= a && w + 8 <= a + n)
+                model.erase(w);
+        ASSERT_EQ(pm.poisonedWordsIn(base, region),
+                  std::vector<Addr>(model.begin(), model.end()))
+            << "round " << round << ": store [" << a - base << ", +" << n
+            << ")";
+    }
 }
 
 TEST(Poison, ExplicitClearAndEnumeration)
