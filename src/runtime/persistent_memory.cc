@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -24,6 +25,16 @@ wordAlign(Addr a)
 std::atomic<std::uint64_t> lastSnapshotId{0};
 
 } // namespace
+
+void
+PersistBytes::grow(std::size_t count)
+{
+    panic_if(count > std::numeric_limits<std::uint32_t>::max(),
+             "persist of %zu bytes is too large", count);
+    release();
+    heap = new std::uint8_t[count];
+    cap = static_cast<std::uint32_t>(count);
+}
 
 PersistentMemory::PersistentMemory(std::size_t bytes)
     : volatileImg(bytes, 0), persistedImg(bytes, 0)
@@ -85,12 +96,16 @@ PersistentMemory::writeTagged(Addr a, const void *src, std::size_t n,
             poisoned.erase(poisoned.lower_bound(lo),
                            poisoned.lower_bound(hi));
     }
-    Pending &p = inFlight.emplace_back();
+    if (live == inFlight.size())
+        inFlight.emplace_back();
+    Pending &p = inFlight[live++];
     p.addr = a;
     p.bytes.assign(static_cast<const std::uint8_t *>(src),
                    static_cast<const std::uint8_t *>(src) + n);
     p.specId = nextSpec++;
     p.ordered = ordered;
+    ++counts.writes;
+    counts.writeBytes += n;
     if (observer)
         observer(MemOp::Write, a, static_cast<std::uint32_t>(n));
 }
@@ -119,6 +134,8 @@ PersistentMemory::read(Addr a, void *dst, std::size_t n) const
     checkRange(a, n);
     checkPoison(a, n);
     copyBytes(dst, volatileImg.data() + a, n);
+    ++counts.reads;
+    counts.readBytes += n;
     if (observer)
         observer(MemOp::Read, a, static_cast<std::uint32_t>(n));
 }
@@ -129,6 +146,8 @@ PersistentMemory::readDep(Addr a, void *dst, std::size_t n) const
     checkRange(a, n);
     checkPoison(a, n);
     copyBytes(dst, volatileImg.data() + a, n);
+    ++counts.reads;
+    counts.readBytes += n;
     if (observer)
         observer(MemOp::ReadDep, a, static_cast<std::uint32_t>(n));
 }
@@ -180,9 +199,27 @@ PersistentMemory::applyPending(const Pending &p)
 void
 PersistentMemory::persistAll()
 {
-    for (const Pending &p : inFlight)
-        applyPending(p);
-    inFlight.clear();
+    for (std::size_t i = 0; i < live; ++i)
+        applyPending(inFlight[i]);
+    dropQueue();
+}
+
+void
+PersistentMemory::dropQueue()
+{
+    live = 0;
+    if (inFlight.size() > kReusedEntries)
+        inFlight.resize(kReusedEntries);
+}
+
+void
+PersistentMemory::assignQueue(const std::vector<Pending> &src)
+{
+    if (inFlight.size() < src.size())
+        inFlight.resize(src.size());
+    // Copy-assignment refills each entry's payload buffer in place.
+    std::copy(src.begin(), src.end(), inFlight.begin());
+    live = src.size();
 }
 
 std::size_t
@@ -244,7 +281,7 @@ PersistentMemory::Snapshot
 PersistentMemory::snapshot()
 {
     Snapshot s;
-    s.inFlight = inFlight;
+    s.inFlight.assign(inFlight.begin(), inFlight.begin() + live);
     s.poisoned = poisoned;
     s.brk = brk;
     s.nextSpec = nextSpec;
@@ -266,7 +303,7 @@ PersistentMemory::restore(const Snapshot &s)
         std::memcpy(persistedImg.data() + b,
                     prePersisted.data() + i * blockBytes, blockSpan(b));
     }
-    inFlight = s.inFlight;
+    assignQueue(s.inFlight);
     poisoned = s.poisoned;
     brk = s.brk;
     nextSpec = s.nextSpec;
@@ -292,7 +329,7 @@ PersistentMemory::snapshotBlocks(std::vector<Addr> blocks) const
                                 persistedImg.begin() + b + blockBytes);
     }
     s.blocks = std::move(blocks);
-    s.inFlight = inFlight;
+    s.inFlight.assign(inFlight.begin(), inFlight.begin() + live);
     s.poisoned = poisoned;
     s.brk = brk;
     s.nextSpec = nextSpec;
@@ -311,7 +348,7 @@ PersistentMemory::restoreBlocks(const BlockSnapshot &s)
         std::memcpy(persistedImg.data() + b,
                     s.persistedBytes.data() + i * blockBytes, blockBytes);
     }
-    inFlight = s.inFlight;
+    assignQueue(s.inFlight);
     poisoned = s.poisoned;
     brk = s.brk;
     nextSpec = s.nextSpec;
@@ -416,14 +453,9 @@ PersistentMemory::reboot()
 void
 PersistentMemory::crash(std::size_t keep_prefix)
 {
-    std::size_t applied = 0;
-    for (const Pending &p : inFlight) {
-        if (applied >= keep_prefix)
-            break;
-        applyPending(p);
-        ++applied;
-    }
-    inFlight.clear();
+    for (std::size_t i = 0; i < live && i < keep_prefix; ++i)
+        applyPending(inFlight[i]);
+    dropQueue();
     // Reboot: every volatile copy is gone; PM is the truth.
     reboot();
 }
@@ -431,9 +463,8 @@ PersistentMemory::crash(std::size_t keep_prefix)
 const PersistentMemory::Pending &
 PersistentMemory::pendingEntry(std::size_t idx) const
 {
-    panic_if(idx >= inFlight.size(),
-             "pendingEntry(%zu) of %zu in flight", idx,
-             inFlight.size());
+    panic_if(idx >= live, "pendingEntry(%zu) of %zu in flight", idx,
+             live);
     return inFlight[idx];
 }
 
@@ -450,14 +481,14 @@ PersistentMemory::entryWords(const Pending &p)
 std::size_t
 PersistentMemory::pendingEntryWords(std::size_t idx) const
 {
-    return idx < inFlight.size() ? entryWords(inFlight[idx]) : 0;
+    return idx < live ? entryWords(inFlight[idx]) : 0;
 }
 
 void
 PersistentMemory::crashTorn(std::size_t keep_prefix,
                             std::uint64_t frontier_word_mask)
 {
-    if (keep_prefix >= inFlight.size()) {
+    if (keep_prefix >= live) {
         crash(keep_prefix);
         return;
     }

@@ -31,8 +31,11 @@
  *    machine-check on load). A full 8-byte overwrite of a poisoned
  *    word heals it, as a device remaps the line on a fresh write.
  *
- * An observer hook reports every access so the workload layer can
- * record logical traces while the program runs.
+ * The PM counts the accesses it serves (accessCounts()). An optional
+ * observer is also shown every access; it is installed only by a
+ * component that must see the access stream itself (the trace
+ * recorder, an attached fault injector, a service shard with a fault
+ * armed), so an unobserved access pays one null test for it.
  */
 
 #ifndef PMEMSPEC_RUNTIME_PERSISTENT_MEMORY_HH
@@ -85,8 +88,10 @@ copyBytes(void *dst, const void *src, std::size_t n)
  * The payload of one in-flight persist: a byte string that stores up
  * to kInline bytes in place (word stores, log headers, tombstones --
  * nearly every persist) and only larger ones on the heap, so queueing
- * a store does not allocate. Offers the slice of std::vector's
- * interface that persist consumers use.
+ * a store does not allocate. A heap buffer, once made, is kept for
+ * every later payload that fits it: the PM refills drained queue
+ * entries in place, so a warm queue allocates nothing. Offers the
+ * slice of std::vector's interface that persist consumers use.
  */
 class PersistBytes
 {
@@ -140,13 +145,15 @@ class PersistBytes
     }
 
   private:
-    bool onHeap() const { return n > kInline; }
+    /** The bytes live in `heap` once one was made, however short. */
+    bool onHeap() const { return cap != 0; }
 
     void
     release()
     {
         if (onHeap())
             delete[] heap;
+        cap = 0;
         n = 0;
     }
 
@@ -156,30 +163,37 @@ class PersistBytes
     steal(PersistBytes &o) noexcept
     {
         n = o.n;
+        cap = o.cap;
         if (o.onHeap()) {
             heap = o.heap;
+            o.cap = 0;
             o.n = 0;
         } else {
             std::memcpy(inl, o.inl, n);
         }
     }
 
-    /** Drop the contents and make room for `count` bytes. */
+    /** Drop the contents and make room for `count` bytes, keeping the
+     *  buffer when it is large enough. */
     std::uint8_t *
     resize(std::size_t count)
     {
-        release();
-        if (count > kInline)
-            heap = new std::uint8_t[count];
-        n = count;
+        if (count > (onHeap() ? cap : kInline))
+            grow(count);
+        n = static_cast<std::uint32_t>(count);
         return onHeap() ? heap : inl;
     }
 
-    std::size_t n = 0;
+    /** Replace the buffer with a heap one of `count` bytes. */
+    void grow(std::size_t count);
+
+    std::uint32_t n = 0;
+    /** Bytes of the owned heap buffer; 0 = none (bytes in `inl`). */
+    std::uint32_t cap = 0;
     union
     {
         std::uint8_t inl[kInline];
-        std::uint8_t *heap; ///< owned; live iff n > kInline
+        std::uint8_t *heap; ///< owned; live iff cap != 0
     };
 };
 
@@ -188,6 +202,17 @@ class PersistentMemory
 {
   public:
     using Observer = std::function<void(MemOp, Addr, std::uint32_t)>;
+
+    /** Accesses served since construction. Each is counted where the
+     *  observer is called: a read that throws MediaError is not
+     *  counted, a write is counted once its persist is queued. */
+    struct AccessCounts
+    {
+        std::uint64_t reads = 0; ///< read() and readDep() together
+        std::uint64_t readBytes = 0;
+        std::uint64_t writes = 0; ///< stores == queued persists
+        std::uint64_t writeBytes = 0;
+    };
 
     /** @param bytes Size of the PM address space. */
     explicit PersistentMemory(std::size_t bytes);
@@ -217,8 +242,8 @@ class PersistentMemory
     std::size_t size() const { return volatileImg.size(); }
 
     /** Store: updates the volatile image, queues an in-flight
-     *  persist, heals any fully-overwritten poisoned word, and
-     *  notifies the observer. */
+     *  persist, heals any fully-overwritten poisoned word, counts the
+     *  write and notifies the observer. */
     void write(Addr a, const void *src, std::size_t n);
 
     /** Store carrying an ordering tag: like write(), but the queued
@@ -230,7 +255,8 @@ class PersistentMemory
     void writeOrdered(Addr a, const void *src, std::size_t n);
     void writeU64Ordered(Addr a, std::uint64_t v);
 
-    /** Load from the volatile image; notifies the observer.
+    /** Load from the volatile image; counts the read and notifies
+     *  the observer.
      *  @throws MediaError if the range overlaps a poisoned word. */
     void read(Addr a, void *dst, std::size_t n) const;
 
@@ -250,7 +276,7 @@ class PersistentMemory
     void persistAll();
 
     /** In-flight persists not yet durable. */
-    std::size_t inFlightCount() const { return inFlight.size(); }
+    std::size_t inFlightCount() const { return live; }
 
     /** Store-order id the next queued persist receives. */
     SpecId nextSpecId() const { return nextSpec; }
@@ -310,6 +336,9 @@ class PersistentMemory
 
     /** Register/replace the access observer (nullptr to disable). */
     void setObserver(Observer obs) { observer = std::move(obs); }
+
+    /** Accesses served so far, observed or not. */
+    const AccessCounts &accessCounts() const { return counts; }
 
     /** One in-flight (not yet durable) persist. */
     struct Pending
@@ -469,6 +498,10 @@ class PersistentMemory
     void applyPending(const Pending &p);
     void writeTagged(Addr a, const void *src, std::size_t n,
                      bool ordered);
+    /** Make `src` the in-flight queue, refilling entries in place. */
+    void assignQueue(const std::vector<Pending> &src);
+    /** Empty the queue after a drain, keeping entries for reuse. */
+    void dropQueue();
     /** Journal the blocks [a, a+n) overlaps, saving the pre-image
      *  of each one not yet journaled; call before changing them
      *  (no-op without a journal). */
@@ -488,14 +521,23 @@ class PersistentMemory
 
     std::vector<std::uint8_t> volatileImg;
     std::vector<std::uint8_t> persistedImg;
-    /** Cleared, never shrunk, at every drain: its capacity is reused. */
+    /** The in-flight queue is the first `live` entries. A drain
+     *  resets `live` and keeps up to kReusedEntries entries with
+     *  their payload buffers for writeTagged() to refill, so a warm
+     *  queue allocates nothing. Entries past that (a bulk load
+     *  queued before its first barrier) are freed, so their buffers
+     *  do not outlive it. */
     std::vector<Pending> inFlight;
+    std::size_t live = 0;
+    static constexpr std::size_t kReusedEntries = 1024;
     /** Word-aligned base addresses of uncorrectable words. */
     std::set<Addr> poisoned;
     std::size_t brk = 64; ///< address 0 stays unmapped (null guard)
     /** Store-order id the next queued persist receives. */
     SpecId nextSpec = 1;
     Observer observer;
+    /** Mutable: reads are const. */
+    mutable AccessCounts counts;
 
     // ---- Block-touch journal (see snapshot()) ----
     /** Snapshot id the journal runs from; 0 = no journal. */

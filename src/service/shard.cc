@@ -47,36 +47,39 @@ Shard::Shard(unsigned id, const ServiceConfig &config)
     kc.lruTracking = true;
     store = std::make_unique<pmds::KvStore>(*pmem, kc);
     inj = std::make_unique<faultinject::FaultInjector>(*pmem, *os);
-
-    // The shard owns the PM observer: count op work for the cost
-    // model, fire an armed power cut at its exact per-op persist
-    // prefix, and forward the access stream to the injector's plans.
-    pmem->setObserver(
-        [this](runtime::MemOp op, Addr a, std::uint32_t n) {
-            if (counting) {
-                if (op == runtime::MemOp::Write) {
-                    ++work.writes;
-                    work.writeBytes += n;
-                } else {
-                    ++work.reads;
-                    work.readBytes += n;
-                }
-                if (pendingCut && op == runtime::MemOp::Write &&
-                    ++cutWrites == *pendingCut + 1) {
-                    pendingCut.reset();
-                    // Observer runs after the persist is queued, so
-                    // exactly *pendingCut entries precede it.
-                    inj->injectPowerCut(cutWrites - 1); // throws
-                }
-            }
-            if (!muted)
-                inj->observeAccess(op, a, n);
-        });
 }
 
 Shard::~Shard()
 {
     pmem->setObserver(nullptr);
+}
+
+void
+Shard::syncObserver()
+{
+    const bool armed = pendingCut.has_value() || stormActive();
+    if (armed == observing)
+        return;
+    observing = armed;
+    if (!armed) {
+        pmem->setObserver(nullptr);
+        return;
+    }
+    // While a fault is armed the shard owns the PM observer: it fires
+    // an armed power cut at its exact per-op persist prefix and
+    // forwards the access stream to the injector's plans.
+    pmem->setObserver(
+        [this](runtime::MemOp op, Addr a, std::uint32_t n) {
+            if (counting && pendingCut && op == runtime::MemOp::Write &&
+                ++cutWrites == *pendingCut + 1) {
+                pendingCut.reset();
+                // Observer runs after the persist is queued, so
+                // exactly *pendingCut entries precede it.
+                inj->injectPowerCut(cutWrites - 1); // throws
+            }
+            if (!muted)
+                inj->observeAccess(op, a, n);
+        });
 }
 
 void
@@ -152,10 +155,25 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
         } else {
             res.status = OpStatus::RejectedDegraded;
         }
+        syncObserver();
         return res;
     }
 
-    work.clear();
+    // The op's work is what the PM served between here and the end
+    // of counting, which comes before any recovery pass: aborted and
+    // re-executed attempts count, recovery replay does not.
+    const runtime::PersistentMemory::AccessCounts start =
+        pmem->accessCounts();
+    auto stopCounting = [&] {
+        if (!counting)
+            return;
+        counting = false;
+        const auto &now = pmem->accessCounts();
+        res.work.reads = now.reads - start.reads;
+        res.work.readBytes = now.readBytes - start.readBytes;
+        res.work.writes = now.writes - start.writes;
+        res.work.writeBytes = now.writeBytes - start.writeBytes;
+    };
     cutWrites = 0;
     counting = true;
     const std::uint64_t aborts0 = rt->fasesAborted();
@@ -168,7 +186,7 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
         res.status = present ? OpStatus::Ok : OpStatus::Miss;
         res.value = value;
     } catch (const faultinject::PowerFailure &) {
-        counting = false;
+        stopCounting();
         res.status = OpStatus::PowerFailure;
         res.crashed = true;
         if (prof && prof->enabled())
@@ -176,14 +194,14 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
                               observe::AbortCause::PowerCut);
         recover(res);
     } catch (const runtime::AbortBudgetExhausted &) {
-        counting = false;
+        stopCounting();
         res.status = OpStatus::AbortBudget;
         // The final attempt is already rolled back; recoverAll
         // resyncs every log (and attaches the trap window) before
         // the service reopens the shard behind a shed window.
         recover(res);
     } catch (const runtime::MediaError &) {
-        counting = false;
+        stopCounting();
         res.status = OpStatus::MediaError;
         if (prof && prof->enabled())
             prof->recordAbort(siteFor(op), observe::AbortCause::Media);
@@ -214,7 +232,7 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
     } catch (const runtime::UnrecoverableCorruption &e) {
         // A live FASE's log failed verification mid-run (abortFase's
         // fail-safe); same verdict as a failed recovery.
-        counting = false;
+        stopCounting();
         res.status = OpStatus::MediaError;
         if (prof && prof->enabled())
             prof->recordAbort(siteFor(op),
@@ -224,9 +242,9 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
         lastReport_ = e.report;
         state_ = ShardState::Degraded;
     }
-    counting = false;
-    res.work = work;
+    stopCounting();
     res.work.aborts = rt->fasesAborted() - aborts0;
+    syncObserver();
     return res;
 }
 
@@ -255,6 +273,7 @@ Shard::armPowerCut(std::size_t prefix)
 {
     pendingCut = prefix;
     cutWrites = 0;
+    syncObserver();
 }
 
 void
@@ -267,6 +286,7 @@ Shard::armStorm(std::uint64_t period, std::uint64_t count)
         faultinject::FaultKind::LoadStale, period, count);
     storm = plan.get();
     inj->addPlan(std::move(plan));
+    syncObserver();
 }
 
 bool

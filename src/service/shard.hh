@@ -5,11 +5,13 @@
  * Each shard owns its own functional PersistentMemory, VirtualOs,
  * FaseRuntime, KvStore and FaultInjector -- a power cut, poisoned
  * word or misspeculation storm in one shard cannot touch another.
- * The shard installs itself as the PM's access observer: it counts
- * per-op work for the cost model and forwards every access to the
- * injector (FaultInjector::observeAccess), so armed fault plans fire
+ * Per-op work for the cost model is read off the PM's own access
+ * counts. Only while a power cut or a storm is armed does the shard
+ * install itself as the PM's access observer: it fires the cut at its
+ * per-op persist prefix and forwards each access to the injector
+ * (FaultInjector::observeAccess), so armed fault plans fire
  * mid-operation exactly as they would with the injector attached
- * directly.
+ * directly. With nothing armed, an access reaches no observer.
  *
  * Lifecycle on faults (all handled here, never propagated):
  *
@@ -180,6 +182,11 @@ class Shard
      *  Degraded state. Fills `res.report` / `res.recovered`. */
     void recover(OpResult &res);
 
+    /** Install the PM observer while a power cut or a storm is
+     *  armed, remove it once neither is. Never called from inside
+     *  the observer. */
+    void syncObserver();
+
     /** The FASE body of one op (throws the faults it hits). */
     void runOp(runtime::Transaction &tx, OpKind op,
                std::uint64_t key, std::uint8_t fill,
@@ -198,9 +205,10 @@ class Shard
     runtime::RecoveryReport lastReport_;
     std::uint64_t recoveryPasses = 0;
 
-    /** Live op-work accounting (filled by the PM observer). */
-    OpWork work;
+    /** Inside an op's work window: an armed power cut may fire. */
     bool counting = false;
+    /** The PM observer is installed (see syncObserver()). */
+    bool observing = false;
     /** Mute plan forwarding (recovery replay must not re-trigger). */
     bool muted = false;
     /** The armed storm plan, if any (owned by the injector). */

@@ -10,7 +10,9 @@
  *
  * Functional: a word-sized undo-log entry and a KV read copy their
  * bytes through stack buffers, and the in-flight persist queue keeps
- * its capacity across drains, so once warm neither allocates.
+ * its entries and their payload buffers across drains, so once warm
+ * neither they nor a KV write of a value wider than an inline payload
+ * allocate.
  */
 
 #include <gtest/gtest.h>
@@ -129,4 +131,36 @@ TEST(AllocBudget, KvGetInsideAFaseAllocatesNothingOnceWarm)
     EXPECT_EQ(allocs, 0u);
     for (std::uint64_t k = 1; k <= 8; ++k)
         EXPECT_EQ(got[k - 1], static_cast<std::uint8_t>(k));
+}
+
+TEST(AllocBudget, KvSetOfExistingKeyAllocatesNothingOnceWarm)
+{
+    // The service shard's configuration again. Overwriting a 128-byte
+    // value queues two persists wider than an inline payload (the
+    // undo entry's old value and the new value); refilled queue
+    // entries keep the heap buffers the first overwrite made.
+    runtime::PersistentMemory pm(1 << 22);
+    runtime::VirtualOs os;
+    runtime::FaseRuntime rt(pm, os, 1, runtime::RecoveryPolicy::Lazy,
+                            1 << 16, runtime::LogGranularity::Word);
+    pmds::KvConfig cfg;
+    cfg.buckets = 16;
+    cfg.valueBytes = 128;
+    cfg.lruTracking = true;
+    pmds::KvStore kv(pm, cfg);
+    for (std::uint64_t k = 1; k <= 8; ++k)
+        rt.runFase(0, [&](runtime::Transaction &tx) {
+            kv.set(tx, k, static_cast<std::uint8_t>(k));
+        });
+
+    std::uint64_t allocs = 0;
+    for (int round = 0; round < 2; ++round) {
+        rt.runFase(0, [&](runtime::Transaction &tx) {
+            AllocCounter counter;
+            kv.set(tx, 3, static_cast<std::uint8_t>(0x40 + round));
+            allocs = counter.count();
+        });
+    }
+    EXPECT_EQ(allocs, 0u);
+    EXPECT_EQ(kv.lookup(3), std::optional<std::uint8_t>{0x41});
 }

@@ -611,3 +611,160 @@ TEST(PersistentMemory, CrashTornIsCrashPlusOverlayTorn)
     }
     EXPECT_GT(widePersists, 0);
 }
+
+TEST(PersistentMemory, AccessCountsMatchAnObserversTally)
+{
+    // The PM counts each access where it calls the observer: a read
+    // that throws MediaError is in neither, a write is in both once
+    // queued. Seeded mix of every read and write entry point over a
+    // region with poisoned words; a second, unobserved PM counts the
+    // same.
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        PersistentMemory pm(1 << 14);
+        PersistentMemory bare(1 << 14);
+        const Addr base = pm.alloc(512, 64);
+        ASSERT_EQ(bare.alloc(512, 64), base);
+        PersistentMemory::AccessCounts tally;
+        pm.setObserver([&](MemOp op, Addr, std::uint32_t n) {
+            if (op == MemOp::Write) {
+                ++tally.writes;
+                tally.writeBytes += n;
+            } else {
+                ++tally.reads;
+                tally.readBytes += n;
+            }
+        });
+        int thrown = 0;
+        for (int i = 0; i < 2000; ++i) {
+            const unsigned kind = static_cast<unsigned>(rng() % 9);
+            const std::size_t n = 1 + rng() % 24;
+            const Addr a = base + rng() % (512 - 24);
+            const Addr w = base + 8 * (rng() % 63);
+            std::uint8_t buf[24];
+            for (auto &b : buf)
+                b = static_cast<std::uint8_t>(rng());
+            if (rng() % 16 == 0) {
+                pm.poisonWord(a);
+                bare.poisonWord(a);
+            }
+            for (PersistentMemory *m : {&pm, &bare}) {
+                try {
+                    switch (kind) {
+                    case 0: m->read(a, buf, n); break;
+                    case 1: m->readDep(a, buf, n); break;
+                    case 2: m->readU64(w); break;
+                    case 3: m->readU64Dep(w); break;
+                    case 4: m->readU32(w); break;
+                    case 5: m->write(a, buf, n); break;
+                    case 6: m->writeOrdered(a, buf, n); break;
+                    case 7: m->writeU64(w, rng()); break;
+                    default: m->writeU32(w, 7); break;
+                    }
+                } catch (const runtime::MediaError &) {
+                    thrown += m == &pm;
+                }
+            }
+            if (rng() % 32 == 0) {
+                pm.persistAll();
+                bare.persistAll();
+            }
+            const auto &c = pm.accessCounts();
+            ASSERT_EQ(c.reads, tally.reads);
+            ASSERT_EQ(c.readBytes, tally.readBytes);
+            ASSERT_EQ(c.writes, tally.writes);
+            ASSERT_EQ(c.writeBytes, tally.writeBytes);
+            const auto &b = bare.accessCounts();
+            ASSERT_EQ(b.reads, c.reads);
+            ASSERT_EQ(b.readBytes, c.readBytes);
+            ASSERT_EQ(b.writes, c.writes);
+            ASSERT_EQ(b.writeBytes, c.writeBytes);
+        }
+        EXPECT_GT(thrown, 0);
+        EXPECT_GT(tally.reads, 0u);
+        EXPECT_GT(tally.writes, 0u);
+    }
+}
+
+TEST(PersistentMemory, ReusedQueueEntriesMatchAFreshQueue)
+{
+    // A drain leaves the queue's entries in place for later stores to
+    // refill. Warm one PM's queue with persists of every width (some
+    // heap-backed, past 64 words) drained by persistAll(), crash()
+    // and crashTorn(), one drain past the number of entries kept,
+    // rewind it, then drive it and a PM that never
+    // queued anything through the same stores, snapshot/restore and
+    // torn crash: images and pendingEntry() values must agree.
+    constexpr std::size_t kBytes = 1 << 13;
+    auto payload = [](std::mt19937_64 &rng, std::size_t n) {
+        std::vector<std::uint8_t> v(n);
+        for (auto &b : v)
+            b = static_cast<std::uint8_t>(rng());
+        return v;
+    };
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        std::mt19937_64 rng(seed);
+        auto width = [&] {
+            return rng() % 3 == 0 ? 33 + rng() % 600 : 1 + rng() % 32;
+        };
+        PersistentMemory reused(kBytes);
+        const auto pristine = reused.snapshot();
+        for (int drain = 0; drain < 6; ++drain) {
+            // The first queue is longer than a drain keeps entries for.
+            const int m =
+                drain == 0 ? 1100 : 5 + static_cast<int>(rng() % 30);
+            for (int i = 0; i < m; ++i) {
+                const std::size_t n = width();
+                const auto v = payload(rng, n);
+                reused.write(64 + rng() % (kBytes - 64 - n), v.data(), n);
+            }
+            const std::size_t k = rng() % (reused.inFlightCount() + 1);
+            if (drain % 3 == 0)
+                reused.persistAll();
+            else if (drain % 3 == 1)
+                reused.crash(k);
+            else
+                reused.crashTorn(k, rng());
+        }
+        reused.restore(pristine);
+
+        PersistentMemory fresh(kBytes);
+        expectSameState(reused, fresh);
+        for (int i = 0, m = 4 + static_cast<int>(rng() % 40); i < m; ++i) {
+            const std::size_t n = width();
+            const auto v = payload(rng, n);
+            const Addr a = 64 + rng() % (kBytes - 64 - n);
+            const bool ordered = rng() % 4 == 0;
+            for (PersistentMemory *pm : {&reused, &fresh}) {
+                if (ordered)
+                    pm->writeOrdered(a, v.data(), n);
+                else
+                    pm->write(a, v.data(), n);
+            }
+        }
+        expectSameState(reused, fresh);
+
+        // Rewinding over a queue the crash dropped refills its
+        // entries from the snapshot's copies.
+        const auto snap = reused.snapshot();
+        const auto snapFresh = fresh.snapshot();
+        reused.crash(rng() % (reused.inFlightCount() + 1));
+        const auto junk = payload(rng, 200);
+        reused.write(64, junk.data(), junk.size());
+        reused.restore(snap);
+        expectSameState(reused, fresh);
+        const auto again = reused.snapshot();
+        fresh.restore(snapFresh);
+        expectSameState(reused, fresh);
+
+        const std::size_t k = rng() % reused.inFlightCount();
+        const std::uint64_t mask = seed % 2 ? ~std::uint64_t{0} : rng();
+        reused.crashTorn(k, mask);
+        fresh.crashTorn(k, mask);
+        expectSameState(reused, fresh);
+        reused.restore(again);
+        EXPECT_GT(reused.inFlightCount(), k);
+    }
+}

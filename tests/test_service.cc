@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "service/service.hh"
@@ -39,6 +43,16 @@ tinyConfig()
     cfg.pmBytesPerShard = std::size_t{1} << 21;
     cfg.buckets = 128;
     return cfg;
+}
+
+/** FNV-1a of a string: pins a JSON row without spelling it out. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t d = 1469598103934665603ULL;
+    for (unsigned char b : s)
+        d = (d ^ b) * 1099511628211ULL;
+    return d;
 }
 
 const service::FaultOutcome &
@@ -308,4 +322,117 @@ TEST(Service, JsonRowCarriesSlos)
     EXPECT_EQ(j.find("shards")->size(), cfg.shards);
     EXPECT_EQ(j.find("faults")->size(), 1u);
     EXPECT_NE(j.find("oracle")->find("violations"), nullptr);
+}
+
+TEST(Service, ShardOpWorkMatchesTheObservedCounts)
+{
+    // One shard through a fixed script of every op kind and fault
+    // path. The expected values were taken from the shard that
+    // counted its work with an observer on every PM access; the PM's
+    // own counts must give the same per-op work, aborts and fault
+    // outcomes.
+    struct Step
+    {
+        const char *what;
+        std::function<Shard::OpResult(Shard &)> run;
+        Shard::OpStatus status;
+        service::OpWork work; ///< reads, readBytes, writes, writeBytes, aborts
+        std::uint64_t stales; ///< LoadStale fires so far
+        std::uint64_t cuts;   ///< power cuts so far
+        bool storm;           ///< storm still armed after the op
+    };
+    using S = Shard::OpStatus;
+    const std::vector<Step> script = {
+        {"read hit", [](Shard &s) { return s.apply(OpKind::Read, 3, 0); },
+         S::Ok, {24, 312, 45, 528, 0}, 0, 0, false},
+        {"update", [](Shard &s) { return s.apply(OpKind::Update, 3, 0x43); },
+         S::Ok, {10, 200, 15, 408, 0}, 0, 0, false},
+        {"insert",
+         [](Shard &s) { return s.apply(OpKind::Insert, 100, 0x44); },
+         S::Ok, {14, 112, 42, 576, 0}, 0, 0, false},
+        {"scan", [](Shard &s) { return s.apply(OpKind::Scan, 0, 0, 4, 1); },
+         S::Ok, {96, 1248, 171, 2040, 0}, 0, 0, false},
+        {"read miss", [](Shard &s) { return s.apply(OpKind::Read, 200, 0); },
+         S::Miss, {1, 8, 3, 24, 0}, 0, 0, false},
+        {"read poisoned",
+         [](Shard &s) {
+             EXPECT_TRUE(s.poisonValue(5));
+             return s.apply(OpKind::Read, 5, 0);
+         },
+         S::MediaError, {4, 32, 0, 0, 0}, 0, 0, false},
+        {"cut armed past the op",
+         [](Shard &s) {
+             s.armPowerCut(1000);
+             return s.apply(OpKind::Read, 4, 0);
+         },
+         S::Ok, {24, 312, 45, 528, 0}, 0, 0, false},
+        {"cut fires",
+         [](Shard &s) {
+             s.armPowerCut(2);
+             return s.apply(OpKind::Update, 7, 0x45);
+         },
+         S::PowerFailure, {5, 160, 3, 168, 0}, 0, 1, false},
+        {"after the cut",
+         [](Shard &s) { return s.apply(OpKind::Update, 7, 0x46); },
+         S::Ok, {25, 320, 51, 840, 0}, 0, 1, false},
+        {"storm armed",
+         [](Shard &s) {
+             s.armStorm(100, 3);
+             return s.apply(OpKind::Update, 8, 0x47);
+         },
+         S::Ok, {25, 320, 51, 840, 0}, 0, 1, true},
+        {"storm fires", [](Shard &s) { return s.apply(OpKind::Read, 9, 0); },
+         S::Ok, {148, 1544, 149, 1696, 2}, 3, 1, false},
+        {"storm spent",
+         [](Shard &s) { return s.apply(OpKind::Scan, 10, 0, 3, 1); },
+         S::Ok, {72, 936, 129, 1536, 0}, 3, 1, false},
+        {"storm and cut",
+         [](Shard &s) {
+             s.armStorm(5, 2);
+             s.armPowerCut(4);
+             return s.apply(OpKind::Insert, 101, 0x48);
+         },
+         S::Ok, {18, 144, 50, 760, 1}, 5, 2, false},
+        {"after both", [](Shard &s) { return s.apply(OpKind::Read, 101, 0); },
+         S::Ok, {9, 192, 9, 96, 0}, 5, 2, false},
+    };
+
+    Shard sh(0, tinyConfig());
+    for (std::uint64_t k = 0; k < 16; ++k)
+        sh.preload(k, 0x42);
+    for (const Step &step : script) {
+        SCOPED_TRACE(step.what);
+        const Shard::OpResult r = step.run(sh);
+        EXPECT_EQ(r.status, step.status);
+        EXPECT_EQ(r.work.reads, step.work.reads);
+        EXPECT_EQ(r.work.readBytes, step.work.readBytes);
+        EXPECT_EQ(r.work.writes, step.work.writes);
+        EXPECT_EQ(r.work.writeBytes, step.work.writeBytes);
+        EXPECT_EQ(r.work.aborts, step.work.aborts);
+        EXPECT_EQ(sh.injector().loadStalesInjected(), step.stales);
+        EXPECT_EQ(sh.injector().powerCutsInjected(), step.cuts);
+        EXPECT_EQ(sh.stormActive(), step.storm);
+        EXPECT_EQ(sh.state(), ShardState::Serving);
+    }
+}
+
+TEST(Service, PowerCutAndStormOnOneShardKeepTheirRow)
+{
+    // A power cut and a storm armed together on shard 0, then the
+    // cut re-armed: the JSON row must not depend on the host thread
+    // count, and it must equal the row of the shard that observed
+    // every PM access (its FNV-1a below).
+    ServiceConfig cfg = tinyConfig();
+    cfg.abortBudget = 8;
+    cfg.faults = {
+        {cfg.duration / 4, 0, ServiceFault::PowerCut, 0, 0},
+        {cfg.duration / 4, 0, ServiceFault::MisspecStorm, 0, 0},
+        {cfg.duration / 2, 0, ServiceFault::PowerCut, 5, 0},
+    };
+    cfg.simThreads = 1;
+    const std::string seq =
+        Service(cfg).run().toJson(cfg.duration).dump(2);
+    cfg.simThreads = 2;
+    EXPECT_EQ(Service(cfg).run().toJson(cfg.duration).dump(2), seq);
+    EXPECT_EQ(fnv1a(seq), 0xa900edd88ff86ddbULL) << seq;
 }
