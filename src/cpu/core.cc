@@ -13,7 +13,8 @@ Core::Core(sim::EventQueue &eq, StatGroup *parent, CoreId id_,
       cfg(cfg_),
       clock(cfg_.freqGhz),
       memsys(memsys_),
-      locks(lock_table)
+      locks(lock_table),
+      sq(cfg_.sqEntries)
 {
     stats().addCounter("instructions", &instructions,
                        "trace instructions retired");
@@ -186,7 +187,7 @@ Core::execute(const TraceInstr &instr)
             waitingBarrier = true;
             return false; // woken at barrier completion
         }
-        if (sq.size() >= cfg.sqEntries) {
+        if (sq.full()) {
             ++sqFullStalls;
             waitingSqSlot = true;
             return false; // woken when the SQ head drains

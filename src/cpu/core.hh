@@ -27,10 +27,10 @@
 #ifndef PMEMSPEC_CPU_CORE_HH
 #define PMEMSPEC_CPU_CORE_HH
 
-#include <deque>
 #include <optional>
 #include <set>
 
+#include "common/fifo_ring.hh"
 #include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -194,7 +194,7 @@ class Core : public sim::SimObject
     Tick pausedUntil = 0;
     std::uint64_t issueDebtCycles = 0;
 
-    std::deque<SqEntry> sq;
+    FifoRing<SqEntry> sq;
     bool sqDraining = false;
     unsigned outstandingLoads = 0;
     /** CLWB flushes issued but not yet acknowledged by the PMC. */

@@ -195,7 +195,7 @@ FaultInjector::injectPowerCut(std::size_t prefix)
     const std::size_t durable =
         prefix < pm.inFlightCount() ? prefix : pm.inFlightCount();
     pm.crash(durable);
-    throw PowerFailure{durable, false};
+    throw PowerFailure{{}, durable, false};
 }
 
 void
@@ -210,7 +210,7 @@ FaultInjector::injectTornWrite(std::size_t prefix, std::uint64_t mask)
     const std::size_t durable =
         prefix < pm.inFlightCount() ? prefix : pm.inFlightCount();
     pm.crashTorn(durable, mask);
-    throw PowerFailure{durable, true};
+    throw PowerFailure{{}, durable, true};
 }
 
 void

@@ -47,7 +47,7 @@ namespace pmemspec::faultinject
 
 /** Thrown out of the interrupted FASE when a PowerCut (or TornWrite)
  *  fires. */
-struct PowerFailure
+struct PowerFailure : runtime::PowerLoss
 {
     std::size_t durablePrefix; ///< persists that made it to PM
     /** True when the frontier persist landed partially (TornWrite). */

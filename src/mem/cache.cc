@@ -83,6 +83,19 @@ SetAssocCache::markDirty(Addr block_addr)
     line->lastUse = ++useClock;
 }
 
+bool
+SetAssocCache::write(Addr block_addr)
+{
+    if (Line *line = find(block_addr)) {
+        line->meta |= Line::kDirty;
+        line->lastUse = ++useClock;
+        ++hits;
+        return true;
+    }
+    ++misses;
+    return false;
+}
+
 void
 SetAssocCache::markClean(Addr block_addr)
 {

@@ -55,8 +55,14 @@ class SetAssocCache
     /** @return the dirty bit; block must be present. */
     bool isDirty(Addr block_addr) const;
 
-    /** Mark a present block dirty (store hit). */
+    /** Mark a present block dirty and update LRU state. */
     void markDirty(Addr block_addr);
+
+    /**
+     * A store: access() and, on a hit, markDirty() in one tag probe.
+     * @return true on hit.
+     */
+    bool write(Addr block_addr);
 
     /**
      * Insert a block, evicting the LRU way if the set is full.

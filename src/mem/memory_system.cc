@@ -321,8 +321,7 @@ MemorySystem::writeL1(CoreId c, Addr block, Done on_done)
     schedule(After{cfg.l1HitLatency},
              [this, c, block, cb = std::move(on_done)]() mutable {
                  invalidateOtherL1s(c, block);
-                 if (l1s[c]->access(block)) {
-                     l1s[c]->markDirty(block);
+                 if (l1s[c]->write(block)) {
                      cb();
                      return;
                  }

@@ -27,9 +27,9 @@ PersistBuffer::PersistBuffer(sim::EventQueue &eq, StatGroup *parent,
       drainWidth(strict_fifo ? 1 : drain_width),
       strictFifo(strict_fifo),
       globalToken(global_token),
-      deliver(std::move(deliver_fn))
+      deliver(std::move(deliver_fn)),
+      pending(capacity)
 {
-    fatal_if(capacity == 0, "persist buffer capacity must be >= 1");
     stats().addCounter("appends", &appends, "PM stores captured");
     stats().addCounter("coalesces", &coalesces,
                        "stores coalesced into a pending entry");
@@ -73,7 +73,8 @@ PersistBuffer::append(Addr block_addr)
     ++appends;
     // Coalesce repeated stores to the same block within an epoch; the
     // buffer holds whole cache blocks, so a second store just merges.
-    for (auto &e : pending) {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        const Entry &e = pending[i];
         if (e.addr == block_addr && e.epoch == curEpoch) {
             ++coalesces;
             return;

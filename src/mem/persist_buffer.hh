@@ -31,10 +31,10 @@
 #define PMEMSPEC_MEM_PERSIST_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
+#include "common/fifo_ring.hh"
 #include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -173,7 +173,7 @@ class PersistBuffer : public sim::SimObject
     FilterHook filterRemove;
     InplaceFn<void()> progressHook;
 
-    std::deque<Entry> pending;
+    FifoRing<Entry> pending;
     std::vector<Entry> inFlight;
     std::uint64_t curEpoch = 0;
     std::uint64_t seqCounter = 0;

@@ -15,10 +15,9 @@ PersistPath::PersistPath(sim::EventQueue &eq, StatGroup *parent,
                     std::min<std::size_t>(capacity + 1, 64)),
       coreId(core),
       pathLatency(latency),
-      fifoCapacity(capacity),
-      deliver(std::move(deliver_fn))
+      deliver(std::move(deliver_fn)),
+      fifo(capacity)
 {
-    fatal_if(capacity == 0, "persist path capacity must be >= 1");
     stats().addCounter("sends", &sends, "persists pushed onto the path");
     stats().addCounter("deliveries", &deliveries,
                        "persists accepted by the PMC");
@@ -33,8 +32,6 @@ PersistPath::PersistPath(sim::EventQueue &eq, StatGroup *parent,
 void
 PersistPath::send(Addr block_addr, std::optional<SpecId> spec_id)
 {
-    panic_if(full(), "persist path overflow; the store queue must "
-                     "apply backpressure via full()");
     // Entries traverse the path in order: one flit per path cycle of
     // throughput, pathLatency of pipeline depth.
     const Tick one_flit = ticksPerNs; // 1 GB-ish flit rate: 1 flit/ns

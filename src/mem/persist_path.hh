@@ -16,9 +16,9 @@
 #ifndef PMEMSPEC_MEM_PERSIST_PATH_HH
 #define PMEMSPEC_MEM_PERSIST_PATH_HH
 
-#include <deque>
 #include <optional>
 
+#include "common/fifo_ring.hh"
 #include "common/inplace_fn.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -64,7 +64,7 @@ class PersistPath : public sim::SimObject
                 Tick latency, unsigned capacity, DeliverFn deliver);
 
     /** @return true if the FIFO cannot accept another entry. */
-    bool full() const { return fifo.size() >= fifoCapacity; }
+    bool full() const { return fifo.full(); }
 
     /**
      * Push a committed PM store onto the path. Must not be called
@@ -128,9 +128,8 @@ class PersistPath : public sim::SimObject
 
     CoreId coreId;
     Tick pathLatency;
-    unsigned fifoCapacity;
     DeliverFn deliver;
-    std::deque<Flit> fifo;
+    FifoRing<Flit> fifo;
     Tick lastArrival = 0;
     /** A pump event is pending, or the head waits for admission:
      *  either way the path has one pump chain. */

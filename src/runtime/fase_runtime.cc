@@ -236,6 +236,11 @@ FaseRuntime::runFase(unsigned tid, const FaseFn &fn,
         } catch (const AbortException &) {
             abortOrGiveUp();
             continue;
+        } catch (const PowerLoss &) {
+            // The cut already rebooted the PM; re-running the FASE
+            // would hide the crash from whoever runs recovery.
+            ts.inFase = false;
+            throw;
         } catch (...) {
             // Lazy recovery: exceptions caused by stale data are
             // suppressed if the flag is set (Section 6.2.1);

@@ -72,6 +72,16 @@ struct MediaError
     Addr addr; ///< first poisoned word the access overlapped
 };
 
+/**
+ * Base of the exceptions that report a power loss (fault injection's
+ * PowerFailure). The machine is gone, not misled: a FASE never
+ * suppresses one as a stale-data exception, whatever its thread's
+ * misspeculation flag says.
+ */
+struct PowerLoss
+{
+};
+
 /** memcpy with the 8-byte case split out: a constant-size copy is a
  *  single move the compiler inlines, where a variable-size one calls
  *  libc, and nearly every functional access is one word. */

@@ -5,111 +5,53 @@
 namespace pmemspec::sim
 {
 
-EventQueue::EventQueue()
-    : buckets(kBuckets), bucketBits(kBuckets / 64, 0)
-{
-}
+EventQueue::EventQueue() = default;
 
 EventQueue::~EventQueue()
 {
-    // Destroy callables still pending (ring chains hold only live
-    // slots; the far heap and run may also hold lazily-cancelled
-    // ones).
-    for (std::uint32_t b = 0; b < kBuckets; ++b) {
-        for (std::uint32_t i = buckets[b].head; i != kNil;) {
-            Slot &s = slotAt(i);
-            if (s.destroy)
-                s.destroy(s.buf);
-            i = s.next;
-        }
-    }
-    auto destroyFar = [this](std::uint32_t i) {
+    // Destroy callables still pending.
+    auto destroy = [this](std::uint32_t i) {
         Slot &s = slotAt(i);
-        if (s.invoke && s.destroy)
+        if (s.destroy)
             s.destroy(s.buf);
     };
+    for (const Bucket &bk : buckets) {
+        if (bk.head == kNil)
+            continue;
+        for (std::uint32_t i = bk.head; i != kNil; i = slotAt(i).next)
+            destroy(i);
+    }
     for (std::uint32_t i : farHeap)
-        destroyFar(i);
+        destroy(i);
     for (std::uint32_t i : farRun)
-        destroyFar(i);
+        destroy(i);
 }
 
 void
-EventQueue::checkNotPast(Tick when) const
+EventQueue::pastPanic(Tick when) const
 {
-    panic_if(when < curTick,
-             "scheduling event in the past (when=%llu now=%llu)",
-             static_cast<unsigned long long>(when),
-             static_cast<unsigned long long>(curTick));
-}
-
-std::uint32_t
-EventQueue::allocSlot()
-{
-    if (freeHead == kNil) {
-        // Grow the arena by one chunk and chain it onto the free list.
-        auto chunk = std::make_unique<Slot[]>(kChunkSlots);
-        const std::uint32_t base = slotCount;
-        for (std::uint32_t i = 0; i < kChunkSlots; ++i) {
-            chunk[i].gen = 0;
-            chunk[i].where = Where::Free;
-            chunk[i].invoke = nullptr;
-            chunk[i].destroy = nullptr;
-            chunk[i].next = (i + 1 < kChunkSlots) ? base + i + 1 : kNil;
-        }
-        chunks.push_back(std::move(chunk));
-        slotCount += kChunkSlots;
-        freeHead = base;
-    }
-    const std::uint32_t idx = freeHead;
-    freeHead = slotAt(idx).next;
-    return idx;
+    panic("scheduling event in the past (when=%llu now=%llu)",
+          static_cast<unsigned long long>(when),
+          static_cast<unsigned long long>(curTick));
 }
 
 void
-EventQueue::freeSlot(std::uint32_t idx)
+EventQueue::ringEmptyPanic() const
 {
-    Slot &s = slotAt(idx);
-    s.invoke = nullptr;
-    s.destroy = nullptr;
-    s.where = Where::Free;
-    ++s.gen; // invalidate every outstanding EventRef to this slot
-    s.next = freeHead;
-    freeHead = idx;
+    panic("ring bitmap empty with ringCount=%zu", ringCount);
 }
 
 void
-EventQueue::setBit(std::uint32_t bucket)
+EventQueue::growArena()
 {
-    bucketBits[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-}
-
-void
-EventQueue::clearBit(std::uint32_t bucket)
-{
-    bucketBits[bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-}
-
-void
-EventQueue::link(std::uint32_t idx, Slot &s)
-{
-    const std::uint64_t day = s.when >> kDayShift;
-    if (numPending == 0) {
-        // Empty queue: re-anchor the ring window at this event.
-        baseDay = day;
-    } else if (day < baseDay) {
-        // Earlier than the window (the queue was anchored on an event
-        // scheduled ahead of now): lower the window onto this event.
-        lowerBase(day);
-    }
-    ++numPending;
-    if (day - baseDay < kBuckets) {
-        ringInsert(idx, s);
-    } else {
-        s.where = Where::Far;
-        farPush(idx);
-        ++farLive;
-    }
+    // Grow the arena by one chunk and chain it onto the free list.
+    auto chunk = std::make_unique<Slot[]>(kChunkSlots);
+    const std::uint32_t base =
+        static_cast<std::uint32_t>(chunks.size()) << kChunkShift;
+    for (std::uint32_t i = 0; i < kChunkSlots; ++i)
+        chunk[i].next = (i + 1 < kChunkSlots) ? base + i + 1 : freeHead;
+    chunks.push_back(std::move(chunk));
+    freeHead = base;
 }
 
 void
@@ -118,7 +60,7 @@ EventQueue::lowerBase(std::uint64_t day)
     // Each bucket chain holds a single day, so a chain either still
     // fits the lowered window or moves to the far set whole; left in
     // the ring it would alias an earlier day of the new window.
-    for (std::uint32_t w = 0; w < bucketBits.size(); ++w) {
+    for (std::uint32_t w = 0; w < kBitWords; ++w) {
         for (std::uint64_t bits = bucketBits[w]; bits; bits &= bits - 1) {
             const std::uint32_t b =
                 (w << 6) + static_cast<std::uint32_t>(__builtin_ctzll(bits));
@@ -126,15 +68,12 @@ EventQueue::lowerBase(std::uint64_t day)
             if ((slotAt(bk.head).when >> kDayShift) - day < kBuckets)
                 continue;
             for (std::uint32_t i = bk.head; i != kNil;) {
-                Slot &e = slotAt(i);
-                const std::uint32_t next = e.next;
-                e.where = Where::Far;
+                const std::uint32_t next = slotAt(i).next;
                 farPush(i);
-                ++farLive;
                 --ringCount;
                 i = next;
             }
-            bk.head = bk.tail = kNil;
+            bk.head = kNil;
             clearBit(b);
         }
     }
@@ -142,30 +81,8 @@ EventQueue::lowerBase(std::uint64_t day)
 }
 
 void
-EventQueue::ringInsert(std::uint32_t idx, Slot &s)
+EventQueue::chainInsert(std::uint32_t idx, Slot &s, Bucket &bk)
 {
-    s.where = Where::Ring;
-    const std::uint32_t b =
-        static_cast<std::uint32_t>(s.when >> kDayShift) & kBucketMask;
-    Bucket &bk = buckets[b];
-    ++ringCount;
-    if (bk.head == kNil) {
-        bk.head = bk.tail = idx;
-        s.next = kNil;
-        setBit(b);
-        return;
-    }
-    Slot &tail = slotAt(bk.tail);
-    // Fast path: sequence numbers grow monotonically, so an insert
-    // belongs at the tail unless it undercuts the tail's tick (a far
-    // migration can; a plain schedule cannot).
-    if (tail.when < s.when ||
-        (tail.when == s.when && tail.seq < s.seq)) {
-        tail.next = idx;
-        s.next = kNil;
-        bk.tail = idx;
-        return;
-    }
     // Walk the (short) chain for the first entry ordered after s.
     std::uint32_t prev = kNil;
     std::uint32_t cur = bk.head;
@@ -185,57 +102,6 @@ EventQueue::ringInsert(std::uint32_t idx, Slot &s)
         bk.tail = idx;
 }
 
-void
-EventQueue::ringUnlink(std::uint32_t idx, Slot &s)
-{
-    const std::uint32_t b =
-        static_cast<std::uint32_t>(s.when >> kDayShift) & kBucketMask;
-    Bucket &bk = buckets[b];
-    std::uint32_t prev = kNil;
-    std::uint32_t cur = bk.head;
-    while (cur != idx) {
-        panic_if(cur == kNil, "event slot missing from its bucket");
-        prev = cur;
-        cur = slotAt(cur).next;
-    }
-    if (prev == kNil)
-        bk.head = s.next;
-    else
-        slotAt(prev).next = s.next;
-    if (bk.tail == idx)
-        bk.tail = prev;
-    if (bk.head == kNil)
-        clearBit(b);
-    --ringCount;
-}
-
-std::uint32_t
-EventQueue::findRingMin() const
-{
-    // All ring events have day in [baseDay, baseDay + kBuckets), and
-    // each day in that window maps to a distinct bucket -- so the
-    // first non-empty bucket, scanning from baseDay's and wrapping,
-    // holds the earliest day, and its sorted chain head is the
-    // earliest (when, seq).
-    const std::uint32_t start =
-        static_cast<std::uint32_t>(baseDay) & kBucketMask;
-    std::uint32_t word = start >> 6;
-    std::uint64_t bits = bucketBits[word] &
-                         (~std::uint64_t{0} << (start & 63));
-    for (std::size_t scanned = 0; scanned <= bucketBits.size();
-         ++scanned) {
-        if (bits) {
-            const std::uint32_t b =
-                (word << 6) +
-                static_cast<std::uint32_t>(__builtin_ctzll(bits));
-            return buckets[b].head;
-        }
-        word = (word + 1) & ((kBuckets >> 6) - 1);
-        bits = bucketBits[word];
-    }
-    panic("ring bitmap empty with ringCount=%zu", ringCount);
-}
-
 bool
 EventQueue::farLess(std::uint32_t a, std::uint32_t b) const
 {
@@ -249,6 +115,7 @@ EventQueue::farLess(std::uint32_t a, std::uint32_t b) const
 void
 EventQueue::farPush(std::uint32_t idx)
 {
+    ++farCount;
     const std::size_t n = farRun.size();
     std::size_t undercut = 0;
     while (undercut < n && farLess(idx, farRun[n - 1 - undercut])) {
@@ -272,17 +139,6 @@ EventQueue::farTop() const
     if (farRun.empty() || farLess(farHeap.front(), farRun.front()))
         return farHeap.front();
     return farRun.front();
-}
-
-std::uint32_t
-EventQueue::farPop()
-{
-    const std::uint32_t top = farTop();
-    if (!farRun.empty() && farRun.front() == top)
-        farRun.pop_front();
-    else
-        heapPop();
-    return top;
 }
 
 void
@@ -324,23 +180,15 @@ EventQueue::heapPop()
 }
 
 void
-EventQueue::cleanFarTop()
-{
-    // Reap lazily-cancelled far events.
-    while (!farHeap.empty() && !slotAt(farHeap.front()).invoke)
-        freeSlot(heapPop());
-    while (!farRun.empty() && !slotAt(farRun.front()).invoke) {
-        freeSlot(farRun.front());
-        farRun.pop_front();
-    }
-}
-
-void
 EventQueue::migrateFarMin()
 {
-    const std::uint32_t idx = farPop();
+    const std::uint32_t idx = farTop();
+    if (!farRun.empty() && farRun.front() == idx)
+        farRun.pop_front();
+    else
+        heapPop();
+    --farCount;
     Slot &s = slotAt(idx);
-    --farLive;
     // The migrating event is the global minimum, so every pending day
     // is >= its day and re-anchoring the window on it is safe.
     baseDay = s.when >> kDayShift;
@@ -348,125 +196,35 @@ EventQueue::migrateFarMin()
 }
 
 std::uint32_t
-EventQueue::popMin()
+EventQueue::popMinFar()
 {
-    std::uint32_t idx = kNil;
-    if (farLive != 0) {
-        cleanFarTop();
-        bool migrate = true;
-        if (ringCount != 0) {
-            const Slot &ft = slotAt(farTop());
-            const Slot &rm = slotAt(idx = findRingMin());
-            migrate = ft.when < rm.when ||
-                      (ft.when == rm.when && ft.seq < rm.seq);
-        }
-        if (migrate) {
-            // The migrated event is the new global minimum and
-            // migrateFarMin() re-anchored baseDay on it, so it heads
-            // its (now earliest) bucket -- no re-scan needed.
-            migrateFarMin();
-            idx = buckets[static_cast<std::uint32_t>(baseDay) &
-                          kBucketMask].head;
-        }
-    } else {
-        idx = findRingMin();
+    if (ringCount == 0 || farLess(farTop(), buckets[ringMinBucket()].head)) {
+        // The migrated event is the new global minimum and
+        // migrateFarMin() re-anchored baseDay on it, so it heads its
+        // (now earliest) bucket -- no re-scan needed.
+        migrateFarMin();
+        return popHead(static_cast<std::uint32_t>(baseDay) & kBucketMask);
     }
-    Slot &s = slotAt(idx);
-    baseDay = s.when >> kDayShift; // keep the window anchored at now
-    const std::uint32_t b =
-        static_cast<std::uint32_t>(baseDay) & kBucketMask;
-    Bucket &bk = buckets[b];
-    bk.head = s.next;
-    if (bk.head == kNil) {
-        bk.tail = kNil;
-        clearBit(b);
-    }
-    --ringCount;
-    --numPending;
-    return idx;
+    return popRing();
 }
 
-bool
-EventQueue::cancel(EventRef ref)
+Tick
+EventQueue::peekMin() const
 {
-    if (ref.slot == kNil || ref.slot >= slotCount)
-        return false;
-    Slot &s = slotAt(ref.slot);
-    if (s.gen != ref.gen || !s.invoke ||
-        (s.where != Where::Ring && s.where != Where::Far))
-        return false;
-    if (s.destroy)
-        s.destroy(s.buf);
-    s.invoke = nullptr;
-    s.destroy = nullptr;
-    --numPending;
-    if (s.where == Where::Ring) {
-        ringUnlink(ref.slot, s);
-        freeSlot(ref.slot);
-    } else {
-        // Far events are reaped lazily when they surface at the heap
-        // top or run front; removing from the middle of either is
-        // O(n).
-        --farLive;
-    }
-    return true;
-}
-
-bool
-EventQueue::scheduled(EventRef ref) const
-{
-    if (ref.slot == kNil || ref.slot >= slotCount)
-        return false;
-    const Slot &s = slotAt(ref.slot);
-    return s.gen == ref.gen && s.invoke != nullptr &&
-           (s.where == Where::Ring || s.where == Where::Far);
-}
-
-bool
-EventQueue::step()
-{
-    if (numPending == 0)
-        return false;
-    const std::uint32_t idx = popMin();
-    Slot &s = slotAt(idx);
-    curTick = s.when;
-    ++numExecuted;
-    // Detach the callable's entry points before invoking: the callback
-    // may schedule (growing the arena leaves slots in place) but a
-    // cancel() of the already-running event must be a no-op.
-    auto invoke = s.invoke;
-    s.invoke = nullptr;
-    s.where = Where::Executing;
-    invoke(s.buf);
-    Slot &after = slotAt(idx); // re-resolve across chunk growth
-    if (after.destroy)
-        after.destroy(after.buf);
-    freeSlot(idx);
-    return true;
+    if (farCount == 0)
+        return slotAt(buckets[ringMinBucket()].head).when;
+    const Tick far = slotAt(farTop()).when;
+    if (ringCount == 0)
+        return far;
+    const Tick ring = slotAt(buckets[ringMinBucket()].head).when;
+    return far < ring ? far : ring;
 }
 
 void
 EventQueue::runUntil(Tick t)
 {
-    while (numPending != 0) {
-        // Peek the global minimum (same search step() would do).
-        Tick next;
-        if (farLive != 0) {
-            cleanFarTop();
-            if (ringCount == 0) {
-                next = slotAt(farTop()).when;
-            } else {
-                const Slot &ft = slotAt(farTop());
-                const Slot &rm = slotAt(findRingMin());
-                next = ft.when < rm.when ? ft.when : rm.when;
-            }
-        } else {
-            next = slotAt(findRingMin()).when;
-        }
-        if (next > t)
-            break;
+    while (numPending != 0 && peekMin() <= t)
         step();
-    }
     if (curTick < t)
         curTick = t;
 }

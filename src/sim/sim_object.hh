@@ -41,10 +41,10 @@ class SimObject
     /** The unified scheduling interface: absolute tick or After{delta}
      *  relative to now, forwarding straight into the event kernel. */
     template <typename W, typename F>
-    EventRef
+    void
     schedule(W when, F &&f)
     {
-        return eventq.schedule(when, std::forward<F>(f));
+        eventq.schedule(when, std::forward<F>(f));
     }
 
   private:

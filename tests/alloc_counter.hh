@@ -21,7 +21,10 @@ bool counting = false;
 std::uint64_t allocations = 0;
 } // namespace alloc_counter_detail
 
-void *
+// The replacements stay out of line: GCC would otherwise pair an
+// inlined malloc() or free() with the other side's operator call and
+// warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     if (alloc_counter_detail::counting)
@@ -31,13 +34,13 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);

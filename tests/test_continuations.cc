@@ -1,15 +1,17 @@
 /**
  * @file
  * Unit tests for the timing path's continuation primitives: InplaceFn
- * (inline storage, boxing, moves, target lifetime) and the waiter
- * lists and FIFO (firing order, waiters queued during a wake, no
- * allocation once warm).
+ * (inline storage, boxing, buffer-copy and relocating moves, target
+ * lifetime) and the waiter lists and FIFO (firing order, waiters
+ * queued during a wake, no allocation once warm).
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -118,6 +120,48 @@ TEST(InplaceFn, AssignmentDestroysTheOldTarget)
     fn = InplaceFn<int()>([] { return 0; });
     EXPECT_EQ(boxed, 1);
     EXPECT_EQ(fn(), 0);
+}
+
+TEST(InplaceFn, TriviallyCopyableCaptureSurvivesManyOwners)
+{
+    // Moved by copying the buffer: every hop must carry the whole
+    // capture, and each emptied owner must stay empty.
+    std::uint64_t a = 0x1111, b = 0x2222;
+    auto f = [a, b](std::uint64_t x) { return a * x + b; };
+    static_assert(std::is_trivially_copyable_v<decltype(f)>);
+    AllocCounter counter;
+    InplaceFn<std::uint64_t(std::uint64_t)> owners[5];
+    owners[0] = f;
+    for (std::size_t i = 1; i < 5; ++i) {
+        owners[i] = std::move(owners[i - 1]);
+        EXPECT_FALSE(owners[i - 1]);
+    }
+    InplaceFn<std::uint64_t(std::uint64_t)> last(std::move(owners[4]));
+    EXPECT_FALSE(owners[4]);
+    EXPECT_EQ(last(3), 0x1111u * 3 + 0x2222u);
+    EXPECT_EQ(counter.count(), 0u);
+}
+
+TEST(InplaceFn, SharedPtrCaptureIsDestroyedOnce)
+{
+    // A capture with a non-trivial copy keeps its ops table: every
+    // move relocates it and only the last owner releases it.
+    auto token = std::make_shared<int>(5);
+    {
+        InplaceFn<int()> a([token] { return *token; });
+        EXPECT_EQ(token.use_count(), 2);
+        InplaceFn<int()> b(std::move(a));
+        InplaceFn<int()> c;
+        c = std::move(b);
+        EXPECT_EQ(token.use_count(), 2);
+        EXPECT_EQ(c(), 5);
+        InplaceFn<int()> d([token] { return -*token; });
+        EXPECT_EQ(token.use_count(), 3);
+        d = std::move(c); // destroys d's own capture
+        EXPECT_EQ(token.use_count(), 2);
+        EXPECT_EQ(d(), 5);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(WaiterList, WakesInArrivalOrderOnceAndDefersLateWaiters)

@@ -166,100 +166,25 @@ TEST(EventQueue, FarFutureEventsMigrateInOrder)
                   static_cast<Tick>(i) * 3'000'000);
 }
 
-TEST(EventQueue, CancelPendingEvent)
-{
-    EventQueue eq;
-    int ran = 0;
-    auto ref = eq.schedule(10, [&] { ++ran; });
-    eq.schedule(20, [&] { ++ran; });
-    EXPECT_TRUE(eq.scheduled(ref));
-    EXPECT_TRUE(eq.cancel(ref));
-    EXPECT_FALSE(eq.scheduled(ref));
-    EXPECT_FALSE(eq.cancel(ref)); // double cancel is a no-op
-    eq.run();
-    EXPECT_EQ(ran, 1);
-    EXPECT_EQ(eq.executed(), 1u);
-}
-
-TEST(EventQueue, CancelFarFutureEvent)
-{
-    EventQueue eq;
-    int ran = 0;
-    auto far = eq.schedule(9'000'000, [&] { ran += 10; });
-    eq.schedule(5, [&] { ran += 1; });
-    EXPECT_TRUE(eq.cancel(far));
-    eq.run();
-    EXPECT_EQ(ran, 1);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, CancelNullAndExecutedRefs)
-{
-    EventQueue eq;
-    EXPECT_FALSE(eq.cancel(sim::EventRef{}));
-    EXPECT_FALSE(eq.scheduled(sim::EventRef{}));
-    auto ref = eq.schedule(1, [] {});
-    eq.run();
-    EXPECT_FALSE(eq.cancel(ref)); // already executed
-    EXPECT_FALSE(eq.scheduled(ref));
-}
-
-TEST(EventQueue, SelfCancelDuringExecutionIsNoOp)
-{
-    EventQueue eq;
-    sim::EventRef self;
-    bool cancelled = true;
-    self = eq.schedule(5, [&] { cancelled = eq.cancel(self); });
-    eq.run();
-    EXPECT_FALSE(cancelled);
-    EXPECT_EQ(eq.executed(), 1u);
-}
-
-TEST(EventQueue, CancelledCallableIsDestroyedOnce)
-{
-    EventQueue eq;
-    auto count = std::make_shared<int>(0);
-    auto ref = eq.schedule(10, [count] { (void)count; });
-    EXPECT_EQ(count.use_count(), 2);
-    EXPECT_TRUE(eq.cancel(ref));
-    EXPECT_EQ(count.use_count(), 1); // destroyed at cancel time
-    eq.run();
-}
-
-TEST(EventQueue, StaleRefDoesNotAliasReusedSlot)
-{
-    // Arena reuse-after-free: once an event fires, its slot recycles
-    // for new events; the stale ref's generation must not match.
-    EventQueue eq;
-    auto first = eq.schedule(1, [] {});
-    eq.run();
-    int ran = 0;
-    auto second = eq.schedule(After{1}, [&] { ++ran; });
-    // The recycled slot likely has the same index but a newer gen.
-    EXPECT_FALSE(eq.cancel(first));
-    EXPECT_FALSE(eq.scheduled(first));
-    EXPECT_TRUE(eq.scheduled(second));
-    eq.run();
-    EXPECT_EQ(ran, 1);
-}
-
 TEST(EventQueue, ArenaChurnReusesSlots)
 {
-    // Heavy schedule/cancel/fire churn across many arena chunks; the
-    // sanitizer job turns any use-after-free in slot recycling fatal.
+    // Heavy schedule/fire churn across many arena chunks, with events
+    // scheduled from inside running ones; the sanitizer job turns any
+    // use-after-free in slot recycling fatal.
     EventQueue eq;
     std::uint64_t ran = 0;
-    std::vector<sim::EventRef> refs;
     for (int round = 0; round < 50; ++round) {
-        refs.clear();
-        for (int i = 0; i < 600; ++i)
-            refs.push_back(eq.schedule(After{static_cast<Tick>(i % 7)},
-                                       [&] { ++ran; }));
-        for (std::size_t i = 0; i < refs.size(); i += 3)
-            EXPECT_TRUE(eq.cancel(refs[i]));
+        for (int i = 0; i < 600; ++i) {
+            eq.schedule(After{static_cast<Tick>(i % 7)}, [&, i] {
+                ++ran;
+                if (i % 3 == 0)
+                    eq.schedule(After{static_cast<Tick>(i % 5)},
+                                [&] { ++ran; });
+            });
+        }
         eq.run();
     }
-    EXPECT_EQ(ran, 50u * 400u);
+    EXPECT_EQ(ran, 50u * 800u);
     EXPECT_TRUE(eq.empty());
 }
 
@@ -274,27 +199,20 @@ TEST(EventQueue, LargeCallablesAreBoxedAndDestroyed)
     auto token = std::make_shared<int>(7);
     int got = 0;
     eq.schedule(1, [big = Big{token, {}}, &got] { got = *big.token; });
-    auto ref = eq.schedule(2, [big = Big{token, {}}] { (void)big; });
+    eq.schedule(2, [big = Big{token, {}}] { (void)big; });
     EXPECT_EQ(token.use_count(), 3);
-    EXPECT_TRUE(eq.cancel(ref));
+    // One runs and is destroyed; the other dies with the queue.
+    EXPECT_FALSE(eq.run(1));
+    EXPECT_EQ(got, 7);
+    EXPECT_EQ(token.use_count(), 2);
+    {
+        EventQueue doomed;
+        doomed.schedule(5, [big = Big{token, {}}] { (void)big; });
+        EXPECT_EQ(token.use_count(), 3);
+    }
     EXPECT_EQ(token.use_count(), 2);
     eq.run();
-    EXPECT_EQ(got, 7);
     EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(EventQueue, PendingCountTracksCancellation)
-{
-    EventQueue eq;
-    auto a = eq.schedule(10, [] {});
-    auto b = eq.schedule(7'000'000, [] {}); // far heap
-    EXPECT_EQ(eq.pending(), 2u);
-    EXPECT_TRUE(eq.cancel(b));
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_TRUE(eq.cancel(a));
-    EXPECT_TRUE(eq.empty());
-    eq.run();
-    EXPECT_EQ(eq.executed(), 0u);
 }
 
 TEST(EventQueue, PendingCallablesDestroyedWithQueue)
@@ -314,9 +232,9 @@ TEST(EventQueue, RandomMixRunsInWhenSeqOrder)
     // Far events land beyond the ring horizon (4096 days of 256
     // ticks); ascending far runs exercise the far FIFO run, stray far
     // inserts the far heap, and the two meet in eviction. Callbacks
-    // keep scheduling and cancelling while the queue drains. Nothing
-    // is scheduled in the past, so the execution order must be the
-    // sort of every surviving event by (when, schedule order).
+    // keep scheduling while the queue drains. Nothing is scheduled in
+    // the past, so the execution order must be the sort of every
+    // event by (when, schedule order).
     constexpr Tick kFar = Tick{1} << 21;
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         EventQueue eq;
@@ -325,8 +243,6 @@ TEST(EventQueue, RandomMixRunsInWhenSeqOrder)
         {
             Tick when;
             std::uint64_t id;
-            sim::EventRef ref;
-            bool cancelled = false;
         };
         std::vector<Ev> evs;
         std::vector<std::uint64_t> ran;
@@ -334,8 +250,8 @@ TEST(EventQueue, RandomMixRunsInWhenSeqOrder)
 
         auto add = [&](Tick when) {
             const std::uint64_t id = evs.size();
-            evs.push_back({when, id, {}});
-            evs.back().ref = eq.schedule(when, [&body, id] { body(id); });
+            evs.push_back({when, id});
+            eq.schedule(when, [&body, id] { body(id); });
         };
         auto ascendingRun = [&](Tick from, unsigned n) {
             Tick t = from;
@@ -343,13 +259,6 @@ TEST(EventQueue, RandomMixRunsInWhenSeqOrder)
                 add(t);
                 t += rng.below(3) == 0 ? 0 : 1 + rng.below(kFar / 8);
             }
-        };
-        auto cancelSome = [&] {
-            if (evs.empty())
-                return;
-            Ev &e = evs[rng.below(evs.size())];
-            if (eq.cancel(e.ref))
-                e.cancelled = true;
         };
         body = [&](std::uint64_t id) {
             ran.push_back(id);
@@ -360,14 +269,13 @@ TEST(EventQueue, RandomMixRunsInWhenSeqOrder)
               case 0: add(now + rng.below(1 << 18)); break; // near
               case 1: add(now + kFar + rng.below(kFar * 8)); break;
               case 2: ascendingRun(now + kFar * rng.below(4), 6); break;
-              case 3: cancelSome(); break;
               default: break;
             }
         };
 
         // A few stray far events first (a fault schedule), then long
         // ascending streams (client tapes) interleaved with near
-        // events, stray far inserts and cancellations.
+        // events and stray far inserts.
         for (unsigned i = 0; i < 4; ++i)
             add(kFar * (4 + rng.below(40)));
         for (unsigned r = 0; r < 3; ++r) {
@@ -375,15 +283,13 @@ TEST(EventQueue, RandomMixRunsInWhenSeqOrder)
             for (unsigned i = 0; i < 50; ++i) {
                 add(rng.below(kFar * 64));
                 add(rng.below(1 << 18));
-                cancelSome();
             }
         }
         eq.run();
 
         std::vector<std::tuple<Tick, std::uint64_t>> want;
         for (const Ev &e : evs)
-            if (!e.cancelled)
-                want.emplace_back(e.when, e.id);
+            want.emplace_back(e.when, e.id);
         std::sort(want.begin(), want.end());
         ASSERT_EQ(ran.size(), want.size()) << "seed " << seed;
         for (std::size_t i = 0; i < want.size(); ++i)

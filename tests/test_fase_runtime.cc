@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "faultinject/fault_injector.hh"
 #include "runtime/fase_runtime.hh"
 #include "runtime/persistent_memory.hh"
 #include "runtime/virtual_os.hh"
@@ -170,6 +171,32 @@ TEST(FaseRuntime, RealExceptionsPropagate)
                               }),
                  std::runtime_error);
     EXPECT_FALSE(h.rt.inFase(0));
+}
+
+TEST(FaseRuntime, PowerCutWithFlagSetPropagates)
+{
+    // Stale-data suppression covers exceptions a misled FASE raises
+    // itself, never a power loss: a cut armed while the flag is set
+    // must reach the caller's recovery instead of re-running the FASE
+    // on the rebooted PM.
+    Harness h;
+    faultinject::FaultInjector inj(h.pm, h.os);
+    int runs = 0;
+    EXPECT_THROW(h.rt.runFase(0,
+                              [&](Transaction &tx) {
+                                  ++runs;
+                                  tx.writeU64(h.data, 55);
+                                  h.os.raiseMisspecInterrupt(h.data);
+                                  EXPECT_TRUE(h.rt.misspecFlag(0));
+                                  inj.injectPowerCut(0);
+                              }),
+                 faultinject::PowerFailure);
+    EXPECT_EQ(runs, 1);
+    EXPECT_FALSE(h.rt.inFase(0));
+    EXPECT_EQ(h.rt.fasesCommitted(), 0u);
+    EXPECT_EQ(inj.powerCutsInjected(), 1u);
+    h.rt.recoverAll();
+    EXPECT_EQ(h.pm.readU64(h.data), 1u);
 }
 
 TEST(FaseRuntime, CrashDuringFaseRecoversOldState)

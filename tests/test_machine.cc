@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "core/experiment.hh"
 #include "cpu/machine.hh"
 
 using namespace pmemspec;
@@ -186,4 +190,90 @@ TEST(Machine, ThroughputMetricIsConsistent)
     EXPECT_EQ(r.fases, 10u);
     // 10 FASEs of 100ns each -> 10M FASEs/s.
     EXPECT_NEAR(r.throughput(), 1e7, 1e6);
+}
+
+namespace
+{
+
+/** FNV-1a over every flattened stat: its name and its value's bits. */
+std::uint64_t
+statsDigest(const std::vector<StatValue> &stats)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](const void *p, std::size_t n) {
+        const auto *b = static_cast<const unsigned char *>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const StatValue &s : stats) {
+        mix(s.name.data(), s.name.size());
+        std::uint64_t bits;
+        std::memcpy(&bits, &s.value, sizeof(bits));
+        mix(&bits, sizeof(bits));
+    }
+    return h;
+}
+
+struct ExactRun
+{
+    workloads::BenchId bench;
+    Design design;
+    unsigned cores;
+    std::uint64_t events;
+    std::uint64_t fases;
+    Tick simTicks;
+    std::uint64_t statsFnv;
+};
+
+} // namespace
+
+TEST(Machine, ExactOutputMatchesGoldens)
+{
+    // The timing machine's exact output for each design on two
+    // benchmarks, taken before the event kernel, the FIFO rings and
+    // the continuation moves were last reworked. Any change to event
+    // order moves at least one of these counts; a change that moves
+    // them on purpose must say why.
+    using workloads::BenchId;
+    const ExactRun goldens[] = {
+        {BenchId::Queue, Design::IntelX86, 2,
+         8849, 100, 18730000, 0x0b4f6640d62e76f9},
+        {BenchId::Queue, Design::DPO, 2,
+         10883, 100, 20910500, 0x9d7b0907b1055d9f},
+        {BenchId::Queue, Design::HOPS, 2,
+         9482, 100, 16041000, 0xfd9ae15e5cbf0a1c},
+        {BenchId::Queue, Design::PmemSpec, 2,
+         10676, 100, 15465000, 0xb2fa421caadfddca},
+        {BenchId::Tpcc, Design::IntelX86, 4,
+         298420, 200, 231748500, 0x474e0e9cf24794e4},
+        {BenchId::Tpcc, Design::DPO, 4,
+         333670, 200, 273750000, 0x94bb33a470dd5dd8},
+        {BenchId::Tpcc, Design::HOPS, 4,
+         249501, 200, 177994000, 0x408815ad81fe7c6f},
+        {BenchId::Tpcc, Design::PmemSpec, 4,
+         304649, 200, 177161000, 0xb84bb774bc366a50},
+    };
+    for (const ExactRun &g : goldens) {
+        core::ExperimentConfig cfg;
+        cfg.bench = g.bench;
+        cfg.design = g.design;
+        cfg.workload.numThreads = g.cores;
+        cfg.workload.opsPerThread = 50;
+        cfg.workload.seed = 3;
+        cfg.machine = core::defaultMachineConfig(g.cores);
+        const auto res = core::runExperiment(cfg);
+        const std::uint64_t fnv = statsDigest(res.stats);
+        SCOPED_TRACE(testing::Message()
+                     << workloads::benchName(g.bench) << " / "
+                     << persistency::designName(g.design) << ": got {"
+                     << res.run.events << ", " << res.run.fases << ", "
+                     << res.run.simTicks << ", 0x" << std::hex << fnv
+                     << "}");
+        EXPECT_EQ(res.run.events, g.events);
+        EXPECT_EQ(res.run.fases, g.fases);
+        EXPECT_EQ(res.run.simTicks, g.simTicks);
+        EXPECT_EQ(fnv, g.statsFnv);
+    }
 }
