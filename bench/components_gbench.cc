@@ -2,8 +2,8 @@
  * @file
  * The two google-benchmark guards on what a disabled hook costs:
  * disabled trace points on the persist-path hot loop, and a disabled
- * speculation profile on the undo-logged FASE loop. CI compares each
- * guard's off variant against its no-hook baseline. The binary holds
+ * speculation profile on the undo-logged FASE loop. CI bounds each
+ * guard's off variant against its A/A control. The binary holds
  * only these two because a microbenchmark is kept only while a gate
  * reads it; the host time of every other layer is measured end to
  * end by pmbench's per-layer fractions.
@@ -26,30 +26,76 @@
 using namespace pmemspec;
 
 /**
- * Cost of a wired-but-disabled trace point on the persist-path hot
- * loop (send -> pump -> deliver, three trace points per iteration).
- * Each benchmark iteration times one block of range(0) loop
- * iterations with no trace manager and one block with the variant's
- * manager, on the same path object, alternating which block runs
- * first; the per-pair time ratios are reported as counters:
+ * The paired, A/A-controlled method both guards use. Each benchmark
+ * iteration times one block of the hot loop without the hook and one
+ * block with the variant's hook, on the same objects, alternating
+ * which block runs first; `block(wired)` runs one block and returns
+ * its seconds. The per-pair time ratios (hooked / none) are reported
+ * as counters:
  *
- *   ratio     median of the per-pair ratios (manager / none),
+ *   ratio     median of the per-pair ratios,
  *   ratio_lo  its distribution-free 99% confidence interval: the
  *   ratio_hi  order statistics a sign test puts around the median.
  *
- * Variant (range(1)):
+ * Blocks of a few microseconds that share their objects and memory
+ * see the same host conditions, so the pair ratio resolves a fraction
+ * of a percent where separately timed runs of a loop differ by 5-25%
+ * on a shared host. Each guard has an A/A control variant (no hook in
+ * either block), whose ratio is what the method reads when nothing
+ * differs; CI bounds the cost, the hooked variant's ratio minus the
+ * control's, taking the median over several processes (see ci.yml
+ * for the bounds).
+ */
+template <typename Block>
+static void
+pairedRatio(benchmark::State &state, Block block)
+{
+    std::vector<double> ratios;
+    ratios.reserve(static_cast<std::size_t>(state.max_iterations));
+    bool wiredFirst = false;
+    for (auto _ : state) {
+        double none, with;
+        if (wiredFirst) {
+            with = block(true);
+            none = block(false);
+        } else {
+            none = block(false);
+            with = block(true);
+        }
+        wiredFirst = !wiredFirst;
+        ratios.push_back(with / none);
+    }
+    // Sign-test interval: the median lies between order statistics
+    // m/2 -+ z*sqrt(m)/2 with z = 2.576 for 99% two-sided.
+    std::sort(ratios.begin(), ratios.end());
+    const double m = static_cast<double>(ratios.size());
+    const double half = 2.576 * std::sqrt(m) / 2;
+    auto at = [&](double i) {
+        return ratios[static_cast<std::size_t>(std::clamp(i, 0.0, m - 1))];
+    };
+    state.counters["ratio"] = at(m / 2);
+    state.counters["ratio_lo"] = at(std::floor(m / 2 - half));
+    state.counters["ratio_hi"] = at(std::ceil(m / 2 + half));
+}
+
+/** Seconds since `t0`. */
+static double
+since(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/**
+ * Cost of a wired-but-disabled trace point on the persist-path hot
+ * loop (send -> pump -> deliver, three trace points per iteration),
+ * by pairedRatio() over blocks of range(0) loop iterations. Variant
+ * (range(1)):
  *
- *   0  no manager in either block: the A/A control, whose ratio is
- *      what the method reads when nothing differs,
+ *   0  no manager in either block: the A/A control,
  *   1  manager wired, every flag off: the PMEMSPEC_TRACE null/wants
  *      gate on the hot path.
- *
- * Blocks of a few microseconds that share the path, its queue and
- * its memory see the same host conditions, so the pair ratio resolves
- * a fraction of a percent where separately timed runs of the loop
- * differ by 5-11% on a shared host. CI bounds the cost, variant 1's
- * ratio minus variant 0's, taking the median over several processes
- * (see ci.yml for the bound).
  */
 static void
 BM_PersistPathSendDeliver(benchmark::State &state)
@@ -67,48 +113,20 @@ BM_PersistPathSendDeliver(benchmark::State &state)
     tcfg.flightRecorder = false;
     tcfg.flags = 0;
     trace::Manager mgr(tcfg, 1);
-    trace::Manager *const wired = state.range(1) == 1 ? &mgr : nullptr;
+    trace::Manager *const hooked = state.range(1) == 1 ? &mgr : nullptr;
     const auto n = state.range(0);
     Addr a = 0;
-    auto block = [&](trace::Manager *m) {
-        path.setTraceManager(m, 0);
+    pairedRatio(state, [&](bool wired) {
+        path.setTraceManager(wired ? hooked : nullptr, 0);
         const auto t0 = std::chrono::steady_clock::now();
         for (std::int64_t i = 0; i < n; ++i) {
             path.send(a, std::nullopt);
             a += blockBytes;
             eq.run();
         }
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
-    std::vector<double> ratios;
-    ratios.reserve(static_cast<std::size_t>(state.max_iterations));
-    bool wiredFirst = false;
-    for (auto _ : state) {
-        double none, with;
-        if (wiredFirst) {
-            with = block(wired);
-            none = block(nullptr);
-        } else {
-            none = block(nullptr);
-            with = block(wired);
-        }
-        wiredFirst = !wiredFirst;
-        ratios.push_back(with / none);
-    }
+        return since(t0);
+    });
     benchmark::DoNotOptimize(delivered);
-    // Sign-test interval: the median lies between order statistics
-    // m/2 -+ z*sqrt(m)/2 with z = 2.576 for 99% two-sided.
-    std::sort(ratios.begin(), ratios.end());
-    const double m = static_cast<double>(ratios.size());
-    const double half = 2.576 * std::sqrt(m) / 2;
-    auto at = [&](double i) {
-        return ratios[static_cast<std::size_t>(std::clamp(i, 0.0, m - 1))];
-    };
-    state.counters["ratio"] = at(m / 2);
-    state.counters["ratio_lo"] = at(std::floor(m / 2 - half));
-    state.counters["ratio_hi"] = at(std::ceil(m / 2 + half));
 }
 BENCHMARK(BM_PersistPathSendDeliver)
     ->Args({256, 0})
@@ -116,10 +134,14 @@ BENCHMARK(BM_PersistPathSendDeliver)
     ->Iterations(8000);
 
 /**
- * Cost of the FASE speculation profile on the undo-logged FASE hot
- * path (the metrics-overhead CI gate): arg 0 = no profile attached,
- * arg 1 = attached but disabled (the --metrics-off configuration the
- * <1% gate compares against arg 0), arg 2 = recording.
+ * Cost of a wired-but-disabled speculation profile on the
+ * undo-logged FASE hot path (the --metrics-off configuration), by
+ * pairedRatio() over blocks of range(0) one-word FASEs on one
+ * runtime. Variant (range(1)):
+ *
+ *   0  no profile in either block: the A/A control,
+ *   1  a disabled profile attached to the runtime in the hooked
+ *      block: the enabled() test runFase pays per FASE.
  */
 static void
 BM_FaseProfileOverhead(benchmark::State &state)
@@ -129,21 +151,28 @@ BM_FaseProfileOverhead(benchmark::State &state)
     runtime::FaseRuntime rt(pm, os, 1,
                             runtime::RecoveryPolicy::Lazy, 1 << 20);
     observe::SpecProfile prof;
-    prof.setEnabled(state.range(0) == 2);
-    unsigned site = 0;
-    if (state.range(0) != 0) {
-        site = prof.site("bench");
-        rt.setSpecProfile(&prof);
-    }
-    Addr a = pm.alloc(64 * 64, 64);
+    prof.setEnabled(false);
+    const unsigned site = prof.site("bench");
+    observe::SpecProfile *const hooked =
+        state.range(1) == 1 ? &prof : nullptr;
+    const auto n = state.range(0);
+    const Addr a = pm.alloc(64 * 64, 64);
     std::uint64_t v = 0;
-    for (auto _ : state) {
-        rt.runFase(0, [&](runtime::Transaction &tx) {
-            tx.writeU64(a + (v % 64) * 64, v);
-        }, site);
-        ++v;
-    }
+    pairedRatio(state, [&](bool wired) {
+        rt.setSpecProfile(wired ? hooked : nullptr);
+        const unsigned s = wired && hooked ? site : 0;
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::int64_t i = 0; i < n; ++i, ++v) {
+            rt.runFase(0, [&](runtime::Transaction &tx) {
+                tx.writeU64(a + (v % 64) * 64, v);
+            }, s);
+        }
+        return since(t0);
+    });
 }
-BENCHMARK(BM_FaseProfileOverhead)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_FaseProfileOverhead)
+    ->Args({64, 0})
+    ->Args({64, 1})
+    ->Iterations(4000);
 
 BENCHMARK_MAIN();

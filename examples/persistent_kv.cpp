@@ -33,9 +33,6 @@ main()
     kc.valueBytes = 1024;
     pmds::KvStore kv(pm, kc);
 
-    struct PowerFailure
-    {
-    };
     Rng rng(2026);
     // Fill byte of every key's last committed SET.
     std::map<std::uint64_t, std::uint8_t> shadow;
@@ -52,12 +49,12 @@ main()
                     // in-flight persists applied (strict persistency
                     // loses an in-order suffix).
                     pm.crash(rng.below(pm.inFlightCount() + 1));
-                    throw PowerFailure{};
+                    throw PowerLoss{};
                 }
             });
             ++committed;
             shadow[key] = fill;
-        } catch (const PowerFailure &) {
+        } catch (const PowerLoss &) {
             ++crashes;
             rt.recoverAll();
         }

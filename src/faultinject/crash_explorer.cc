@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <set>
 
 #include "common/crc32.hh"
-#include "faultinject/fault_injector.hh"
 #include "faultinject/fault_plan.hh"
 #include "faultinject/reorder_explorer.hh"
 #include "runtime/virtual_os.hh"
@@ -34,34 +32,21 @@ constexpr unsigned tornExhaustiveBits = 4;
 constexpr unsigned maxTornSubsets = 12;
 
 /**
- * Never fires; records every persist an uninterrupted run queues,
- * tags and all, copied off the in-flight queue as each write is
- * observed. Every write counts, as PowerCutPlan counts them, so entry
- * k is the persist a cut at prefix k loses first.
+ * A PM observer that records every persist a run queues, tags and
+ * all, copied off the in-flight queue as each write is observed. The
+ * observer runs right after the store was queued, so the youngest
+ * in-flight entry is this write, and entry k of the stream is the
+ * persist a cut at prefix k (PowerCutPlan(k)) loses first.
  */
-class RecordingPlan : public FaultPlan
+runtime::PersistentMemory::Observer
+streamRecorder(const runtime::PersistentMemory &pm,
+               std::vector<runtime::PersistentMemory::Pending> &stream)
 {
-  public:
-    RecordingPlan(const runtime::PersistentMemory &pm,
-                  std::vector<runtime::PersistentMemory::Pending> &stream)
-        : pm(pm), stream(stream)
-    {
-    }
-
-    std::optional<FaultAction>
-    onAccess(const AccessInfo &info) override
-    {
-        // The observer runs right after the store was queued, so the
-        // youngest in-flight entry is this write.
-        if (info.op == runtime::MemOp::Write)
+    return [&pm, &stream](runtime::MemOp op, Addr, std::uint32_t) {
+        if (op == runtime::MemOp::Write)
             stream.push_back(pm.pendingEntry(pm.inFlightCount() - 1));
-        return std::nullopt;
-    }
-
-  private:
-    const runtime::PersistentMemory &pm;
-    std::vector<runtime::PersistentMemory::Pending> &stream;
-};
+    };
+}
 
 /** Same persist apart from its store-order id: the trials' pre-arm
  *  recovery queues persists the reference run did not, which shifts
@@ -75,8 +60,9 @@ samePersist(const runtime::PersistentMemory::Pending &a,
 }
 
 /**
- * One workload's exploration machinery: the PM arena, runtime and
- * injector, plus the result every operation's trials count into.
+ * One workload's exploration machinery: the PM arena and runtime,
+ * plus the result every operation's trials count into. No fault is
+ * injected: the PM has an observer only while a run is recorded.
  */
 class OpExplorer
 {
@@ -85,14 +71,12 @@ class OpExplorer
                ExploreResult &res)
         : wl(wl), opts(opts), res(res), pm(wl.pmBytes()),
           rt(pm, os, 1, runtime::RecoveryPolicy::Lazy, wl.logBytes()),
-          inj(pm, os),
           windowDepth(std::min<unsigned>(opts.windowDepth, 16))
     {
         rcfg.seed = opts.enumSeed;
 
         wl.setup(pm, rt);
         pm.persistAll();
-        inj.attach();
     }
 
     /** Explore every crash point of one operation, leaving the
@@ -131,7 +115,6 @@ class OpExplorer
     runtime::PersistentMemory pm;
     runtime::VirtualOs os;
     runtime::FaseRuntime rt;
-    FaultInjector inj;
     unsigned windowDepth;
     ReorderConfig rcfg;
 };
@@ -165,20 +148,19 @@ OpExplorer::exploreOp(std::size_t op)
     // interrupts, and the blocks that stream dirties: recovery only
     // ever writes the logged data blocks and the log region, both of
     // which this run touches, so every trial state of this op should
-    // agree with `pre` outside them. The recorder stays armed through
-    // the first trial start, so the stream ends with that recovery's
-    // persists.
+    // agree with `pre` outside them. The recorder stays installed
+    // through the first trial start, so the stream ends with that
+    // recovery's persists.
     const bool recorded = opts.reorderings || opts.tornWrites;
     std::vector<runtime::PersistentMemory::Pending> refStream;
-    inj.clearPlans();
     if (recorded)
-        inj.addPlan(std::make_unique<RecordingPlan>(pm, refStream));
+        pm.setObserver(streamRecorder(pm, refStream));
     rt.runFase(0,
                [&](runtime::Transaction &tx) { wl.runOp(tx, op); });
     pm.persistAll();
     const auto post = pm.snapshotBlocks(pm.durableChangesSince(pre));
     startTrial();
-    inj.clearPlans();
+    pm.setObserver(nullptr);
     std::vector<Addr> dirty;
     for (const auto &p : refStream) {
         if (p.bytes.empty())
@@ -195,10 +177,10 @@ OpExplorer::exploreOp(std::size_t op)
     // trial start: entry k is the frontier a cut at prefix k loses
     // first, and the stream's length is the op's crash-point count.
     std::vector<runtime::PersistentMemory::Pending> trialStream;
-    inj.addPlan(std::make_unique<RecordingPlan>(pm, trialStream));
+    pm.setObserver(streamRecorder(pm, trialStream));
     rt.runFase(0,
                [&](runtime::Transaction &tx) { wl.runOp(tx, op); });
-    inj.clearPlans();
+    pm.setObserver(nullptr);
 
     // Every trial starts from restore(pre), so the PM's journal
     // limits both oracles to the blocks the trial touched (plus

@@ -7,13 +7,16 @@
  * (PersistentMemory models exactly that). The explorer exploits this
  * to be exhaustive rather than sampled: for every operation of a
  * workload it snapshots the PM, records the persist stream of one
- * uninterrupted run of the operation, and then builds the crash
- * image of every durable prefix k = 0, 1, ..., n-1 of that stream
- * (n = the run's persist count) without re-running the operation:
- * from the state every trial starts from, stream entries [0, k) are
- * made durable in both images (PersistentMemory::overlayDurable),
- * which is what crash(k) and the reboot leave. Each crash image is
- * recovered and checked against the oracles:
+ * uninterrupted run of the operation (a plain PM observer copies
+ * each persist as it is queued; nothing is injected), and then
+ * builds the crash image of every durable prefix k = 0, 1, ..., n-1
+ * of that stream (n = the run's persist count) without re-running
+ * the operation: from the state every trial starts from, stream
+ * entries [0, k) are made durable in both images
+ * (PersistentMemory::overlayDurable), which is what crash(k) and the
+ * reboot leave. Entry k is the frontier a re-executed PowerCutPlan(k)
+ * loses, the persist that made the queue k+1 deep. Each crash image
+ * is recovered and checked against the oracles:
  *
  *  - all-or-nothing: the recovered structure equals the pre-operation
  *    shadow model (the cut landed before the commit record, so the
@@ -92,7 +95,8 @@ class CrashWorkload
     virtual std::size_t logBytes() const { return std::size_t{1} << 17; }
 
     /** Build the structure, seed initial contents and reset the
-     *  shadow model to match. Runs before any fault is armed. */
+     *  shadow model to match. Runs once, before any operation is
+     *  explored. */
     virtual void setup(runtime::PersistentMemory &pm,
                        runtime::FaseRuntime &rt) = 0;
 
@@ -187,7 +191,7 @@ struct ExploreOptions
      * spans more than one 8-byte word, additionally check a set of
      * word subsets of that frontier made durable. Each state is the
      * prefix trial's crash(k) image plus the subset's words of the
-     * frontier persist -- the state a TornWritePlan(k, mask) re-run
+     * frontier persist -- the state a PowerCutPlan(k, mask) re-run
      * leaves, built without re-executing the operation (see the file
      * comment for why the two match). The oracle weakens from
      * "recovered state == pre-operation state" to *no silent

@@ -34,8 +34,11 @@ FaultInjector::~FaultInjector()
 void
 FaultInjector::attach()
 {
+    if (attached)
+        return;
     pm.setObserver([this](runtime::MemOp op, Addr a, std::uint32_t n) {
-        observeAccess(op, a, n);
+        if (!plans.empty())
+            onAccess(op, a, n);
     });
     attached = true;
 }
@@ -73,6 +76,12 @@ FaultInjector::addPlan(std::unique_ptr<FaultPlan> plan)
 }
 
 void
+FaultInjector::removePlan(const FaultPlan *plan)
+{
+    std::erase_if(plans, [plan](const auto &p) { return p.get() == plan; });
+}
+
+void
 FaultInjector::clearPlans()
 {
     plans.clear();
@@ -83,7 +92,7 @@ FaultInjector::onAccess(runtime::MemOp op, Addr a, std::uint32_t n)
 {
     if (firing)
         return; // accesses made while injecting do not re-trigger
-    const AccessInfo info{op, a, n};
+    const AccessInfo info{op, a, n, pm.inFlightCount()};
     for (auto &plan : plans) {
         if (auto action = plan->onAccess(info))
             fire(*action);
@@ -116,10 +125,8 @@ FaultInjector::fire(const FaultAction &action)
       case FaultKind::Poison:
         injectPoison(action.addr);
         break;
-      case FaultKind::TornWrite:
-        injectTornWrite(action.prefix, action.mask); // throws
       case FaultKind::PowerCut:
-        injectPowerCut(action.prefix); // throws
+        injectPowerCut(action.prefix, action.mask); // throws
     }
 }
 
@@ -184,7 +191,7 @@ FaultInjector::injectDelayedPersist(Addr addr, Tick delay)
 }
 
 void
-FaultInjector::injectPowerCut(std::size_t prefix)
+FaultInjector::injectPowerCut(std::size_t prefix, std::uint64_t mask)
 {
     ++powerCuts;
     PMEMSPEC_TRACE(traceMgr, FlagFaultInject,
@@ -194,23 +201,11 @@ FaultInjector::injectPowerCut(std::size_t prefix)
                         FaultKind::PowerCut)});
     const std::size_t durable =
         prefix < pm.inFlightCount() ? prefix : pm.inFlightCount();
-    pm.crash(durable);
-    throw PowerFailure{{}, durable, false};
-}
-
-void
-FaultInjector::injectTornWrite(std::size_t prefix, std::uint64_t mask)
-{
-    ++tornWrites;
-    PMEMSPEC_TRACE(traceMgr, FlagFaultInject,
-                   trace::EventKind::InjectFault, eq.now(),
-                   trace::kNoCore, 0,
-                   {.arg = static_cast<std::uint64_t>(
-                        FaultKind::TornWrite)});
-    const std::size_t durable =
-        prefix < pm.inFlightCount() ? prefix : pm.inFlightCount();
-    pm.crashTorn(durable, mask);
-    throw PowerFailure{{}, durable, true};
+    if (mask)
+        pm.crashTorn(durable, mask);
+    else
+        pm.crash(durable);
+    throw PowerFailure{{}, durable, mask != 0};
 }
 
 void

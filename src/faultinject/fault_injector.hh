@@ -17,8 +17,15 @@
  *    the (modelled) PM-controller order check inside the window;
  *  - PersistDelay: a persist is held back with no racing read -- a
  *    benign reorder that must not trap;
- *  - PowerCut: PersistentMemory::crash(prefix) plus a PowerFailure
+ *  - PowerCut: PersistentMemory::crash(prefix) -- crashTorn(prefix,
+ *    mask) when the cut tears its frontier -- plus a PowerFailure
  *    throw, unwinding the interrupted FASE like a real outage.
+ *
+ * attach() makes the injector the PM's one observer; with no plan
+ * armed an access stops at one empty-vector test. A component that
+ * wants plans to see some accesses and not others (the service shard
+ * keeps recovery and its oracle reads away from them) attaches it
+ * around the accesses that count.
  *
  * Misspeculations then travel the *actual* trap path of Section 6.1:
  * the buffer's callback raises VirtualOs::raiseMisspecInterrupt, the
@@ -45,12 +52,11 @@
 namespace pmemspec::faultinject
 {
 
-/** Thrown out of the interrupted FASE when a PowerCut (or TornWrite)
- *  fires. */
+/** Thrown out of the interrupted FASE when a PowerCut fires. */
 struct PowerFailure : runtime::PowerLoss
 {
     std::size_t durablePrefix; ///< persists that made it to PM
-    /** True when the frontier persist landed partially (TornWrite). */
+    /** True when the cut's mask tore the frontier persist. */
     bool torn = false;
 };
 
@@ -72,28 +78,16 @@ class FaultInjector
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
 
-    /** Install the injector as the PM's access observer. */
+    /** Install the injector as the PM's access observer (a no-op
+     *  while attached). */
     void attach();
     /** Remove the observer (also done by the destructor). */
     void detach();
 
-    /**
-     * Feed one access from an external observer chain. PersistentMemory
-     * holds a single observer; a component that needs the access
-     * stream for itself (the service shard counts per-op work) owns
-     * the observer and forwards every access here instead of calling
-     * attach(). Semantics are identical to the attached path: armed
-     * plans see the access and may fire; with no plan armed the
-     * access is dropped here, before any call.
-     */
-    void
-    observeAccess(runtime::MemOp op, Addr a, std::uint32_t n)
-    {
-        if (!plans.empty())
-            onAccess(op, a, n);
-    }
-
+    /** Arm a plan; armed plans see each access in arming order. */
     void addPlan(std::unique_ptr<FaultPlan> plan);
+    /** Disarm one plan (nothing happens if it is not armed). */
+    void removePlan(const FaultPlan *plan);
     void clearPlans();
 
     // ---- Direct injection primitives (plans route through these,
@@ -109,15 +103,12 @@ class FaultInjector
     /** Hold a persist back benignly (no interrupt expected). */
     void injectDelayedPersist(Addr addr, Tick delay);
 
-    /** Cut power keeping `prefix` in-flight persists; throws
-     *  PowerFailure (never returns). */
-    [[noreturn]] void injectPowerCut(std::size_t prefix);
-
-    /** Cut power keeping `prefix` in-flight persists plus the word
-     *  subset `mask` of persist prefix+1 (torn frontier); throws
-     *  PowerFailure with torn = true (never returns). */
-    [[noreturn]] void injectTornWrite(std::size_t prefix,
-                                      std::uint64_t mask);
+    /** Cut power keeping `prefix` in-flight persists (clamped to the
+     *  queue's length) plus, for a non-zero `mask`, that word subset
+     *  of persist prefix+1 (a torn frontier); throws PowerFailure,
+     *  torn when `mask` is set (never returns). */
+    [[noreturn]] void injectPowerCut(std::size_t prefix,
+                                     std::uint64_t mask = 0);
 
     /** Silently corrupt the durable word at `addr` by XORing
      *  `xor_mask` into it (0 flips bit 0). Nothing traps here --
@@ -146,14 +137,13 @@ class FaultInjector
     std::uint64_t storeWawsInjected() const { return storeWaws; }
     std::uint64_t powerCutsInjected() const { return powerCuts; }
     std::uint64_t persistDelaysInjected() const { return persistDelays; }
-    std::uint64_t tornWritesInjected() const { return tornWrites; }
     std::uint64_t bitFlipsInjected() const { return bitFlips; }
     std::uint64_t poisonsInjected() const { return poisons; }
     /** Misspec interrupts the buffer raised into the OS. */
     std::uint64_t interruptsRaised() const { return interrupts; }
 
   private:
-    /** Show one access to every armed plan (observeAccess() has
+    /** Show one access to every armed plan (the observer has
      *  checked that one is armed). */
     void onAccess(runtime::MemOp op, Addr a, std::uint32_t n);
     void fire(const FaultAction &action);
@@ -187,7 +177,6 @@ class FaultInjector
     std::uint64_t storeWaws = 0;
     std::uint64_t powerCuts = 0;
     std::uint64_t persistDelays = 0;
-    std::uint64_t tornWrites = 0;
     std::uint64_t bitFlips = 0;
     std::uint64_t poisons = 0;
     std::uint64_t interrupts = 0;

@@ -10,6 +10,13 @@
  * split keeps injection deterministic and composable: a test arms a
  * plan, runs its workload, and the fault fires at exactly the chosen
  * access on every run.
+ *
+ * There is one live power cut, PowerCutPlan(prefix, mask): it fires
+ * at the write that makes the in-flight persist queue prefix+1 deep,
+ * so "prefix k" means the same thing here, in
+ * PersistentMemory::crash(k) and in the crash explorer's recorded
+ * stream (entry k is the frontier, the persist the cut loses first).
+ * A non-zero mask tears that frontier instead of losing it whole.
  */
 
 #ifndef PMEMSPEC_FAULTINJECT_FAULT_PLAN_HH
@@ -37,17 +44,15 @@ enum class FaultKind
      *  happens-before order (Section 5.2). Ends in an interrupt. */
     StoreWaw,
     /** Power failure: keep a chosen prefix of the in-flight persist
-     *  queue durable, lose the rest, throw PowerFailure. */
+     *  queue durable, lose the rest, throw PowerFailure. A non-zero
+     *  mask makes that word subset of the frontier (persist
+     *  prefix+1) durable too: a *torn* write, 8-byte atomicity held,
+     *  block atomicity not. */
     PowerCut,
     /** Hold a persist arrival back on the (virtual) persist path
      *  without any racing read -- a benign reorder that must NOT
      *  raise an interrupt. */
     PersistDelay,
-    /** Power failure at a persist prefix whose frontier entry is
-     *  *torn*: an arbitrary word subset of persist prefix+1 is also
-     *  durable (8-byte atomicity holds, block atomicity does not).
-     *  Throws PowerFailure like PowerCut. */
-    TornWrite,
     /** Flip bits in one durable 8-byte word beneath the persist
      *  queue -- silent bit rot that only checksums can catch. */
     BitFlip,
@@ -64,6 +69,9 @@ struct AccessInfo
     runtime::MemOp op;
     Addr addr;
     std::uint32_t bytes;
+    /** In-flight persist-queue depth after the access (a write has
+     *  just been queued as its youngest entry). */
+    std::size_t inFlight;
 };
 
 /** What to fire, produced by a plan's trigger. */
@@ -71,11 +79,11 @@ struct FaultAction
 {
     FaultKind kind;
     Addr addr = 0;          ///< faulting address (block-aligned use)
-    std::size_t prefix = 0; ///< PowerCut/TornWrite: durable prefix
+    std::size_t prefix = 0; ///< PowerCut: durable prefix
     Tick delay = 0;         ///< persist-path arrival delay (0 = default)
-    /** TornWrite: word subset of the frontier entry made durable
-     *  (bit i = i-th overlapped 8-byte word). BitFlip: XOR mask
-     *  applied to the word (0 means flip bit 0). */
+    /** PowerCut: word subset of the frontier entry made durable too
+     *  (bit i = i-th overlapped 8-byte word; 0 = a clean cut).
+     *  BitFlip: XOR mask applied to the word (0 means flip bit 0). */
     std::uint64_t mask = 0;
 };
 
@@ -212,53 +220,26 @@ class PeriodicPlan : public FaultPlan
 /**
  * Cut power so that exactly `prefix` in-flight persists are durable.
  *
- * Counts persist-queue entries (writes) from the moment it is armed;
- * when entry prefix+1 is queued, the injector crashes keeping the
- * first `prefix` entries and throws PowerFailure. Arm it while the
- * queue is empty (e.g. at a FASE boundary) so the count and the
- * queue agree. If the run queues `prefix` entries or fewer, the plan
- * never fires and the run completes. The crash-point explorer builds
- * the same states from a recorded persist stream without re-running
- * the operation (see crash_explorer.hh); this plan is the re-executed
- * reference its equivalence test compares against.
+ * Fires at the write that makes the in-flight persist queue
+ * prefix+1 deep: the injector crashes keeping the first `prefix`
+ * entries and throws PowerFailure. A non-zero `mask` tears the
+ * frontier, persist prefix+1: that word subset of it lands too
+ * (PersistentMemory::crashTorn) and PowerFailure::torn is set.
+ *
+ * Arm it while the queue is empty (e.g. at a FASE boundary). The
+ * rule reads the queue, not a count of writes, so a drain in between
+ * (an aborted attempt's rollback ends in persistAll()) cannot make
+ * the cut keep its frontier: the plan waits until the queue regrows
+ * to prefix+1. If the queue never gets that deep, the plan never
+ * fires and the run completes. The crash-point explorer builds the
+ * same states from a recorded persist stream without re-running the
+ * operation (see crash_explorer.hh); this plan is the re-executed
+ * reference its equivalence tests compare against.
  */
 class PowerCutPlan : public FaultPlan
 {
   public:
-    explicit PowerCutPlan(std::size_t prefix) : prefix(prefix) {}
-
-    std::optional<FaultAction>
-    onAccess(const AccessInfo &info) override
-    {
-        if (fired || info.op != runtime::MemOp::Write)
-            return std::nullopt;
-        if (++writesSeen != prefix + 1)
-            return std::nullopt;
-        fired = true;
-        return FaultAction{FaultKind::PowerCut, info.addr, prefix};
-    }
-
-  private:
-    std::size_t prefix;
-    std::size_t writesSeen = 0;
-    bool fired = false;
-};
-
-/**
- * Cut power at durable prefix `prefix` with a *torn* frontier: the
- * word subset `mask` of persist prefix+1 is durable too. Trigger
- * logic matches PowerCutPlan (fires when write prefix+1 is queued,
- * arm on an empty persist queue); the crash itself goes through
- * PersistentMemory::crashTorn, so 8-byte atomicity is preserved but
- * multi-word entries land partially. The torn-write explorer mode
- * builds the same states without re-running the operation (see
- * crash_explorer.hh); this plan is the re-executed reference its
- * equivalence test compares against.
- */
-class TornWritePlan : public FaultPlan
-{
-  public:
-    TornWritePlan(std::size_t prefix, std::uint64_t mask)
+    explicit PowerCutPlan(std::size_t prefix, std::uint64_t mask = 0)
         : prefix(prefix), mask(mask)
     {
     }
@@ -266,19 +247,17 @@ class TornWritePlan : public FaultPlan
     std::optional<FaultAction>
     onAccess(const AccessInfo &info) override
     {
-        if (fired || info.op != runtime::MemOp::Write)
-            return std::nullopt;
-        if (++writesSeen != prefix + 1)
+        if (fired || info.op != runtime::MemOp::Write ||
+            info.inFlight != prefix + 1)
             return std::nullopt;
         fired = true;
-        return FaultAction{FaultKind::TornWrite, info.addr, prefix, 0,
+        return FaultAction{FaultKind::PowerCut, info.addr, prefix, 0,
                            mask};
     }
 
   private:
     std::size_t prefix;
     std::uint64_t mask;
-    std::size_t writesSeen = 0;
     bool fired = false;
 };
 

@@ -56,8 +56,9 @@ struct RetryConfig
 /** Fault kinds the online scheduler can inject into one shard. */
 enum class ServiceFault : std::uint8_t
 {
-    /** Power cut mid-op at a persist prefix (arm a PowerCutPlan);
-     *  the shard recovers with recoverAll and resumes serving. */
+    /** Power cut mid-op at a persist prefix (arm a PowerCutPlan;
+     *  `a` = prefix); the shard recovers with recoverAll and resumes
+     *  serving. The cut also ends a storm armed on that shard. */
     PowerCut,
     /** Poison one 8-byte word of a live value slab: reads of that
      *  key raise MediaError until the shard quarantines the item. */
@@ -69,7 +70,7 @@ enum class ServiceFault : std::uint8_t
     /** Re-arming LoadStale storm (PMEM-Spec only): repeated
      *  misspeculation aborts until the abort budget trips and the
      *  service sheds load. `a` = fire period in accesses, `b` =
-     *  total fires. */
+     *  total fires. A power cut on the shard ends it. */
     MisspecStorm,
 };
 

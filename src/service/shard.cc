@@ -49,37 +49,13 @@ Shard::Shard(unsigned id, const ServiceConfig &config)
     inj = std::make_unique<faultinject::FaultInjector>(*pmem, *os);
 }
 
-Shard::~Shard()
-{
-    pmem->setObserver(nullptr);
-}
-
 void
 Shard::syncObserver()
 {
-    const bool armed = pendingCut.has_value() || stormActive();
-    if (armed == observing)
-        return;
-    observing = armed;
-    if (!armed) {
-        pmem->setObserver(nullptr);
-        return;
-    }
-    // While a fault is armed the shard owns the PM observer: it fires
-    // an armed power cut at its exact per-op persist prefix and
-    // forwards the access stream to the injector's plans.
-    pmem->setObserver(
-        [this](runtime::MemOp op, Addr a, std::uint32_t n) {
-            if (counting && pendingCut && op == runtime::MemOp::Write &&
-                ++cutWrites == *pendingCut + 1) {
-                pendingCut.reset();
-                // Observer runs after the persist is queued, so
-                // exactly *pendingCut entries precede it.
-                inj->injectPowerCut(cutWrites - 1); // throws
-            }
-            if (!muted)
-                inj->observeAccess(op, a, n);
-        });
+    if (cut || stormActive())
+        inj->attach();
+    else
+        inj->detach();
 }
 
 void
@@ -160,22 +136,24 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
     }
 
     // The op's work is what the PM served between here and the end
-    // of counting, which comes before any recovery pass: aborted and
-    // re-executed attempts count, recovery replay does not.
+    // of its window, which comes before any recovery pass: aborted
+    // and re-executed attempts count, recovery replay does not. Fault
+    // handling is not client traffic either, so the window's end
+    // detaches the injector until syncObserver() below.
     const runtime::PersistentMemory::AccessCounts start =
         pmem->accessCounts();
-    auto stopCounting = [&] {
-        if (!counting)
+    bool inWindow = true;
+    auto endWindow = [&] {
+        if (!inWindow)
             return;
-        counting = false;
+        inWindow = false;
+        inj->detach();
         const auto &now = pmem->accessCounts();
         res.work.reads = now.reads - start.reads;
         res.work.readBytes = now.readBytes - start.readBytes;
         res.work.writes = now.writes - start.writes;
         res.work.writeBytes = now.writeBytes - start.writeBytes;
     };
-    cutWrites = 0;
-    counting = true;
     const std::uint64_t aborts0 = rt->fasesAborted();
     std::optional<std::uint8_t> value;
     bool present = false;
@@ -186,7 +164,11 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
         res.status = present ? OpStatus::Ok : OpStatus::Miss;
         res.value = value;
     } catch (const faultinject::PowerFailure &) {
-        stopCounting();
+        endWindow();
+        // The outage ends every armed fault, the storm with the cut.
+        inj->clearPlans();
+        cut = nullptr;
+        storm = nullptr;
         res.status = OpStatus::PowerFailure;
         res.crashed = true;
         if (prof && prof->enabled())
@@ -194,14 +176,14 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
                               observe::AbortCause::PowerCut);
         recover(res);
     } catch (const runtime::AbortBudgetExhausted &) {
-        stopCounting();
+        endWindow();
         res.status = OpStatus::AbortBudget;
         // The final attempt is already rolled back; recoverAll
         // resyncs every log (and attaches the trap window) before
         // the service reopens the shard behind a shed window.
         recover(res);
     } catch (const runtime::MediaError &) {
-        stopCounting();
+        endWindow();
         res.status = OpStatus::MediaError;
         if (prof && prof->enabled())
             prof->recordAbort(siteFor(op), observe::AbortCause::Media);
@@ -232,7 +214,7 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
     } catch (const runtime::UnrecoverableCorruption &e) {
         // A live FASE's log failed verification mid-run (abortFase's
         // fail-safe); same verdict as a failed recovery.
-        stopCounting();
+        endWindow();
         res.status = OpStatus::MediaError;
         if (prof && prof->enabled())
             prof->recordAbort(siteFor(op),
@@ -242,7 +224,7 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
         lastReport_ = e.report;
         state_ = ShardState::Degraded;
     }
-    stopCounting();
+    endWindow();
     res.work.aborts = rt->fasesAborted() - aborts0;
     syncObserver();
     return res;
@@ -251,9 +233,9 @@ Shard::apply(OpKind op, std::uint64_t key, std::uint8_t fill,
 void
 Shard::recover(OpResult &res)
 {
-    // Recovery replay must not feed armed plans (the service models
-    // it as happening before the shard reopens for traffic).
-    muted = true;
+    // Runs with the injector detached: recovery replay must not feed
+    // armed plans (the service models it as happening before the
+    // shard reopens for traffic).
     state_ = ShardState::Recovering;
     ++recoveryPasses;
     try {
@@ -265,23 +247,22 @@ Shard::recover(OpResult &res)
     }
     res.recovered = true;
     lastReport_ = res.report;
-    muted = false;
 }
 
 void
 Shard::armPowerCut(std::size_t prefix)
 {
-    pendingCut = prefix;
-    cutWrites = 0;
+    inj->removePlan(cut);
+    auto plan = std::make_unique<faultinject::PowerCutPlan>(prefix);
+    cut = plan.get();
+    inj->addPlan(std::move(plan));
     syncObserver();
 }
 
 void
 Shard::armStorm(std::uint64_t period, std::uint64_t count)
 {
-    // Plans are only ever the storm here (the power cut lives in the
-    // observer), so clearing is safe.
-    inj->clearPlans();
+    inj->removePlan(storm);
     auto plan = std::make_unique<faultinject::PeriodicPlan>(
         faultinject::FaultKind::LoadStale, period, count);
     storm = plan.get();

@@ -6,12 +6,20 @@
  * FaseRuntime, KvStore and FaultInjector -- a power cut, poisoned
  * word or misspeculation storm in one shard cannot touch another.
  * Per-op work for the cost model is read off the PM's own access
- * counts. Only while a power cut or a storm is armed does the shard
- * install itself as the PM's access observer: it fires the cut at its
- * per-op persist prefix and forwards each access to the injector
- * (FaultInjector::observeAccess), so armed fault plans fire
- * mid-operation exactly as they would with the injector attached
- * directly. With nothing armed, an access reaches no observer.
+ * counts.
+ *
+ * Faults are FaultPlans on the shard's injector: a power cut is a
+ * PowerCutPlan(prefix), armed between ops on an empty persist queue,
+ * so it fires at the write that makes the queue prefix+1 deep; a
+ * storm is a PeriodicPlan of LoadStale fires. The injector is the
+ * PM's only observer and is attached only while a plan is armed, so
+ * with nothing armed an access reaches no observer. Plans see client
+ * ops only: recovery, the quarantine erase and inspect() run with the
+ * injector detached.
+ *
+ * A power cut disarms every plan on its shard, a storm included: the
+ * rebooted machine carries no speculation episode over from before
+ * the outage.
  *
  * Lifecycle on faults (all handled here, never propagated):
  *
@@ -65,7 +73,6 @@ class Shard
 {
   public:
     Shard(unsigned id, const ServiceConfig &cfg);
-    ~Shard();
 
     Shard(const Shard &) = delete;
     Shard &operator=(const Shard &) = delete;
@@ -107,11 +114,11 @@ class Shard
 
     /** Arm (or re-arm) a mid-op power cut at persist prefix
      *  `prefix`; fires during the next op that queues enough
-     *  persists. */
+     *  persists, and disarms every plan of the shard when it does. */
     void armPowerCut(std::size_t prefix);
 
-    /** Arm a LoadStale storm: one fire every `period` accesses,
-     *  `count` fires total. */
+    /** Arm (or replace) a LoadStale storm: one fire every `period`
+     *  accesses, `count` fires total. */
     void armStorm(std::uint64_t period, std::uint64_t count);
 
     /** True while an armed storm still has fires left. */
@@ -149,22 +156,21 @@ class Shard
 
     /**
      * Read the shard outside client traffic, as the service's
-     * consistency oracle does: returns f(kv, pm) with plan forwarding
-     * muted, so the reads neither advance the injector's access index
-     * nor use up fires an armed plan (a storm) holds for client ops.
-     * This is the only access to the store and PM from outside.
+     * consistency oracle does: returns f(kv, pm) with the injector
+     * detached, so the reads neither advance an armed plan nor use
+     * up fires a storm holds for client ops. This is the only access
+     * to the store and PM from outside.
      */
     template <typename F>
     decltype(auto)
     inspect(F &&f)
     {
-        struct Unmute
+        inj->detach();
+        struct Resync
         {
-            bool &flag;
-            bool was;
-            ~Unmute() { flag = was; }
-        } unmute{muted, muted};
-        muted = true;
+            Shard &shard;
+            ~Resync() { shard.syncObserver(); }
+        } resync{*this};
         return std::forward<F>(f)(std::as_const(*store),
                                   std::as_const(*pmem));
     }
@@ -182,9 +188,9 @@ class Shard
      *  Degraded state. Fills `res.report` / `res.recovered`. */
     void recover(OpResult &res);
 
-    /** Install the PM observer while a power cut or a storm is
-     *  armed, remove it once neither is. Never called from inside
-     *  the observer. */
+    /** Attach the injector while a power cut or a storm is armed,
+     *  detach it once neither is. Never called from inside the
+     *  observer. */
     void syncObserver();
 
     /** The FASE body of one op (throws the faults it hits). */
@@ -205,20 +211,10 @@ class Shard
     runtime::RecoveryReport lastReport_;
     std::uint64_t recoveryPasses = 0;
 
-    /** Inside an op's work window: an armed power cut may fire. */
-    bool counting = false;
-    /** The PM observer is installed (see syncObserver()). */
-    bool observing = false;
-    /** Mute plan forwarding (recovery replay must not re-trigger). */
-    bool muted = false;
+    /** The armed power cut, if any (owned by the injector). */
+    faultinject::PowerCutPlan *cut = nullptr;
     /** The armed storm plan, if any (owned by the injector). */
     faultinject::PeriodicPlan *storm = nullptr;
-    /** Observer-armed mid-op power cut: fire when the current op
-     *  queues persist pendingCut+1 (exact per-op prefix semantics;
-     *  a FaultPlan's cumulative write count would drift across ops
-     *  because the queue drains at every commit). */
-    std::optional<std::size_t> pendingCut;
-    std::size_t cutWrites = 0;
 
     /** Per-FASE-site profile (owned by the service's domain). */
     observe::SpecProfile *prof = nullptr;

@@ -188,6 +188,7 @@ TEST(CrashExplorer, PrefixStateFromStreamMatchesReexecution)
                 h.runArmed(std::make_unique<faultinject::PowerCutPlan>(k));
             ASSERT_TRUE(cut);
             EXPECT_EQ(cut->durablePrefix, k);
+            EXPECT_FALSE(cut->torn);
             EXPECT_EQ(h.pm.inFlightCount(), 0u);
             const std::vector<Addr> reexecBlocks = h.pm.touchedBlocks();
             std::vector<std::uint8_t> reexecVolatile, reexecPersisted;
@@ -246,7 +247,7 @@ TEST(CrashExplorer, PrefixStateFromStreamMatchesReexecution)
 // trial's crash image: the post-crash blocks plus overlayTorn() of
 // the frontier persist, entry k of the recorded stream. Through the
 // public PM/runtime/injector API only, check that this is the state a
-// re-executed TornWritePlan(k, mask) run leaves, for the first op of
+// re-executed PowerCutPlan(k, mask) run leaves, for the first op of
 // every standard workload and every (k, mask) the explorer enumerates.
 TEST(CrashExplorer, TornStateFromCrashImageMatchesReexecution)
 {
@@ -276,7 +277,7 @@ TEST(CrashExplorer, TornStateFromCrashImageMatchesReexecution)
                 SCOPED_TRACE("k " + std::to_string(k) + " mask " +
                              std::to_string(mask));
                 const auto torn = h.runArmed(
-                    std::make_unique<faultinject::TornWritePlan>(k, mask));
+                    std::make_unique<faultinject::PowerCutPlan>(k, mask));
                 ASSERT_TRUE(torn && torn->torn);
                 const std::vector<Addr> reexecBlocks = h.pm.touchedBlocks();
                 std::vector<std::uint8_t> reexec;

@@ -30,11 +30,6 @@ using runtime::VirtualOs;
 namespace
 {
 
-/** Crash "power failure" thrown out of a FASE body. */
-struct PowerFailure
-{
-};
-
 /**
  * Run `fn` as a FASE but crash with a random in-flight prefix midway
  * with probability p; @return true if the FASE committed.
@@ -48,10 +43,10 @@ runMaybeCrash(FaseRuntime &rt, PersistentMemory &pm, Rng &rng, Fn fn)
             fn(tx);
             if (rng.chance(0.3)) {
                 pm.crash(rng.below(pm.inFlightCount() + 1));
-                throw PowerFailure{};
+                throw runtime::PowerLoss{};
             }
         });
-    } catch (const PowerFailure &) {
+    } catch (const runtime::PowerLoss &) {
         rt.recoverAll();
         return false;
     }

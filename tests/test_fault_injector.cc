@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -54,30 +56,39 @@ struct Harness
     }
 };
 
-/** Never fires; records the word width of the persist the first
- *  observed write queued (entry 0 of a queue that was empty). */
-class FirstWriteWidth : public faultinject::FaultPlan
+/** Never fires; follows the persist queue through a run. Each write's
+ *  entry is copied as it is queued; a write that starts a fresh fill
+ *  (the queue was empty) restarts the copy and keeps the durable
+ *  image the fill lands on. */
+class QueueProbe : public faultinject::FaultPlan
 {
   public:
-    FirstWriteWidth(const PersistentMemory &pm, std::size_t &words)
-        : pm(pm), words(words)
-    {
-    }
+    explicit QueueProbe(const PersistentMemory &pm) : pm(pm) {}
 
     std::optional<faultinject::FaultAction>
     onAccess(const faultinject::AccessInfo &info) override
     {
-        if (!seen && info.op == runtime::MemOp::Write) {
-            seen = true;
-            words = pm.pendingEntryWords(0);
+        if (info.op != runtime::MemOp::Write)
+            return std::nullopt;
+        const std::size_t depth = pm.inFlightCount();
+        ++writes;
+        maxDepth = std::max(maxDepth, depth);
+        if (depth == 1) {
+            ++fills;
+            base.assign(pm.persistedImage(),
+                        pm.persistedImage() + pm.size());
+            fill.clear();
         }
+        fill.push_back(pm.pendingEntry(depth - 1));
         return std::nullopt;
     }
 
-  private:
     const PersistentMemory &pm;
-    std::size_t &words;
-    bool seen = false;
+    std::size_t writes = 0;
+    std::size_t maxDepth = 0;
+    std::size_t fills = 0;
+    std::vector<std::uint8_t> base;
+    std::vector<PersistentMemory::Pending> fill;
 };
 
 } // namespace
@@ -214,6 +225,92 @@ TEST(FaultInjector, PowerCutUnwindsAndRecoveryRestoresPreState)
     EXPECT_EQ(h.pm.readU64(h.data + 128), 1u);
 }
 
+// A misspeculation abort rolls its attempt back and ends in a drain
+// (UndoLog::recover's persistAll() empties the persist queue). A
+// power cut armed across that drain must still mean crash(k): it
+// fires at the write that makes the queue k+1 deep, keeping exactly
+// the first k persists of the queue and losing its frontier. A k the
+// queue never reaches does not fire, and the FASE commits.
+TEST(FaultInjector, PowerCutAcrossAnAbortDrainKeepsItsPrefix)
+{
+    auto fase = [](Harness &h) {
+        h.rt.runFase(0, [&](Transaction &tx) {
+            tx.writeU64(h.data, 50);
+            tx.writeU64(h.data + 64, 51);
+            tx.writeU64(h.data + 128, 52);
+        });
+    };
+    // The first attempt's first access raises a LoadStale; under Lazy
+    // recovery the attempt runs on and aborts at its commit.
+    auto armStale = [](Harness &h) {
+        h.inj.addPlan(
+            std::make_unique<NthAccessPlan>(FaultKind::LoadStale, 1));
+    };
+
+    std::size_t maxDepth = 0, writes = 0;
+    {
+        Harness h;
+        armStale(h);
+        auto probe = std::make_unique<QueueProbe>(h.pm);
+        const QueueProbe &p = *probe;
+        h.inj.addPlan(std::move(probe));
+        fase(h);
+        ASSERT_EQ(h.rt.fasesAborted(), 1u);
+        ASSERT_EQ(p.fills, 2u) << "the abort must drain the queue";
+        maxDepth = p.maxDepth;
+        writes = p.writes;
+    }
+    ASSERT_GT(writes, maxDepth);
+
+    std::size_t fired = 0;
+    for (std::size_t k = 0; k <= writes + 1; ++k) {
+        SCOPED_TRACE("k " + std::to_string(k));
+        Harness h;
+        armStale(h);
+        // The probe, armed before the cut, has seen the frontier
+        // queued when the cut fires on the same access.
+        auto probe = std::make_unique<QueueProbe>(h.pm);
+        const QueueProbe &p = *probe;
+        h.inj.addPlan(std::move(probe));
+        h.inj.addPlan(std::make_unique<PowerCutPlan>(k));
+        std::optional<PowerFailure> cut;
+        try {
+            fase(h);
+        } catch (const PowerFailure &pf) {
+            cut = pf;
+        }
+        EXPECT_EQ(cut.has_value(), k < maxDepth);
+        if (!cut) {
+            EXPECT_EQ(h.inj.powerCutsInjected(), 0u);
+            EXPECT_EQ(h.rt.fasesCommitted(), 1u);
+            EXPECT_EQ(h.pm.readU64(h.data + 128), 52u);
+            continue;
+        }
+        ++fired;
+        EXPECT_EQ(cut->durablePrefix, k);
+        ASSERT_EQ(p.fill.size(), k + 1);
+        // Durable: the image the fill landed on plus its first k
+        // persists, and nothing of the frontier, persist k+1.
+        std::vector<std::uint8_t> want = p.base;
+        for (std::size_t i = 0; i < k; ++i)
+            std::memcpy(want.data() + p.fill[i].addr,
+                        p.fill[i].bytes.data(), p.fill[i].bytes.size());
+        EXPECT_EQ(std::memcmp(h.pm.persistedImage(), want.data(),
+                              want.size()),
+                  0);
+        const PersistentMemory::Pending &frontier = p.fill[k];
+        if (std::memcmp(want.data() + frontier.addr,
+                        frontier.bytes.data(), frontier.bytes.size())) {
+            EXPECT_NE(std::memcmp(h.pm.persistedImage() + frontier.addr,
+                                  frontier.bytes.data(),
+                                  frontier.bytes.size()),
+                      0)
+                << "the frontier is durable";
+        }
+    }
+    EXPECT_EQ(fired, maxDepth);
+}
+
 TEST(FaultInjector, CrashDuringRecoveryIsIdempotent)
 {
     // A second power failure in the middle of recovery must leave a
@@ -322,10 +419,11 @@ TEST(FaultInjector, TornWriteCutsPowerWithATornFrontier)
     // first log payload write (8 words wide). Keep only its first
     // word durable.
     // The probe, armed first, sees the frontier queued before the
-    // torn plan cuts power on the same access.
-    std::size_t frontier_words = 0;
-    h.inj.addPlan(std::make_unique<FirstWriteWidth>(h.pm, frontier_words));
-    h.inj.addPlan(std::make_unique<faultinject::TornWritePlan>(0, 0x1));
+    // torn cut fires on the same access.
+    auto probe = std::make_unique<QueueProbe>(h.pm);
+    const QueueProbe &p = *probe;
+    h.inj.addPlan(std::move(probe));
+    h.inj.addPlan(std::make_unique<PowerCutPlan>(0, 0x1));
 
     bool torn = false;
     try {
@@ -338,8 +436,10 @@ TEST(FaultInjector, TornWriteCutsPowerWithATornFrontier)
         EXPECT_EQ(pf.durablePrefix, 0u);
     }
     EXPECT_TRUE(torn);
-    EXPECT_EQ(frontier_words, 8u) << "64-byte log payload = 8 words";
-    EXPECT_EQ(h.inj.tornWritesInjected(), 1u);
+    ASSERT_EQ(p.fill.size(), 1u);
+    EXPECT_EQ(PersistentMemory::entryWords(p.fill[0]), 8u)
+        << "64-byte log payload = 8 words";
+    EXPECT_EQ(h.inj.powerCutsInjected(), 1u);
 
     // The torn residue is frontier garbage the checksummed log must
     // discard; the data itself never changed.

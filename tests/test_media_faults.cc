@@ -477,7 +477,7 @@ TEST(MediaFaultFuzz, EveryRoundIsAllOldAllNewOrExplicitlyRefused)
         // + count + 4 data words + commit = at most ~12 persists.
         const std::size_t k = rng.below(14);
         if (rng.chance(0.5)) {
-            inj.addPlan(std::make_unique<faultinject::TornWritePlan>(
+            inj.addPlan(std::make_unique<faultinject::PowerCutPlan>(
                 k, rng.next() | 1));
             ++torn;
         } else {

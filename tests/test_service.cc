@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "faultinject/fault_plan.hh"
 #include "service/service.hh"
 #include "service/zipfian.hh"
 
@@ -258,6 +260,121 @@ TEST(Service, OracleReadsLeaveArmedStormUntouched)
     EXPECT_FALSE(sh.stormActive());
 }
 
+namespace
+{
+
+/** Never fires; records the persist-queue depth at every write it
+ *  is shown. */
+class DepthProbe : public faultinject::FaultPlan
+{
+  public:
+    explicit DepthProbe(std::vector<std::size_t> &depths) : depths(depths) {}
+
+    std::optional<faultinject::FaultAction>
+    onAccess(const faultinject::AccessInfo &info) override
+    {
+        if (info.op == runtime::MemOp::Write)
+            depths.push_back(info.inFlight);
+        return std::nullopt;
+    }
+
+  private:
+    std::vector<std::size_t> &depths;
+};
+
+} // namespace
+
+// A storm fire makes an update's first attempt abort at its commit,
+// and the rollback drains the persist queue. A power cut armed across
+// that drain must still mean crash(k) on the shard too: it fires at
+// the write that makes the queue k+1 deep (so it keeps k persists and
+// loses its frontier), or it never fires and the update commits.
+TEST(Service, ShardPowerCutAcrossAStormDrainKeepsItsPrefix)
+{
+    auto update = [](std::optional<std::size_t> cut,
+                     std::vector<std::size_t> *depths) {
+        Shard sh(0, tinyConfig());
+        for (std::uint64_t k = 0; k < 16; ++k)
+            sh.preload(k, 0x42);
+        sh.armStorm(1, 1); // the first access sets the flag
+        if (depths)
+            sh.injector().addPlan(std::make_unique<DepthProbe>(*depths));
+        if (cut)
+            sh.armPowerCut(*cut);
+        return sh.apply(OpKind::Update, 3, 0x43);
+    };
+
+    // Queue depth at each write of the uncut update. Every run is
+    // deterministic, so a cut run's writes up to the cut are these.
+    std::vector<std::size_t> depths;
+    const Shard::OpResult ref = update(std::nullopt, &depths);
+    ASSERT_EQ(ref.status, Shard::OpStatus::Ok);
+    ASSERT_EQ(ref.work.aborts, 1u);
+    ASSERT_EQ(depths.size(), ref.work.writes);
+    ASSERT_EQ(std::count(depths.begin(), depths.end(), 1u), 2)
+        << "the abort must drain the queue";
+    const std::size_t maxDepth =
+        *std::max_element(depths.begin(), depths.end());
+
+    for (std::size_t k = 0; k <= depths.size(); ++k) {
+        SCOPED_TRACE("k " + std::to_string(k));
+        const Shard::OpResult r = update(k, nullptr);
+        EXPECT_EQ(r.status == Shard::OpStatus::PowerFailure, k < maxDepth);
+        if (r.status == Shard::OpStatus::PowerFailure) {
+            // The op's last write fired the cut.
+            ASSERT_GE(r.work.writes, 1u);
+            EXPECT_EQ(depths[r.work.writes - 1], k + 1);
+        } else {
+            EXPECT_EQ(r.status, Shard::OpStatus::Ok);
+            EXPECT_EQ(r.work.writes, ref.work.writes);
+        }
+    }
+}
+
+// Plans see client ops only: the quarantine erase after a poisoned
+// read runs with the injector detached, so an armed storm keeps its
+// fire across it and an armed cut does not fire inside it. The cut
+// then fires in the next client op and ends the storm with it.
+TEST(Service, ShardQuarantineEraseIsHiddenFromPlans)
+{
+    Shard sh(0, tinyConfig());
+    for (std::uint64_t k = 0; k < 16; ++k)
+        sh.preload(k, 0x42);
+    ASSERT_TRUE(sh.poisonValue(5));
+    sh.armStorm(5, 1);  // the read faults after 4 accesses
+    sh.armPowerCut(0);  // and writes nothing before it does
+    const Shard::OpResult r = sh.apply(OpKind::Read, 5, 0);
+    EXPECT_EQ(r.status, Shard::OpStatus::MediaError);
+    EXPECT_EQ(r.quarantinedKey, std::optional<std::uint64_t>{5});
+    EXPECT_EQ(r.work.reads, 4u);
+    EXPECT_EQ(r.work.writes, 0u);
+    EXPECT_EQ(sh.injector().loadStalesInjected(), 0u);
+    EXPECT_TRUE(sh.stormActive())
+        << "the quarantine erase spent the storm's fire";
+    EXPECT_EQ(sh.injector().powerCutsInjected(), 0u)
+        << "the cut fired inside the quarantine erase";
+
+    const Shard::OpResult next = sh.apply(OpKind::Update, 3, 0x43);
+    EXPECT_EQ(next.status, Shard::OpStatus::PowerFailure);
+    EXPECT_EQ(sh.injector().powerCutsInjected(), 1u);
+    EXPECT_FALSE(sh.stormActive()) << "the storm outlived the power cut";
+    EXPECT_EQ(sh.state(), ShardState::Serving);
+}
+
+// Re-arming a cut replaces the armed one: only the new prefix fires.
+TEST(Service, ShardReArmedCutReplacesTheArmedOne)
+{
+    Shard sh(0, tinyConfig());
+    for (std::uint64_t k = 0; k < 16; ++k)
+        sh.preload(k, 0x42);
+    sh.armPowerCut(2);
+    sh.armPowerCut(5);
+    const Shard::OpResult r = sh.apply(OpKind::Update, 7, 0x45);
+    EXPECT_EQ(r.status, Shard::OpStatus::PowerFailure);
+    EXPECT_EQ(r.work.writes, 6u) << "the cut fired at another prefix";
+    EXPECT_EQ(sh.injector().powerCutsInjected(), 1u);
+}
+
 TEST(Service, SimThreadsIsByteInvariantFaultFree)
 {
     // The domain-parallel determinism contract (DESIGN.md section
@@ -388,17 +505,18 @@ TEST(Service, ShardOpWorkMatchesTheObservedCounts)
          S::Ok, {72, 936, 129, 1536, 0}, 3, 1, false},
         // The storm sets the misspeculation flag, then the cut fires
         // in the same attempt: the power loss still reaches the shard,
-        // which recovers and reports it, and the storm keeps its
-        // second fire. The insert is lost, so the read misses.
+        // which recovers and reports it. The cut ends the storm with
+        // its second fire unspent. The insert is lost, so the read
+        // misses.
         {"storm and cut",
          [](Shard &s) {
              s.armStorm(5, 2);
              s.armPowerCut(4);
              return s.apply(OpKind::Insert, 101, 0x48);
          },
-         S::PowerFailure, {1, 8, 5, 160, 0}, 4, 2, true},
+         S::PowerFailure, {1, 8, 5, 160, 0}, 4, 2, false},
         {"after both", [](Shard &s) { return s.apply(OpKind::Read, 101, 0); },
-         S::Miss, {1, 8, 3, 24, 0}, 4, 2, true},
+         S::Miss, {1, 8, 3, 24, 0}, 4, 2, false},
     };
 
     Shard sh(0, tinyConfig());
@@ -425,8 +543,9 @@ TEST(Service, PowerCutAndStormOnOneShardKeepTheirRow)
     // A power cut and a storm armed together on shard 0, then the
     // cut re-armed: the JSON row must not depend on the host thread
     // count, and it must equal the row pinned by its FNV-1a below
-    // (both cuts trigger and recover; the first one at its arming
-    // time, though the storm's flag is set when it fires).
+    // (both cuts trigger and recover; the first one ends the storm
+    // before it trips the abort budget, so the storm stays
+    // "pending" and nothing is shed).
     ServiceConfig cfg = tinyConfig();
     cfg.abortBudget = 8;
     cfg.faults = {
@@ -439,5 +558,5 @@ TEST(Service, PowerCutAndStormOnOneShardKeepTheirRow)
         Service(cfg).run().toJson(cfg.duration).dump(2);
     cfg.simThreads = 2;
     EXPECT_EQ(Service(cfg).run().toJson(cfg.duration).dump(2), seq);
-    EXPECT_EQ(fnv1a(seq), 0x5ee50ed6f093f97fULL) << seq;
+    EXPECT_EQ(fnv1a(seq), 0x472944c6a9824dcbULL) << seq;
 }
